@@ -8,8 +8,8 @@ from collections import Counter
 
 from netinv import enumerate_admissible_pairs
 from netinv.inverse import _coefficient_row
+from netinv.network import RandomNetSpec, random_network
 from netinv.numerics import integer_rank
-from netinv.oracle import RandomNetSpec, random_network
 
 
 def main():

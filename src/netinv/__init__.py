@@ -19,6 +19,7 @@ from .forward import (
     BoundaryPair,
     DtNMap,
     dtn,
+    dtn_slogdet,
     dtn_subdet,
     harmonic_extension,
     kirchhoff_subdet,

@@ -16,7 +16,8 @@ class NetworkFormatError(NetworkError):
 
 
 class NotPositiveDefinite(ArithmeticError):
-    """Cholesky factorization hit a non-positive pivot."""
+    """A matrix that must be symmetric positive definite has no
+    Cholesky factor."""
 
 
 class InteriorNotGrounded(RuntimeError):
@@ -25,7 +26,7 @@ class InteriorNotGrounded(RuntimeError):
 
 
 class RankDeficient(RuntimeError):
-    """Numerical or exact rank fell short of the column count.
+    """Exact rank fell short of the column count.
 
     `rank` is the achieved rank; `columns` the free/unresolved column
     (or edge id) set.
@@ -38,7 +39,7 @@ class RankDeficient(RuntimeError):
 
 
 class ExpansionMismatch(RuntimeError):
-    """Disjoint-path expansion disagrees with the LU determinant;
+    """Disjoint-path expansion disagrees with the determinant;
     signals an enumeration or sign bug and is never swallowed."""
 
 

@@ -13,18 +13,27 @@ import numpy as np
 
 from .errors import InteriorNotGrounded, NotPositiveDefinite
 from .network import KirchhoffMatrix, Network, kirchhoff
-from .numerics import lu_det, solve_spd
+from .numerics import solve_spd
 
-#: Floor for relative discrepancies, keeping exact analytic zeros from
-#: dividing by zero.
-TINY = 1e-300
+#: Roundoff level of a computed determinant, relative to the Hadamard
+#: bound (product of row norms) of its matrix.
+DET_ROUNDOFF_RTOL = 1e-13
 
 
 @dataclass(frozen=True)
 class DtNMap:
-    """Boundary response matrix Lambda = A - B C^-1 B^T."""
+    """Boundary response matrix Lambda = A - B C^-1 B^T: square and
+    finite, else ValueError."""
 
     entries: np.ndarray
+
+    def __post_init__(self):
+        entries = np.asarray(self.entries, dtype=float)
+        if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
+            raise ValueError(f"DtN map must be a square matrix, got shape {entries.shape}")
+        if not np.isfinite(entries).all():
+            raise ValueError("DtN map has non-finite entries")
+        object.__setattr__(self, "entries", entries)
 
     @property
     def n_boundary(self) -> int:
@@ -106,25 +115,45 @@ def submatrix(m: np.ndarray, rows, cols) -> np.ndarray:
 def dtn_subdet(lam: DtNMap, pair: BoundaryPair) -> float:
     """Signed det Lambda(P, Q), ascending row/column convention."""
     pair.validate_for(lam.n_boundary)
-    return lu_det(submatrix(lam.entries, pair.p, pair.q))
+    return float(np.linalg.det(submatrix(lam.entries, pair.p, pair.q)))
+
+
+def dtn_slogdet(lam: DtNMap, pair: BoundaryPair) -> tuple[float, float]:
+    """Sign (1, -1, or 0 for an exactly singular minor) and
+    log|det Lambda(P, Q)|, taken from the LU factors so the minor itself
+    never passes through a float that can underflow or overflow."""
+    pair.validate_for(lam.n_boundary)
+    sign, logabs = np.linalg.slogdet(submatrix(lam.entries, pair.p, pair.q))
+    return float(sign), float(logabs)
+
+
+def det_roundoff(m: np.ndarray) -> float:
+    """Absolute roundoff level of a computed det M: DET_ROUNDOFF_RTOL
+    times the product of the row norms, a zero row counting as 1."""
+    norms = np.linalg.norm(m, axis=1)
+    return DET_ROUNDOFF_RTOL * float(np.prod(np.where(norms > 0, norms, 1.0)))
 
 
 def kirchhoff_subdet(k: KirchhoffMatrix, rows, cols) -> float:
     """Signed det K(rows, cols); the empty submatrix has determinant 1."""
     if len(rows) != len(cols):
         raise ValueError(f"|rows| = {len(rows)} != |cols| = {len(cols)}")
-    return lu_det(submatrix(k.entries, rows, cols))
+    return float(np.linalg.det(submatrix(k.entries, rows, cols)))
 
 
 def schur_identity_check(net: Network, pair: BoundaryPair) -> float:
     """Relative discrepancy of det Lambda(P,Q) * det K(I,I) against
-    det K(P+I, Q+I). An exactly-zero reference with a nonzero test
-    value reports 1.0."""
+    det K(P+I, Q+I). A reference that is zero up to det_roundoff reports
+    0.0 when the test value is too, else 1.0."""
     k = kirchhoff(net)
     lam = dtn(net)
     interior = net.interior_vertices
     test = dtn_subdet(lam, pair) * kirchhoff_subdet(k, interior, interior)
-    ref = kirchhoff_subdet(k, sorted(set(pair.p) | set(interior)), sorted(set(pair.q) | set(interior)))
-    if ref == 0.0:
-        return 0.0 if test == 0.0 else 1.0
-    return abs(test - ref) / max(abs(ref), TINY)
+    rows = sorted(set(pair.p) | set(interior))
+    cols = sorted(set(pair.q) | set(interior))
+    sub = submatrix(k.entries, rows, cols)
+    ref = float(np.linalg.det(sub))
+    zero = det_roundoff(sub)
+    if abs(ref) <= zero:
+        return 0.0 if abs(test) <= zero else 1.0
+    return abs(test - ref) / abs(ref)

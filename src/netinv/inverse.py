@@ -21,9 +21,9 @@ from .errors import (
     RankDeficient,
     RoundTripFailure,
 )
-from .forward import BoundaryPair, DtNMap, dtn, dtn_subdet
+from .forward import BoundaryPair, DtNMap, dtn, dtn_slogdet
 from .network import Network
-from .numerics import integer_rank, lstsq
+from .numerics import integer_rank
 from .paths import AdmissibleRow, is_log_linear_admissible
 
 #: Least-squares residual beyond this multiple of ||rhs|| flags the
@@ -126,7 +126,7 @@ def build_system(
 ) -> LogLinearSystem:
     """Evaluate rhs values log|det Lambda(P,Q)| for admissible rows.
 
-    Rows whose determinant underflows to zero, or whose observed sign
+    Rows whose determinant is exactly singular, or whose observed sign
     contradicts the sign predicted by the path system (a near-zero
     determinant flipped by roundoff), are dropped with a warning
     record.
@@ -137,18 +137,18 @@ def build_system(
     provenance: list[BoundaryPair] = []
     dropped: list[str] = []
     for row in rows:
-        det = dtn_subdet(lam, row.pair)
-        if det == 0.0:
+        sign, logabs = dtn_slogdet(lam, row.pair)
+        if sign == 0:
             dropped.append(f"pair {row.pair.p}->{row.pair.q}: zero determinant")
             continue
-        if (det > 0) != (row.sign > 0):
+        if sign != row.sign:
             dropped.append(
-                f"pair {row.pair.p}->{row.pair.q}: sign {'+' if det > 0 else '-'} "
+                f"pair {row.pair.p}->{row.pair.q}: sign {'+' if sign > 0 else '-'} "
                 f"contradicts predicted {'+' if row.sign > 0 else '-'}"
             )
             continue
         coeffs.append(tuple(_coefficient_row(row, n_edges, has_logdet)))
-        rhs.append(math.log(abs(det)))
+        rhs.append(logabs)
         provenance.append(row.pair)
     if rows and not coeffs:
         raise AllRowsDegenerate("; ".join(dropped))
@@ -221,9 +221,8 @@ def solve_system(sys: LogLinearSystem) -> tuple[np.ndarray, float, float]:
         raise RankDeficient(rank, unresolved_edges(sys))
     a = np.array(sys.coeffs, dtype=float)
     b = np.array(sys.rhs)
-    if a.shape[0] < a.shape[1]:  # full rank yet fewer rows cannot happen
-        raise RankDeficient(rank, ())
-    x, residual_norm = lstsq(a, b)
+    x = np.linalg.lstsq(a, b, rcond=None)[0]
+    residual_norm = float(np.linalg.norm(a @ x - b))
     rhs_norm = float(np.linalg.norm(b))
     if residual_norm > INCONSISTENT_RTOL * max(rhs_norm, 1.0):
         warnings.warn(

@@ -1,5 +1,5 @@
 """Resistor network data model, Kirchhoff matrix assembly, the 8+4
-lattice fixture, and the line-based text format.
+lattice fixture, seeded random networks, and the line-based text format.
 
 Vertices are 1-based: boundary vertices are 1..n_boundary, interior
 vertices follow. Edge identity is the input ordering (edge_id 1..m), so
@@ -9,6 +9,7 @@ recovered conductivities align positionally with the input.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,15 +49,9 @@ class Network:
         for k, e in enumerate(self.edges, start=1):
             if e.id != k:
                 raise NetworkError(f"edge ids must be 1..m consecutive, got {e.id} at position {k}")
-            if not (1 <= e.u <= n and 1 <= e.v <= n):
-                raise NetworkError(f"edge {e.id}: vertex out of range 1..{n}")
-            if e.u == e.v:
-                raise NetworkError(f"edge {e.id}: self-loop at vertex {e.u}")
-            if not (math.isfinite(e.gamma) and e.gamma > 0):
-                raise NetworkError(f"edge {e.id}: conductivity must be finite and positive, got {e.gamma}")
-            if e.pair in seen_pairs:
-                raise NetworkError(f"edge {e.id}: parallel edge on vertex pair {e.pair}")
-            seen_pairs.add(e.pair)
+            fault = _edge_fault(e.u, e.v, e.gamma, n, seen_pairs)
+            if fault:
+                raise NetworkError(f"edge {e.id}: {fault}")
         self._check_interior_grounded()
 
     def _check_interior_grounded(self):
@@ -118,6 +113,23 @@ class Network:
             Edge(e.id, e.u, e.v, float(g)) for e, g in zip(self.edges, gammas)
         )
         return Network(self.n_boundary, self.n_interior, new_edges)
+
+
+def _edge_fault(u: int, v: int, gamma: float, n: int, seen_pairs: set) -> str | None:
+    """The per-edge rule that edge (u, v, gamma) breaks in a graph of n
+    vertices whose earlier edges cover `seen_pairs`, or None; a valid
+    edge's vertex pair is added to `seen_pairs`."""
+    if not (1 <= u <= n and 1 <= v <= n):
+        return f"vertex out of range 1..{n}"
+    if u == v:
+        return f"self-loop at vertex {u}"
+    if not (math.isfinite(gamma) and gamma > 0):
+        return f"conductivity must be finite and positive, got {gamma}"
+    pair = (u, v) if u < v else (v, u)
+    if pair in seen_pairs:
+        return f"parallel edge on vertex pair {pair}"
+    seen_pairs.add(pair)
+    return None
 
 
 @dataclass(frozen=True)
@@ -189,9 +201,6 @@ def lattice_fixture(gammas) -> Network:
     gammas = [float(g) for g in gammas]
     if len(gammas) != 12:
         raise NetworkError(f"lattice fixture needs 12 conductivities, got {len(gammas)}")
-    for i, g in enumerate(gammas, start=1):
-        if not (math.isfinite(g) and g > 0):
-            raise NetworkError(f"conductivity {i} must be finite and positive, got {g}")
     edges = tuple(
         Edge(i, u, v, g)
         for i, ((u, v), g) in enumerate(zip(LATTICE_EDGE_PAIRS, gammas), start=1)
@@ -236,17 +245,9 @@ def parse_network(text: str) -> Network:
                 gamma = float(fields[3])
             except ValueError:
                 raise NetworkFormatError(f"cannot parse edge fields {fields[1:]!r}", line_no) from None
-            n = n_boundary + n_interior
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise NetworkFormatError(f"vertex out of range 1..{n}", line_no)
-            if u == v:
-                raise NetworkFormatError(f"self-loop at vertex {u}", line_no)
-            if not (math.isfinite(gamma) and gamma > 0):
-                raise NetworkFormatError(f"conductivity must be finite and positive, got {gamma}", line_no)
-            pair = (u, v) if u < v else (v, u)
-            if pair in seen_pairs:
-                raise NetworkFormatError(f"parallel edge on vertex pair {pair}", line_no)
-            seen_pairs.add(pair)
+            fault = _edge_fault(u, v, gamma, n_boundary + n_interior, seen_pairs)
+            if fault:
+                raise NetworkFormatError(fault, line_no)
             edges.append(Edge(len(edges) + 1, u, v, gamma))
         else:
             raise NetworkFormatError(f"unknown keyword {keyword!r}", line_no)
@@ -273,3 +274,63 @@ def serialize_network(net: Network) -> str:
     for e in net.edges:
         lines.append(f"edge {e.u} {e.v} {e.gamma:.17g}")
     return "\n".join(lines) + "\n"
+
+
+@dataclass(frozen=True)
+class RandomNetSpec:
+    """Parameters for seeded random network generation; gamma is drawn
+    log-uniformly so conditioning varies across trials."""
+
+    n_boundary: tuple[int, int] = (3, 6)
+    n_interior: tuple[int, int] = (1, 4)
+    edge_prob: float = 0.5
+    gamma_range: tuple[float, float] = (0.1, 10.0)
+    seed: int = 0
+    require_connected: bool = False
+
+    def __post_init__(self):
+        if self.gamma_range[0] <= 0:
+            raise ValueError("gamma range must be positive")
+
+
+MAX_RETRIES = 1000
+
+
+def random_network(spec: RandomNetSpec) -> Network:
+    """Deterministic-for-seed random network satisfying all Network
+    invariants (resampled on violation, bounded retries)."""
+    rng = random.Random(spec.seed)
+    log_lo, log_hi = math.log(spec.gamma_range[0]), math.log(spec.gamma_range[1])
+    for _ in range(MAX_RETRIES):
+        nb = rng.randint(*spec.n_boundary)
+        ni = rng.randint(*spec.n_interior)
+        n = nb + ni
+        edges = []
+        for u in range(1, n + 1):
+            for v in range(u + 1, n + 1):
+                if rng.random() < spec.edge_prob:
+                    gamma = math.exp(rng.uniform(log_lo, log_hi))
+                    edges.append(Edge(len(edges) + 1, u, v, gamma))
+        try:
+            net = Network(nb, ni, tuple(edges))
+        except NetworkError:
+            continue
+        if spec.require_connected and not _is_connected(net):
+            continue
+        return net
+    raise NetworkError(f"no valid network after {MAX_RETRIES} draws for spec {spec}")
+
+
+def _is_connected(net: Network) -> bool:
+    if net.n_vertices == 0:
+        return True
+    adj = net.adjacency()
+    seen = {1}
+    stack = [1]
+    while stack:
+        v = stack.pop()
+        for w in adj[v]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == net.n_vertices

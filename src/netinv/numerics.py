@@ -1,132 +1,25 @@
-"""Dense linear algebra written out in full, plus exact integer rank.
+"""Exact integer rank, the matrix text format, and the SPD solve
+behind the DtN map.
 
-Everything here operates on plain numpy arrays at desk scale; the point
-is auditability, not speed. Tolerances are relative to input magnitude.
+Exact rank is the audit trail of the inverse problem, so it runs in
+Python integers; dense floating-point work is left to numpy.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .errors import NotPositiveDefinite, RankDeficient
-
-#: Pivot-column tolerance for lu_det, relative to maxabs of the input.
-LU_ZERO_TOL = 1e-13
-
-#: Rank threshold for lstsq, relative to the largest |R| diagonal.
-LSTSQ_PIVOT_TOL = 1e-10
-
-
-def lu_det(m) -> float:
-    """Signed determinant via LU with partial pivoting.
-
-    Returns exact 0.0 when a pivot column is entirely below
-    LU_ZERO_TOL * maxabs(input).
-    """
-    a = np.array(m, dtype=float)
-    if a.size == 0:
-        return 1.0  # 0x0 determinant convention
-    n, nc = a.shape
-    if n != nc:
-        raise ValueError(f"lu_det needs a square matrix, got {n}x{nc}")
-    tol = LU_ZERO_TOL * np.max(np.abs(a))
-    det = 1.0
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(a[k:, k])))
-        if abs(a[p, k]) <= tol:
-            return 0.0
-        if p != k:
-            a[[k, p]] = a[[p, k]]
-            det = -det
-        det *= a[k, k]
-        factors = a[k + 1:, k] / a[k, k]
-        a[k + 1:, k:] -= np.outer(factors, a[k, k:])
-    return det
-
-
-def cholesky(m) -> np.ndarray:
-    """Lower-triangular Cholesky factor; raises NotPositiveDefinite on
-    a non-positive pivot."""
-    a = np.array(m, dtype=float)
-    n = a.shape[0]
-    l = np.zeros_like(a)
-    for j in range(n):
-        d = a[j, j] - l[j, :j] @ l[j, :j]
-        if d <= 0:
-            raise NotPositiveDefinite(f"non-positive pivot {d} at index {j}")
-        l[j, j] = math.sqrt(d)
-        if j + 1 < n:
-            l[j + 1:, j] = (a[j + 1:, j] - l[j + 1:, :j] @ l[j, :j]) / l[j, j]
-    return l
+from .errors import NotPositiveDefinite
 
 
 def solve_spd(m, b) -> np.ndarray:
-    """Solve M X = B for symmetric positive definite M via Cholesky."""
-    l = cholesky(m)
-    b = np.array(b, dtype=float)
-    squeeze = b.ndim == 1
-    if squeeze:
-        b = b[:, None]
-    n, k = b.shape
-    # forward then back substitution
-    y = np.empty_like(b)
-    for i in range(n):
-        y[i] = (b[i] - l[i, :i] @ y[:i]) / l[i, i]
-    x = np.empty_like(b)
-    for i in range(n - 1, -1, -1):
-        x[i] = (y[i] - l[i + 1:, i] @ x[i + 1:]) / l[i, i]
-    return x[:, 0] if squeeze else x
-
-
-def lstsq(m, b) -> tuple[np.ndarray, float]:
-    """Least squares min ||M x - b|| via Householder QR with column
-    pivoting.
-
-    Raises RankDeficient(rank, free_columns) when the numerical rank
-    falls short of the column count; free_columns are the original
-    column indices (0-based) beyond the detected rank.
-    """
-    a = np.array(m, dtype=float)
-    rhs = np.array(b, dtype=float)
-    nrows, ncols = a.shape
-    if nrows < ncols:
-        raise ValueError(f"lstsq needs rows >= cols, got {nrows}x{ncols}")
-    piv = list(range(ncols))
-    diag = np.empty(ncols)
-    for k in range(ncols):
-        norms = np.sqrt(np.sum(a[k:, k:] ** 2, axis=0))
-        j = k + int(np.argmax(norms))
-        if j != k:
-            a[:, [k, j]] = a[:, [j, k]]
-            piv[k], piv[j] = piv[j], piv[k]
-        # Householder reflector annihilating a[k+1:, k]
-        x = a[k:, k]
-        alpha = -math.copysign(np.linalg.norm(x), x[0] if x[0] != 0 else 1.0)
-        v = x.copy()
-        v[0] -= alpha
-        vn = np.linalg.norm(v)
-        if vn > 0:
-            v /= vn
-            a[k:, k:] -= 2.0 * np.outer(v, v @ a[k:, k:])
-            rhs[k:] -= 2.0 * v * (v @ rhs[k:])
-        diag[k] = a[k, k]
-    threshold = LSTSQ_PIVOT_TOL * np.max(np.abs(diag)) if ncols else 0.0
-    rank = 0
-    while rank < ncols and abs(diag[rank]) > threshold:
-        rank += 1
-    if rank < ncols:
-        raise RankDeficient(rank, piv[rank:])
-    # back substitution on the permuted system
-    xp = np.empty(ncols)
-    for i in range(ncols - 1, -1, -1):
-        xp[i] = (rhs[i] - a[i, i + 1:ncols] @ xp[i + 1:]) / a[i, i]
-    x = np.empty(ncols)
-    for k, col in enumerate(piv):
-        x[col] = xp[k]
-    residual_norm = float(np.linalg.norm(rhs[ncols:])) if nrows > ncols else 0.0
-    return x, residual_norm
+    """Solve M X = B for symmetric positive definite M; raises
+    NotPositiveDefinite when M has no Cholesky factor."""
+    try:
+        np.linalg.cholesky(m)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefinite(str(exc)) from exc
+    return np.linalg.solve(m, b)
 
 
 def integer_rank(m) -> int:

@@ -15,14 +15,14 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import ExpansionMismatch, TooManySystems
-from .forward import BoundaryPair, kirchhoff_subdet, submatrix
+from .forward import BoundaryPair, det_roundoff, kirchhoff_subdet, submatrix
 from .network import Network, kirchhoff
 
 #: Default cap on systems enumerated per pair; exceeded means the pair
 #: is beyond desk scale and the caller gets an explicit error.
 DEFAULT_MAX_SYSTEMS = 10**6
 
-#: Internal assertion tolerance for the expansion-vs-LU identity.
+#: Internal assertion tolerance for the expansion-vs-determinant identity.
 EXPANSION_RTOL = 1e-9
 
 
@@ -203,7 +203,7 @@ def expand_det(
     """Evaluate the disjoint-path expansion of det K(P+I, Q+I).
 
     Returns the term list and its total; internally asserts the total
-    against the LU determinant of K(P+I, Q+I) and raises
+    against the determinant of K(P+I, Q+I) and raises
     ExpansionMismatch on disagreement.
     """
     k = kirchhoff(net)
@@ -228,12 +228,8 @@ def expand_det(
     rows = sorted(set(pair.p) | interior)
     cols = sorted(set(pair.q) | interior)
     ref = kirchhoff_subdet(k, rows, cols)
-    # Hadamard-style bound on the achievable roundoff in the reference
     sub = submatrix(k.entries, rows, cols)
-    hadamard = 1.0
-    for row in sub:
-        hadamard *= float((row @ row) ** 0.5) or 1.0
-    tol = EXPANSION_RTOL * max(abs(ref), abs(total), mag) + 1e-13 * hadamard
+    tol = EXPANSION_RTOL * max(abs(ref), abs(total), mag) + det_roundoff(sub)
     if abs(total - ref) > tol:
         raise ExpansionMismatch(
             f"pair {pair.p}->{pair.q}: expansion total {total!r} vs determinant {ref!r}"

@@ -1,6 +1,5 @@
 """Brute-force reference implementations for the test suite only:
-permutation-expansion determinants, exhaustive path-system search, and
-seeded random network generation.
+permutation-expansion determinants and exhaustive path-system search.
 
 Nothing here shares determinant or path-walking code with the modules
 it checks; independence is the point. Factorial cost is fine, size caps
@@ -9,17 +8,13 @@ are hard errors.
 
 from __future__ import annotations
 
-import math
-import random
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations, product
 
 import networkx as nx
 
-from .errors import NetworkError
-from .network import Edge, Network
-from .paths import PathSystem
+from netinv.network import Network
+from netinv.paths import PathSystem
 
 
 def perm_det(m) -> float:
@@ -92,63 +87,3 @@ def exhaustive_path_systems(net: Network, pair) -> list[PathSystem]:
                 systems.append(PathSystem(tuple(combo), residual))
     systems.sort(key=lambda s: s.paths)
     return systems
-
-
-@dataclass(frozen=True)
-class RandomNetSpec:
-    """Parameters for seeded random network generation; gamma is drawn
-    log-uniformly so conditioning varies across trials."""
-
-    n_boundary: tuple[int, int] = (3, 6)
-    n_interior: tuple[int, int] = (1, 4)
-    edge_prob: float = 0.5
-    gamma_range: tuple[float, float] = (0.1, 10.0)
-    seed: int = 0
-    require_connected: bool = False
-
-    def __post_init__(self):
-        if self.gamma_range[0] <= 0:
-            raise ValueError("gamma range must be positive")
-
-
-MAX_RETRIES = 1000
-
-
-def random_network(spec: RandomNetSpec) -> Network:
-    """Deterministic-for-seed random network satisfying all Network
-    invariants (resampled on violation, bounded retries)."""
-    rng = random.Random(spec.seed)
-    log_lo, log_hi = math.log(spec.gamma_range[0]), math.log(spec.gamma_range[1])
-    for _ in range(MAX_RETRIES):
-        nb = rng.randint(*spec.n_boundary)
-        ni = rng.randint(*spec.n_interior)
-        n = nb + ni
-        edges = []
-        for u in range(1, n + 1):
-            for v in range(u + 1, n + 1):
-                if rng.random() < spec.edge_prob:
-                    gamma = math.exp(rng.uniform(log_lo, log_hi))
-                    edges.append(Edge(len(edges) + 1, u, v, gamma))
-        try:
-            net = Network(nb, ni, tuple(edges))
-        except NetworkError:
-            continue
-        if spec.require_connected and not _is_connected(net):
-            continue
-        return net
-    raise NetworkError(f"no valid network after {MAX_RETRIES} draws for spec {spec}")
-
-
-def _is_connected(net: Network) -> bool:
-    if net.n_vertices == 0:
-        return True
-    adj = net.adjacency()
-    seen = {1}
-    stack = [1]
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == net.n_vertices

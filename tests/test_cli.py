@@ -107,6 +107,16 @@ class TestInvert:
         assert main(["invert", lattice_file, str(lam_file)]) == 2
         capsys.readouterr()
 
+    def test_nonfinite_map_exit_2(self, tmp_path, lattice_file, lattice12, capsys):
+        lam = dtn(lattice12).entries.copy()
+        lam[2, 3] = np.nan
+        lam_file = tmp_path / "lam.txt"
+        lam_file.write_text(format_matrix_text(lam))
+        assert main(["invert", lattice_file, str(lam_file)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "non-finite" in captured.err
+
     def test_wrong_map_exit_6(self, tmp_path, lattice_file, lattice12, capsys, recwarn):
         lam = dtn(lattice12).entries.copy()
         lam[0, 1] *= 1.5

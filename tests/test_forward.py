@@ -5,16 +5,18 @@ from hypothesis import strategies as st
 
 from netinv import (
     BoundaryPair,
+    DtNMap,
     dtn,
+    dtn_slogdet,
     dtn_subdet,
     harmonic_extension,
     kirchhoff_subdet,
     lattice_fixture,
     schur_identity_check,
 )
-from netinv.network import kirchhoff
-from netinv.oracle import RandomNetSpec, perm_det, random_network
+from netinv.network import RandomNetSpec, kirchhoff, random_network
 from netinv.paths import enumerate_path_systems
+from oracle import perm_det
 
 
 def check_dtn_invariants(lam):
@@ -44,6 +46,26 @@ def test_dtn_homogeneous_in_gamma(lattice12):
     lam = dtn(lattice12)
     scaled = dtn(lattice12.with_gammas([3.0 * e.gamma for e in lattice12.edges]))
     assert np.allclose(scaled.entries, 3.0 * lam.entries, rtol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "entries", [np.ones(3), np.ones((2, 3)), [[1.0, np.inf], [0.0, 1.0]], [[np.nan]]]
+)
+def test_dtn_map_rejects_bad_entries(entries):
+    with pytest.raises(ValueError):
+        DtNMap(entries)
+
+
+def test_dtn_slogdet_beyond_float_range(lattice12):
+    lam = dtn(lattice12)
+    pair = BoundaryPair((1, 2, 8), (5, 6, 8))
+    det = dtn_subdet(lam, pair)
+    sign, logabs = dtn_slogdet(lam, pair)
+    assert sign == np.sign(det)
+    assert logabs == pytest.approx(np.log(abs(det)), rel=1e-12)
+    tiny = DtNMap(1e-120 * lam.entries)
+    assert dtn_subdet(tiny, pair) == 0.0  # the minor itself underflows
+    assert dtn_slogdet(tiny, pair) == pytest.approx((sign, logabs + 3 * np.log(1e-120)), rel=1e-12)
 
 
 def test_harmonic_extension_constant(lattice12):

@@ -6,33 +6,56 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netinv import NotPositiveDefinite, RankDeficient, lattice_fixture
+from netinv import (
+    BoundaryPair,
+    DtNMap,
+    InconsistentDataWarning,
+    LogLinearSystem,
+    NotPositiveDefinite,
+    RankDeficient,
+    dtn_subdet,
+    solve_system,
+)
 from netinv.network import kirchhoff
 from netinv.numerics import (
     format_matrix_text,
     integer_rank,
-    lstsq,
-    lu_det,
     parse_matrix_text,
     solve_spd,
 )
-from netinv.oracle import perm_det
+from oracle import perm_det
+
+
+def full_det(m) -> float:
+    """det M through the package's determinant path: the DtN minor on
+    all rows and columns."""
+    lam = DtNMap(m)
+    everything = range(1, lam.n_boundary + 1)
+    return dtn_subdet(lam, BoundaryPair(everything, everything))
+
+
+def integer_system(coeffs, rhs) -> LogLinearSystem:
+    """A log-linear system over the given integer columns, no log-det column."""
+    coeffs = tuple(tuple(int(c) for c in row) for row in coeffs)
+    return LogLinearSystem(coeffs, tuple(float(r) for r in rhs), (), len(coeffs[0]), False)
 
 
 class TestLuDet:
+    """The dense determinant the package evaluates minors with."""
+
     def test_rank_one_laplacian_is_zero(self):
-        assert lu_det([[3, -3], [-3, 3]]) == 0.0
+        assert full_det([[3, -3], [-3, 3]]) == 0.0
 
     def test_identity(self):
-        assert lu_det(np.eye(4)) == 1.0
+        assert full_det(np.eye(4)) == 1.0
 
     def test_empty_matrix(self):
-        assert lu_det(np.zeros((0, 0))) == 1.0
+        assert full_det(np.zeros((0, 0))) == 1.0
 
     def test_interior_block_matches_permutation_oracle(self, lattice_ones):
         c = kirchhoff(lattice_ones).block_c
         ref = perm_det(c)
-        assert lu_det(c) == pytest.approx(ref, rel=1e-12)
+        assert full_det(c) == pytest.approx(ref, rel=1e-12)
 
     @given(st.integers(0, 10_000), st.integers(1, 7))
     @settings(max_examples=60, deadline=None)
@@ -40,7 +63,7 @@ class TestLuDet:
         rng = random.Random(seed)
         m = [[rng.uniform(-2, 2) for _ in range(n)] for _ in range(n)]
         ref = perm_det(m)
-        got = lu_det(m)
+        got = full_det(m)
         assert abs(got - ref) <= 1e-10 * max(abs(ref), 1.0)
 
 
@@ -77,16 +100,18 @@ class TestSolveSpd:
 
 
 class TestLstsq:
+    """The least-squares solve of the log-linear system."""
+
     def test_identity(self):
-        x, r = lstsq(np.eye(3), [1.0, 2.0, 3.0])
+        x, _, r = solve_system(integer_system(np.eye(3), [1.0, 2.0, 3.0]))
         assert np.allclose(x, [1, 2, 3], atol=1e-15)
         assert r == 0.0
 
     def test_consistent_overdetermined(self):
-        m = np.array([[2.0, 1.0], [1.0, 3.0]])
+        m = np.array([[2, 1], [1, 3]])
         b = np.array([1.0, 2.0])
-        x_sq, _ = lstsq(m, b)
-        stacked_x, r = lstsq(np.vstack([m, m]), np.concatenate([b, b]))
+        x_sq, _, _ = solve_system(integer_system(m, b))
+        stacked_x, _, r = solve_system(integer_system(np.vstack([m, m]), np.concatenate([b, b])))
         assert np.allclose(stacked_x, x_sq, rtol=1e-12)
         assert r <= 1e-12
 
@@ -94,21 +119,21 @@ class TestLstsq:
         rng = np.random.default_rng(11)
         for _ in range(50):
             n = rng.integers(1, 8)
-            m = rng.normal(size=(n, n)) + np.eye(n) * n
+            m = rng.integers(-1, 2, size=(n, n)) + np.eye(n, dtype=int) * (n + 1)
             b = rng.normal(size=n)
-            x, _ = lstsq(m, b)
+            x, _, _ = solve_system(integer_system(m, b))
             assert np.allclose(x, np.linalg.solve(m, b), rtol=1e-12, atol=1e-13)
 
     def test_rank_deficient_reports_free_columns(self):
-        m = np.array([[1.0, 1.0, 0.0], [2.0, 2.0, 0.0], [0.0, 0.0, 1.0]])
+        m = [[1, 1, 0], [2, 2, 0], [0, 0, 1]]
         with pytest.raises(RankDeficient) as exc:
-            lstsq(m, [1.0, 2.0, 3.0])
+            solve_system(integer_system(m, [1.0, 2.0, 3.0]))
         assert exc.value.rank == 2
-        assert set(exc.value.columns) <= {0, 1}
+        assert set(exc.value.columns) == {1, 2}  # edge ids, 1-based
 
     def test_genuinely_overdetermined_residual(self):
-        m = np.array([[1.0], [1.0]])
-        x, r = lstsq(m, [0.0, 2.0])
+        with pytest.warns(InconsistentDataWarning):
+            x, _, r = solve_system(integer_system([[1], [1]], [0.0, 2.0]))
         assert x[0] == pytest.approx(1.0)
         assert r == pytest.approx(math.sqrt(2.0))
 

@@ -3,15 +3,9 @@ import random
 import numpy as np
 import pytest
 
-from netinv import BoundaryPair, dtn, enumerate_path_systems
-from netinv.network import Edge, Network, kirchhoff
-from netinv.numerics import lu_det
-from netinv.oracle import (
-    RandomNetSpec,
-    exhaustive_path_systems,
-    perm_det,
-    random_network,
-)
+from netinv import BoundaryPair, DtNMap, dtn, dtn_subdet, enumerate_path_systems
+from netinv.network import Edge, Network, RandomNetSpec, kirchhoff, random_network
+from oracle import exhaustive_path_systems, perm_det
 
 
 class TestPermDet:
@@ -29,12 +23,14 @@ class TestPermDet:
             perm_det(np.eye(9))
 
     def test_matches_lu_det_random(self):
+        # against the package's determinant path, the full DtN minor
         rng = random.Random(42)
         for _ in range(300):
             n = rng.randint(1, 6)
             m = [[rng.uniform(-2, 2) for _ in range(n)] for _ in range(n)]
             ref = perm_det(m)
-            assert abs(lu_det(m) - ref) <= 1e-10 * max(abs(ref), 1.0)
+            got = dtn_subdet(DtNMap(m), BoundaryPair(range(1, n + 1), range(1, n + 1)))
+            assert abs(got - ref) <= 1e-10 * max(abs(ref), 1.0)
 
 
 class TestExhaustivePathSystems:

@@ -12,8 +12,8 @@ from netinv import (
     kirchhoff_subdet,
     term_sign,
 )
-from netinv.network import Edge, Network, kirchhoff
-from netinv.oracle import RandomNetSpec, exhaustive_path_systems, random_network
+from netinv.network import Edge, Network, RandomNetSpec, kirchhoff, random_network
+from oracle import exhaustive_path_systems
 
 
 def system_summaries(systems):
