@@ -6,10 +6,8 @@ solvable from unique-disjoint-path determinants alone?"""
 import argparse
 from collections import Counter
 
-from netinv import enumerate_admissible_pairs
-from netinv.inverse import _coefficient_row
+from netinv import admissible_rank, enumerate_admissible_pairs
 from netinv.network import RandomNetSpec, random_network
-from netinv.numerics import integer_rank
 
 
 def main():
@@ -31,12 +29,7 @@ def main():
         )
         net = random_network(spec)
         rows = enumerate_admissible_pairs(net)
-        unknowns = net.n_edges + (1 if net.n_interior else 0)
-        if rows:
-            coeffs = [_coefficient_row(r, net.n_edges, net.n_interior > 0) for r in rows]
-            rank = integer_rank(coeffs)
-        else:
-            rank = 0
+        rank, unknowns = admissible_rank(net, rows)
         verdict = "full" if rank == unknowns else "deficient"
         verdicts[verdict] += 1
         print(

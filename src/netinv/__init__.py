@@ -28,6 +28,7 @@ from .forward import (
 from .inverse import (
     LogLinearSystem,
     RecoveryReport,
+    admissible_rank,
     build_system,
     difference_rows,
     enumerate_admissible_pairs,

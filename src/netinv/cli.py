@@ -22,9 +22,9 @@ from .errors import (
     RoundTripFailure,
 )
 from .forward import BoundaryPair, DtNMap, dtn, kirchhoff_subdet
-from .inverse import _coefficient_row, enumerate_admissible_pairs, recover
+from .inverse import admissible_rank, enumerate_admissible_pairs, recover
 from .network import Network, kirchhoff, parse_network
-from .numerics import format_matrix_text, integer_rank, parse_matrix_text
+from .numerics import format_matrix_text, parse_matrix_text
 from .paths import expand_det
 
 EXIT_OK = 0
@@ -109,12 +109,7 @@ def cmd_rank(args) -> int:
     except (OSError, NetworkError) as exc:
         return _fail(EXIT_INPUT, f"error: {exc}")
     rows = enumerate_admissible_pairs(net, args.max_pair_size, stop_at_full_rank=False)
-    n_unknowns = net.n_edges + (1 if net.n_interior else 0)
-    if rows:
-        coeffs = [_coefficient_row(r, net.n_edges, net.n_interior > 0) for r in rows]
-        rank = integer_rank(coeffs)
-    else:
-        rank = 0
+    rank, n_unknowns = admissible_rank(net, rows)
     verdict = "full" if rank == n_unknowns else "deficient"
     print(f"rows={len(rows)} rank={rank} unknowns={n_unknowns} verdict={verdict}")
     return EXIT_OK if verdict == "full" else EXIT_RANK

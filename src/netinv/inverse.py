@@ -8,7 +8,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from typing import Iterator, Optional
 
@@ -23,7 +22,7 @@ from .errors import (
 )
 from .forward import BoundaryPair, DtNMap, dtn, dtn_slogdet
 from .network import Network
-from .numerics import integer_rank
+from .numerics import RowSpace, integer_rank
 from .paths import AdmissibleRow, is_log_linear_admissible
 
 #: Least-squares residual beyond this multiple of ||rhs|| flags the
@@ -66,7 +65,6 @@ class RecoveryReport:
     logdet_interior: float
     residual_norm: float
     rank: int
-    unresolved_edges: tuple[int, ...]
     roundtrip_error: float
 
 
@@ -98,7 +96,8 @@ def enumerate_admissible_pairs(
     if max_pair_size is None:
         max_pair_size = net.n_boundary
     max_pair_size = min(max_pair_size, net.n_boundary)
-    target = net.n_edges + (1 if net.n_interior else 0)
+    has_logdet = net.n_interior > 0
+    space = RowSpace()
     rows: list[AdmissibleRow] = []
     for pair in _candidate_pairs(net.n_boundary, max_pair_size):
         row = is_log_linear_admissible(net, pair)
@@ -106,10 +105,18 @@ def enumerate_admissible_pairs(
             continue
         rows.append(row)
         if stop_at_full_rank:
-            coeffs = [_coefficient_row(r, net.n_edges, net.n_interior > 0) for r in rows]
-            if integer_rank(coeffs) >= target:
+            space.add(_coefficient_row(row, net.n_edges, has_logdet))
+            if space.rank == net.n_edges + (1 if has_logdet else 0):
                 break
     return rows
+
+
+def admissible_rank(net: Network, rows: list[AdmissibleRow]) -> tuple[int, int]:
+    """Exact rank of the coefficient matrix of admissible rows on net,
+    and the number of unknowns full rank means."""
+    has_logdet = net.n_interior > 0
+    rank = integer_rank(_coefficient_row(r, net.n_edges, has_logdet) for r in rows)
+    return rank, net.n_edges + (1 if has_logdet else 0)
 
 
 def _coefficient_row(row: AdmissibleRow, n_edges: int, has_logdet: bool) -> list[int]:
@@ -159,66 +166,33 @@ def build_system(
 
 def system_rank(sys: LogLinearSystem) -> int:
     """Exact rank of the coefficient matrix over the rationals."""
-    if not sys.coeffs:
-        return 0
     return integer_rank(sys.coeffs)
 
 
-def _exact_nullspace(coeffs, n_cols) -> list[list[Fraction]]:
-    """Null-space basis of an integer matrix by rational RREF."""
-    m = [[Fraction(x) for x in row] for row in coeffs]
-    pivots: list[int] = []
-    r = 0
-    for c in range(n_cols):
-        piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    free = [c for c in range(n_cols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * n_cols
-        vec[fc] = Fraction(1)
-        for row_idx, pc in enumerate(pivots):
-            vec[pc] = -m[row_idx][fc]
-        basis.append(vec)
-    return basis
+def _unresolved(space: RowSpace, sys: LogLinearSystem) -> tuple[int, ...]:
+    # the row space is the orthogonal complement of the null space, so
+    # e_j meets the null space exactly when it leaves the row space
+    return tuple(
+        j
+        for j in range(1, sys.n_edges + 1)
+        if any(space.reduce([int(c == j) for c in range(1, sys.n_unknowns + 1)]))
+    )
 
 
 def unresolved_edges(sys: LogLinearSystem) -> tuple[int, ...]:
     """Edge ids whose unit directions meet the coefficient null space:
     exactly the conductivities the system cannot pin down."""
-    if not sys.coeffs:
-        return tuple(range(1, sys.n_edges + 1))
-    basis = _exact_nullspace(sys.coeffs, sys.n_unknowns)
-    bad = {
-        j + 1
-        for vec in basis
-        for j in range(sys.n_edges)
-        if vec[j] != 0
-    }
-    return tuple(sorted(bad))
+    return _unresolved(RowSpace(sys.coeffs), sys)
 
 
 def solve_system(sys: LogLinearSystem) -> tuple[np.ndarray, float, float]:
     """Least-squares solve; returns (log gammas, log det K(I,I),
     residual norm). Raises RankDeficient with the unresolved edge ids
-    when the exact rank is below the unknown count."""
-    if sys.n_rows == 0:
-        raise AllRowsDegenerate("no rows to solve")
-    rank = system_rank(sys)
-    if rank < sys.n_unknowns:
-        raise RankDeficient(rank, unresolved_edges(sys))
+    when the exact rank is below the unknown count, or when there are
+    no rows at all (a network without edges has no unknowns)."""
+    space = RowSpace(sys.coeffs)
+    if not sys.coeffs or space.rank < sys.n_unknowns:
+        raise RankDeficient(space.rank, _unresolved(space, sys))
     a = np.array(sys.coeffs, dtype=float)
     b = np.array(sys.rhs)
     x = np.linalg.lstsq(a, b, rcond=None)[0]
@@ -250,9 +224,8 @@ def recover(
             f"DtN map is {lam.n_boundary}x{lam.n_boundary} but the topology has "
             f"{topology.n_boundary} boundary vertices"
         )
-    template = topology.with_gammas([1.0] * topology.n_edges)
-    rows = enumerate_admissible_pairs(template, max_pair_size, stop_at_full_rank)
-    sys = build_system(rows, lam, template.n_edges, template.n_interior)
+    rows = enumerate_admissible_pairs(topology, max_pair_size, stop_at_full_rank)
+    sys = build_system(rows, lam, topology.n_edges, topology.n_interior)
     loggammas, logdet, residual_norm = solve_system(sys)
     gammas = tuple(math.exp(g) for g in loggammas)
     recovered = topology.with_gammas(gammas)
@@ -265,8 +238,7 @@ def recover(
         recovered_gammas=gammas,
         logdet_interior=logdet,
         residual_norm=residual_norm,
-        rank=system_rank(sys),
-        unresolved_edges=(),
+        rank=sys.n_unknowns,
         roundtrip_error=roundtrip_error,
     )
 

@@ -1,11 +1,13 @@
-"""Exact integer rank, the matrix text format, and the SPD solve
-behind the DtN map.
+"""Exact integer row space and rank, the matrix text format, and the
+SPD solve behind the DtN map.
 
 Exact rank is the audit trail of the inverse problem, so it runs in
 Python integers; dense floating-point work is left to numpy.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -22,31 +24,53 @@ def solve_spd(m, b) -> np.ndarray:
     return np.linalg.solve(m, b)
 
 
+class RowSpace:
+    """Exact span over the rationals of integer rows, grown one row at
+    a time. No floating point.
+
+    The basis is fraction-free echelon form keyed by pivot column:
+    each stored row is zero in the pivot columns of the rows stored
+    before it, and every reduced row is divided by the gcd of its
+    entries so the integers stay small.
+    """
+
+    def __init__(self, rows=()):
+        self._basis: dict[int, list[int]] = {}
+        for row in rows:
+            self.add(row)
+
+    @property
+    def rank(self) -> int:
+        return len(self._basis)
+
+    def reduce(self, row) -> list[int]:
+        """An integer multiple of the row minus a combination of basis
+        rows, zero in every pivot column; all zeros exactly when the
+        row lies in the span."""
+        r = [int(x) for x in row]
+        for col, b in self._basis.items():
+            c = r[col]
+            if c:
+                p = b[col]
+                r = [p * x - c * y for x, y in zip(r, b)]
+                g = math.gcd(*r)
+                if g > 1:
+                    r = [x // g for x in r]
+        return r
+
+    def add(self, row) -> bool:
+        """Add a row to the span; True when the rank rose."""
+        r = self.reduce(row)
+        col = next((j for j, x in enumerate(r) if x), None)
+        if col is None:
+            return False
+        self._basis[col] = r
+        return True
+
+
 def integer_rank(m) -> int:
-    """Exact rank over the rationals via fraction-free (Bareiss)
-    elimination in Python integers. No floating point."""
-    a = [[int(x) for x in row] for row in m]
-    nrows = len(a)
-    ncols = len(a[0]) if nrows else 0
-    rank = 0
-    prev = 1
-    col = 0
-    while rank < nrows and col < ncols:
-        piv_row = next((i for i in range(rank, nrows) if a[i][col] != 0), None)
-        if piv_row is None:
-            col += 1
-            continue
-        if piv_row != rank:
-            a[rank], a[piv_row] = a[piv_row], a[rank]
-        pivot = a[rank][col]
-        for i in range(rank + 1, nrows):
-            for j in range(col + 1, ncols):
-                a[i][j] = (pivot * a[i][j] - a[i][col] * a[rank][j]) // prev
-            a[i][col] = 0
-        prev = pivot
-        rank += 1
-        col += 1
-    return rank
+    """Exact rank over the rationals of an integer matrix."""
+    return RowSpace(m).rank
 
 
 def format_matrix_text(m) -> str:

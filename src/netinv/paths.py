@@ -249,9 +249,7 @@ class AdmissibleRow:
     sign: int
 
 
-def is_log_linear_admissible(
-    net: Network, pair: BoundaryPair, max_systems: int = DEFAULT_MAX_SYSTEMS
-) -> Optional[AdmissibleRow]:
+def is_log_linear_admissible(net: Network, pair: BoundaryPair) -> Optional[AdmissibleRow]:
     """Return the row description if the pair yields a log-linear
     equation, else None.
 
@@ -260,7 +258,10 @@ def is_log_linear_admissible(
     neighbor outside the residual, so det K(residual, residual) is the
     product of the pendant conductivities.
     """
-    systems = enumerate_path_systems(net, pair, max_systems)
+    try:  # only uniqueness matters: stop at the second system
+        systems = enumerate_path_systems(net, pair, max_systems=2)
+    except TooManySystems:
+        return None
     if len(systems) != 1:
         return None
     system = systems[0]

@@ -45,6 +45,7 @@ class TestEnumerateAdmissiblePairs:
 
     def test_stop_at_full_rank_reaches_13(self, lattice_ones):
         rows = lattice_rows(lattice_ones, stop_at_full_rank=True)
+        assert len(rows) == 110
         sys = build_system(rows, dtn(lattice_ones), 12, 4)
         assert system_rank(sys) == 13
 
@@ -159,6 +160,13 @@ class TestSolveSystem:
         # gamma_7 is pinned by the row difference; the rest are not
         assert 7 not in exc.value.columns
         assert set(exc.value.columns) >= {8, 9, 10, 11, 12}
+
+    @pytest.mark.parametrize("n_edges, columns", [(3, (1, 2, 3)), (0, ())])
+    def test_empty_system_is_rank_deficient(self, n_edges, columns):
+        with pytest.raises(RankDeficient) as exc:
+            solve_system(LogLinearSystem((), (), (), n_edges, False))
+        assert exc.value.rank == 0
+        assert exc.value.columns == columns
 
     def test_unresolved_edges_empty_system(self):
         sys = LogLinearSystem((), (), (), 3, False)

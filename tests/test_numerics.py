@@ -16,8 +16,10 @@ from netinv import (
     dtn_subdet,
     solve_system,
 )
+from netinv.inverse import unresolved_edges
 from netinv.network import kirchhoff
 from netinv.numerics import (
+    RowSpace,
     format_matrix_text,
     integer_rank,
     parse_matrix_text,
@@ -169,10 +171,29 @@ class TestIntegerRank:
         assert integer_rank(negated) == base
 
     def test_matches_numpy_rank_on_random_int_matrices(self):
+        def np_rank(a):
+            return np.linalg.matrix_rank(a) if len(a) else 0
+
         rng = np.random.default_rng(3)
         for _ in range(200):
             m = rng.integers(-1, 2, size=(rng.integers(1, 7), rng.integers(1, 7)))
             assert integer_rank(m.tolist()) == np.linalg.matrix_rank(m)
+            n = m.shape[1]
+            space = RowSpace()
+            for i, row in enumerate(m):
+                assert space.add(row) == (np_rank(m[: i + 1]) > np_rank(m[:i]))
+            # random rows, and combinations of m's rows that lie in the span
+            probes = [rng.integers(-1, 2, size=n) for _ in range(4)]
+            probes += [rng.integers(-2, 3, size=len(m)) @ m for _ in range(4)]
+            for probe in probes:
+                in_span = np_rank(np.vstack([m, probe])) == np_rank(m)
+                assert (not any(space.reduce(probe))) == in_span
+            unit_raises = {
+                j + 1
+                for j in range(n)
+                if np_rank(np.vstack([m, np.eye(n, dtype=int)[j]])) > np_rank(m)
+            }
+            assert set(unresolved_edges(integer_system(m, [0.0] * len(m)))) == unit_raises
 
 
 class TestMatrixText:

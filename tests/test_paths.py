@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from netinv import (
     BoundaryPair,
+    lattice_fixture,
     TooManySystems,
     enumerate_path_systems,
     expand_det,
@@ -174,3 +177,23 @@ class TestAdmissibility:
         row = is_log_linear_admissible(net, BoundaryPair((1, 2), (2, 3)))
         assert row is not None
         assert row.edge_ids == (1, 2, 3)
+
+    @pytest.mark.parametrize(
+        "net",
+        [lattice_fixture([1.0] * 12)]
+        + [
+            random_network(RandomNetSpec(n_boundary=(3, 6), n_interior=(1, 4), seed=seed))
+            for seed in range(8)
+        ],
+    )
+    def test_several_systems_never_admissible(self, net):
+        several = 0
+        for size in range(1, min(3, net.n_boundary) + 1):
+            subsets = list(combinations(range(1, net.n_boundary + 1), size))
+            for p in subsets:
+                for q in subsets:
+                    pair = BoundaryPair(p, q)
+                    if q >= p and len(exhaustive_path_systems(net, pair)) >= 2:
+                        several += 1
+                        assert is_log_linear_admissible(net, pair) is None
+        assert several > 0
