@@ -6,7 +6,7 @@ solvable from unique-disjoint-path determinants alone?"""
 import argparse
 from collections import Counter
 
-from netinv import admissible_rank, enumerate_admissible_pairs
+from netinv import admissible_rank, enumerate_admissible_pairs, is_full_rank
 from netinv.network import RandomNetSpec, random_network
 
 
@@ -30,7 +30,7 @@ def main():
         net = random_network(spec)
         rows = enumerate_admissible_pairs(net)
         rank, unknowns = admissible_rank(net, rows)
-        verdict = "full" if rank == unknowns else "deficient"
+        verdict = "full" if is_full_rank(len(rows), rank, unknowns) else "deficient"
         verdicts[verdict] += 1
         print(
             f"trial {trial}: vertices {net.n_vertices} edges {net.n_edges} "

@@ -32,6 +32,7 @@ from .inverse import (
     build_system,
     difference_rows,
     enumerate_admissible_pairs,
+    is_full_rank,
     recover,
     solve_system,
     system_rank,

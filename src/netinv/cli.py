@@ -22,7 +22,7 @@ from .errors import (
     RoundTripFailure,
 )
 from .forward import BoundaryPair, DtNMap, dtn, kirchhoff_subdet
-from .inverse import admissible_rank, enumerate_admissible_pairs, recover
+from .inverse import admissible_rank, enumerate_admissible_pairs, is_full_rank, recover
 from .network import Network, kirchhoff, parse_network
 from .numerics import format_matrix_text, parse_matrix_text
 from .paths import expand_det
@@ -110,7 +110,7 @@ def cmd_rank(args) -> int:
         return _fail(EXIT_INPUT, f"error: {exc}")
     rows = enumerate_admissible_pairs(net, args.max_pair_size, stop_at_full_rank=False)
     rank, n_unknowns = admissible_rank(net, rows)
-    verdict = "full" if rank == n_unknowns else "deficient"
+    verdict = "full" if is_full_rank(len(rows), rank, n_unknowns) else "deficient"
     print(f"rows={len(rows)} rank={rank} unknowns={n_unknowns} verdict={verdict}")
     return EXIT_OK if verdict == "full" else EXIT_RANK
 

@@ -8,8 +8,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -23,7 +22,7 @@ from .errors import (
 from .forward import BoundaryPair, DtNMap, dtn, dtn_slogdet
 from .network import Network
 from .numerics import RowSpace, integer_rank
-from .paths import AdmissibleRow, is_log_linear_admissible
+from .paths import AdmissibleRow, admissible_rows
 
 #: Least-squares residual beyond this multiple of ||rhs|| flags the
 #: input as not an exact DtN map of the topology.
@@ -68,20 +67,6 @@ class RecoveryReport:
     roundtrip_error: float
 
 
-def _candidate_pairs(n_boundary: int, max_pair_size: int) -> Iterator[BoundaryPair]:
-    """Pairs in order of increasing |P| then lexicographic, with the
-    symmetric duplicate (Q,P) of each (P,Q) skipped (Lambda is
-    symmetric, so both give the same determinant)."""
-    indices = range(1, n_boundary + 1)
-    for size in range(1, max_pair_size + 1):
-        subsets = list(combinations(indices, size))
-        for p in subsets:
-            for q in subsets:
-                if q < p:
-                    continue  # (q, p) already visited as (p, q)
-                yield BoundaryPair(p, q)
-
-
 def enumerate_admissible_pairs(
     net: Network,
     max_pair_size: Optional[int] = None,
@@ -99,10 +84,7 @@ def enumerate_admissible_pairs(
     has_logdet = net.n_interior > 0
     space = RowSpace()
     rows: list[AdmissibleRow] = []
-    for pair in _candidate_pairs(net.n_boundary, max_pair_size):
-        row = is_log_linear_admissible(net, pair)
-        if row is None:
-            continue
+    for row in admissible_rows(net, max_pair_size):
         rows.append(row)
         if stop_at_full_rank:
             space.add(_coefficient_row(row, net.n_edges, has_logdet))
@@ -117,6 +99,13 @@ def admissible_rank(net: Network, rows: list[AdmissibleRow]) -> tuple[int, int]:
     has_logdet = net.n_interior > 0
     rank = integer_rank(_coefficient_row(r, net.n_edges, has_logdet) for r in rows)
     return rank, net.n_edges + (1 if has_logdet else 0)
+
+
+def is_full_rank(n_rows: int, rank: int, n_unknowns: int) -> bool:
+    """Whether a system of n_rows rows and this exact rank determines all
+    n_unknowns. No rows never do: a network without edges has nothing to
+    recover and no equation to check a map against."""
+    return n_rows > 0 and rank == n_unknowns
 
 
 def _coefficient_row(row: AdmissibleRow, n_edges: int, has_logdet: bool) -> list[int]:
@@ -191,7 +180,7 @@ def solve_system(sys: LogLinearSystem) -> tuple[np.ndarray, float, float]:
     when the exact rank is below the unknown count, or when there are
     no rows at all (a network without edges has no unknowns)."""
     space = RowSpace(sys.coeffs)
-    if not sys.coeffs or space.rank < sys.n_unknowns:
+    if not is_full_rank(sys.n_rows, space.rank, sys.n_unknowns):
         raise RankDeficient(space.rank, _unresolved(space, sys))
     a = np.array(sys.coeffs, dtype=float)
     b = np.array(sys.rhs)

@@ -12,7 +12,8 @@ to det K(P+I, Q+I).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from itertools import combinations
+from typing import Iterator, Optional
 
 from .errors import ExpansionMismatch, TooManySystems
 from .forward import BoundaryPair, det_roundoff, kirchhoff_subdet, submatrix
@@ -62,13 +63,135 @@ class PathTerm:
         return self.sign * prod * self.residual_det
 
 
-def _pair_sets(net: Network, pair: BoundaryPair):
-    pair.validate_for(net.n_boundary)
-    p_set, q_set = set(pair.p), set(pair.q)
-    sources = sorted(p_set - q_set)
-    sinks = sorted(q_set - p_set)
-    allowed = set(net.interior_vertices) | (p_set & q_set)
-    return sources, sinks, allowed
+def _mask(vertices) -> int:
+    mask = 0
+    for v in vertices:
+        mask |= 1 << v
+    return mask
+
+
+def _vertices(mask: int) -> tuple[int, ...]:
+    """The vertices of a bitmask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
+class _SearchGraph:
+    """The topology data the path search reads, built once per network:
+    per vertex its ascending (neighbor, bit) steps and its neighbor
+    bitmask, plus the interior and degree-1 vertex bitmasks and the edge
+    ids. Vertex sets are int bitmasks (bit v is vertex v)."""
+
+    __slots__ = ("steps", "masks", "interior", "pendants", "edge_id")
+
+    def __init__(self, net: Network):
+        adj = net.adjacency()
+        vertices = range(1, net.n_vertices + 1)
+        self.steps = [()] + [tuple((w, 1 << w) for w in adj[v]) for v in vertices]
+        self.masks = [0] + [_mask(adj[v]) for v in vertices]
+        self.interior = _mask(net.interior_vertices)
+        self.pendants = _mask(v for v in vertices if len(adj[v]) == 1)
+        self.edge_id = {e.pair: e.id for e in net.edges}
+
+    def search(self, p_mask: int, q_mask: int, visit) -> bool:
+        """Walk the path systems of the pair with vertex masks (p_mask,
+        q_mask), from the sources P\\Q (ascending) to the sinks Q\\P
+        through I + (P&Q), depth first in ascending-neighbor order with
+        dead-end pruning, and call visit(paths, used) on each; `used` is
+        the bitmask of the vertices on the paths. Returns True as soon as
+        visit does (the walk stops), else False."""
+        steps, masks = self.steps, self.masks
+        sources = _vertices(p_mask & ~q_mask)
+        sinks = q_mask & ~p_mask
+        allowed = self.interior | (p_mask & q_mask)
+        paths: list[tuple[int, ...]] = []
+
+        def reaches(s: int, used: int) -> bool:
+            # flood fill from s through unused allowed vertices
+            targets, open_ = sinks & ~used, allowed & ~used
+            seen = frontier = 1 << s
+            while frontier:
+                reach = 0
+                while frontier:
+                    low = frontier & -frontier
+                    reach |= masks[low.bit_length() - 1]
+                    frontier ^= low
+                if reach & targets:
+                    return True
+                frontier = reach & open_ & ~seen
+                seen |= frontier
+            return False
+
+        def next_system(i: int, used: int) -> bool:
+            if i == len(sources):
+                return visit(tuple(paths), used)
+            # every remaining source must still reach an unused sink
+            for s in sources[i:]:
+                if not reaches(s, used):
+                    return False
+            s = sources[i]
+            return extend(i, [s], used | 1 << s)
+
+        def extend(i: int, path: list[int], used: int) -> bool:
+            for w, bit in steps[path[-1]]:
+                if used & bit:
+                    continue
+                if sinks & bit:
+                    paths.append((*path, w))
+                    stop = next_system(i + 1, used | bit)
+                    paths.pop()
+                elif allowed & bit:
+                    path.append(w)
+                    stop = extend(i, path, used | bit)
+                    path.pop()
+                else:
+                    continue
+                if stop:
+                    return True
+            return False
+
+        return next_system(0, 0)
+
+    def unique_system(self, p_mask: int, q_mask: int) -> Optional[tuple]:
+        """(paths, used) of the pair's path system when it is the only
+        one and covers every interior vertex, else None. The search stops
+        at the second system, or at the first that leaves an interior
+        vertex out: either way the pair has no unique covering system."""
+        interior = self.interior
+        found = []
+
+        def visit(paths, used):
+            found.append((paths, used))
+            return len(found) > 1 or bool(interior & ~used)
+
+        if self.search(p_mask, q_mask, visit):
+            return None
+        return found[0] if found else None
+
+    def row(self, p, q, system) -> Optional[AdmissibleRow]:
+        """The row of pair (p, q) whose unique covering system is
+        `system`, or None when a residual vertex is not pendant or its
+        neighbor is residual too."""
+        paths, used = system
+        residual = _mask(p) & _mask(q) & ~used  # the system covers I
+        edge_id = self.edge_id
+        edge_ids = [
+            edge_id[(a, b) if a < b else (b, a)] for path in paths for a, b in zip(path, path[1:])
+        ]
+        for r in _vertices(residual):
+            if len(self.steps[r]) != 1:
+                return None
+            ((w, bit),) = self.steps[r]
+            if residual & bit:
+                return None
+            edge_ids.append(edge_id[(r, w) if r < w else (w, r)])
+        pair = BoundaryPair(p, q)
+        sign = term_sign(PathSystem(paths, _vertices(residual)), pair)
+        return AdmissibleRow(pair, tuple(sorted(edge_ids)), sign)
 
 
 def enumerate_path_systems(
@@ -78,79 +201,23 @@ def enumerate_path_systems(
     I + (P&Q), by DFS in ascending-neighbor order with dead-end pruning.
 
     When P = Q the single empty system (everything residual) is
-    returned.
+    returned. More than max_systems systems raise TooManySystems.
     """
-    sources, sinks, allowed = _pair_sets(net, pair)
-    if not sources:
-        return [PathSystem((), tuple(sorted(allowed)))]
-    adj = net.adjacency()
+    pair.validate_for(net.n_boundary)
+    graph = _SearchGraph(net)
+    p_mask, q_mask = _mask(pair.p), _mask(pair.q)
+    allowed = graph.interior | (p_mask & q_mask)
     systems: list[PathSystem] = []
-    used: set[int] = set()
-    used_sinks: set[int] = set()
-    paths: list[tuple[int, ...]] = []
-    sink_set = set(sinks)
 
-    def reachable_ok() -> bool:
-        # every remaining source must still reach an unused sink
-        remaining = sources[len(paths):]
-        for s in remaining:
-            stack = [s]
-            seen = {s}
-            found = False
-            while stack and not found:
-                v = stack.pop()
-                for w in adj[v]:
-                    if w in seen or w in used:
-                        continue
-                    if w in sink_set and w not in used_sinks:
-                        found = True
-                        break
-                    if w in allowed:
-                        seen.add(w)
-                        stack.append(w)
-            if not found:
-                return False
-        return True
-
-    def extend(source_idx: int, path: list[int]):
-        if len(systems) >= max_systems:
+    def visit(paths, used):
+        if len(systems) == max_systems:
             raise TooManySystems(
                 f"more than {max_systems} path systems for pair {pair.p}->{pair.q}"
             )
-        v = path[-1]
-        for w in adj[v]:
-            if w in used:
-                continue
-            if w in sink_set and w not in used_sinks:
-                path.append(w)
-                used.add(w)
-                used_sinks.add(w)
-                paths.append(tuple(path))
-                next_system(source_idx + 1)
-                paths.pop()
-                used_sinks.discard(w)
-                used.discard(w)
-                path.pop()
-            if w in allowed:
-                path.append(w)
-                used.add(w)
-                extend(source_idx, path)
-                used.discard(w)
-                path.pop()
+        systems.append(PathSystem(paths, _vertices(allowed & ~used)))
+        return False
 
-    def next_system(source_idx: int):
-        if source_idx == len(sources):
-            residual = tuple(sorted(allowed - used))
-            systems.append(PathSystem(tuple(paths), residual))
-            return
-        if not reachable_ok():
-            return
-        s = sources[source_idx]
-        used.add(s)
-        extend(source_idx, [s])
-        used.discard(s)
-
-    next_system(0)
+    graph.search(p_mask, q_mask, visit)
     return systems
 
 
@@ -258,27 +325,41 @@ def is_log_linear_admissible(net: Network, pair: BoundaryPair) -> Optional[Admis
     neighbor outside the residual, so det K(residual, residual) is the
     product of the pendant conductivities.
     """
-    try:  # only uniqueness matters: stop at the second system
-        systems = enumerate_path_systems(net, pair, max_systems=2)
-    except TooManySystems:
-        return None
-    if len(systems) != 1:
-        return None
-    system = systems[0]
-    interior = set(net.interior_vertices)
-    if interior & set(system.residual):
-        return None
-    adj = net.adjacency()
-    edge_by_pair = net.edge_lookup()
-    residual_set = set(system.residual)
-    edge_ids = []
-    for path in system.paths:
-        for a, b in zip(path, path[1:]):
-            edge_ids.append(edge_by_pair[(a, b) if a < b else (b, a)].id)
-    for r in system.residual:
-        neighbors = adj[r]
-        if len(neighbors) != 1 or neighbors[0] in residual_set:
-            return None
-        a, b = (r, neighbors[0]) if r < neighbors[0] else (neighbors[0], r)
-        edge_ids.append(edge_by_pair[(a, b)].id)
-    return AdmissibleRow(pair, tuple(sorted(edge_ids)), term_sign(system, pair))
+    pair.validate_for(net.n_boundary)
+    graph = _SearchGraph(net)
+    system = graph.unique_system(_mask(pair.p), _mask(pair.q))
+    return None if system is None else graph.row(pair.p, pair.q, system)
+
+
+def admissible_rows(net: Network, max_pair_size: int) -> Iterator[AdmissibleRow]:
+    """The rows of the admissible pairs with |P| = |Q| <= max_pair_size,
+    lazily, in candidate order: increasing |P|, then lexicographic, with
+    (Q,P) skipped after (P,Q) (Lambda is symmetric, so both give the
+    same determinant).
+
+    One search graph serves the whole scan. A shared vertex of degree 1
+    never lies inside a path, so a pair has the path systems of its core
+    (the pair without its shared pendant vertices), those vertices added
+    to the residual. A core's search result is kept for reuse only when
+    the core is smaller than max_pair_size: a pair's core is never larger
+    than the pair, and a core of the largest size is never met again.
+    """
+    graph = _SearchGraph(net)
+    cores: dict[tuple[int, int], Optional[tuple]] = {}
+    indices = range(1, net.n_boundary + 1)
+    for size in range(1, max_pair_size + 1):
+        subsets = [(s, _mask(s)) for s in combinations(indices, size)]
+        for i, (p, p_mask) in enumerate(subsets):
+            for q, q_mask in subsets[i:]:
+                shared_pendants = p_mask & q_mask & graph.pendants
+                core = (p_mask ^ shared_pendants, q_mask ^ shared_pendants)
+                if core in cores:
+                    system = cores[core]
+                else:
+                    system = graph.unique_system(*core)
+                    if size - shared_pendants.bit_count() < max_pair_size:
+                        cores[core] = system
+                if system is not None:
+                    row = graph.row(p, q, system)
+                    if row is not None:
+                        yield row

@@ -89,6 +89,32 @@ class TestRank:
         assert main(["rank", str(chain)]) == 5
         assert "verdict=deficient" in capsys.readouterr().out
 
+    def test_edgeless_network_deficient_like_invert(self, tmp_path, capsys):
+        # no edges: nothing to recover and no row, so rank agrees with
+        # invert and roundtrip, which refuse the file with exit 5
+        net = tmp_path / "edgeless.net"
+        net.write_text("boundary 2\ninterior 0\n")
+        zeros = tmp_path / "zeros.txt"
+        zeros.write_text("2 2\n0 0\n0 0\n")
+        assert main(["rank", str(net)]) == 5
+        assert capsys.readouterr().out == "rows=0 rank=0 unknowns=0 verdict=deficient\n"
+        assert main(["invert", str(net), str(zeros)]) == 5
+        assert main(["roundtrip", str(net), "--trials", "1"]) == 5
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize(
+        "size, line",
+        [
+            ("3", "rows=352 rank=12 unknowns=25 verdict=deficient\n"),
+            ("2", "rows=0 rank=0 unknowns=25 verdict=deficient\n"),
+        ],
+    )
+    def test_grid3_rank_line(self, tmp_path, grid3, size, line, capsys):
+        path = tmp_path / "grid3.net"
+        path.write_text(serialize_network(grid3))
+        assert main(["rank", str(path), "--max-pair-size", size]) == 5
+        assert capsys.readouterr().out == line
+
 
 class TestInvert:
     def test_lattice_roundtrip(self, tmp_path, lattice_file, lattice12, capsys):

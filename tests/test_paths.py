@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import numpy as np
@@ -9,6 +10,7 @@ from netinv import (
     BoundaryPair,
     lattice_fixture,
     TooManySystems,
+    enumerate_admissible_pairs,
     enumerate_path_systems,
     expand_det,
     is_log_linear_admissible,
@@ -49,6 +51,11 @@ class TestEnumeration:
     def test_cap_raises(self, lattice12):
         with pytest.raises(TooManySystems):
             enumerate_path_systems(lattice12, BoundaryPair((1,), (5,)), max_systems=1)
+
+    def test_cap_counts_systems(self, lattice12):
+        # (1;5) has exactly two systems, which a cap of two allows
+        systems = enumerate_path_systems(lattice12, BoundaryPair((1,), (5,)), max_systems=2)
+        assert len(systems) == 2
 
     def test_systems_satisfy_invariants(self, lattice12):
         lookup = lattice12.edge_lookup()
@@ -197,3 +204,151 @@ class TestAdmissibility:
                         several += 1
                         assert is_log_linear_admissible(net, pair) is None
         assert several > 0
+
+
+def candidate_pairs(n_boundary, max_size):
+    """The scan's candidate order: increasing |P|, then lexicographic,
+    (Q,P) skipped after (P,Q)."""
+    for size in range(1, max_size + 1):
+        subsets = list(combinations(range(1, n_boundary + 1), size))
+        for p in subsets:
+            for q in subsets:
+                if q >= p:
+                    yield BoundaryPair(p, q)
+
+
+def oracle_rows(net, max_size):
+    """The admissible rows by definition, in scan order, from the
+    exhaustive oracle: one path system, no interior vertex in its
+    residual, every residual vertex pendant with its neighbor outside it."""
+    interior = set(net.interior_vertices)
+    adj = net.adjacency()
+    edge_id = {e.pair: e.id for e in net.edges}
+    rows = []
+    for pair in candidate_pairs(net.n_boundary, max_size):
+        systems = exhaustive_path_systems(net, pair)
+        if len(systems) != 1:
+            continue
+        (system,) = systems
+        residual = set(system.residual)
+        if residual & interior or any(len(adj[r]) != 1 or adj[r][0] in residual for r in residual):
+            continue
+        edges = [edge_id[tuple(sorted(e))] for path in system.paths for e in zip(path, path[1:])]
+        edges += [edge_id[tuple(sorted((r, adj[r][0])))] for r in residual]
+        rows.append((pair.p, pair.q, tuple(sorted(edges)), term_sign(system, pair)))
+    return rows
+
+
+def scan_rows(net, max_size):
+    return [
+        (r.pair.p, r.pair.q, r.edge_ids, r.sign)
+        for r in enumerate_admissible_pairs(net, max_size)
+    ]
+
+
+def relabeled(net, seed):
+    """net with its boundary labels, interior labels and edge order
+    shuffled, and the vertex map old -> new (index 0 unused)."""
+    rng = random.Random(seed)
+    boundary = list(range(1, net.n_boundary + 1))
+    interior = list(net.interior_vertices)
+    rng.shuffle(boundary)
+    rng.shuffle(interior)
+    perm = [0] + boundary + interior
+    order = list(net.edges)
+    rng.shuffle(order)
+    edges = tuple(Edge(i, perm[e.u], perm[e.v], e.gamma) for i, e in enumerate(order, start=1))
+    return Network(net.n_boundary, net.n_interior, edges), perm
+
+
+def pendant_network(seed):
+    """A random network whose boundary vertices are all pendant: a random
+    connected interior graph (a random tree plus extra edges) with each
+    boundary vertex hung on a random interior vertex."""
+    rng = random.Random(seed)
+    nb, ni = rng.randint(3, 6), rng.randint(2, 5)
+    cells = range(nb + 1, nb + ni + 1)
+    pairs = [(b, rng.choice(cells)) for b in range(1, nb + 1)]
+    tree = {(rng.randint(nb + 1, v - 1), v) for v in cells[1:]}
+    pairs += sorted(tree)
+    pairs += [(u, v) for u, v in combinations(cells, 2) if (u, v) not in tree and rng.random() < 0.4]
+    return Network(nb, ni, tuple(Edge(i, u, v, 1.0) for i, (u, v) in enumerate(pairs, start=1)))
+
+
+class TestAdmissibleScan:
+    """The scan (one search graph, early rejection, pendant-core reuse)
+    admits exactly the rows the definition does, in candidate order."""
+
+    def test_lattice_matches_oracle(self, lattice_ones):
+        rows = scan_rows(lattice_ones, 3)
+        assert len(rows) == 384
+        assert rows == oracle_rows(lattice_ones, 3)
+
+    def test_relabeled_lattice_matches_oracle(self, lattice_ones):
+        net, _ = relabeled(lattice_ones, 7)
+        assert scan_rows(net, 3) == oracle_rows(net, 3)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_network_matches_oracle(self, seed):
+        net = random_network(RandomNetSpec(n_boundary=(3, 6), n_interior=(1, 4), seed=seed))
+        assert scan_rows(net, 3) == oracle_rows(net, 3)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_pendant_boundary_network_matches_oracle(self, seed):
+        net = pendant_network(seed)
+        assert scan_rows(net, 3) == oracle_rows(net, 3)
+
+    def test_shared_vertex_inside_a_path(self):
+        # shared boundary vertex 2 has degree 2 and carries the path
+        # 1-2-3, so it is no pendant and the pair is searched whole
+        net = Network(3, 0, (Edge(1, 1, 2, 1.0), Edge(2, 2, 3, 1.0)))
+        rows = scan_rows(net, 3)
+        assert ((1, 2), (2, 3), (1, 2), 1) in rows
+        assert rows == oracle_rows(net, 3)
+
+    def test_pendants_joined_to_each_other(self):
+        # boundary 1 and 2 hang on each other: the core (3;4) is
+        # admissible, but in (1,2,3;1,2,4) each residual pendant's
+        # neighbor is residual too
+        net = Network(4, 1, (Edge(1, 1, 2, 1.0), Edge(2, 3, 5, 1.0), Edge(3, 4, 5, 1.0)))
+        rows = scan_rows(net, 3)
+        assert ((3,), (4,), (2, 3), -1) in rows
+        assert is_log_linear_admissible(net, BoundaryPair((1, 2, 3), (1, 2, 4))) is None
+        assert rows == oracle_rows(net, 3)
+
+    def test_first_system_leaves_interior_out(self):
+        # the search meets 1-3-2 first, which leaves interior 4 out, and
+        # stops there: the later 1-3-4-2 makes the system not unique
+        net = Network(
+            2,
+            2,
+            (Edge(1, 1, 3, 1.0), Edge(2, 2, 3, 1.0), Edge(3, 3, 4, 1.0), Edge(4, 2, 4, 1.0)),
+        )
+        pair = BoundaryPair((1,), (2,))
+        first, *rest = enumerate_path_systems(net, pair)
+        assert first.residual == (4,) and [s.residual for s in rest] == [()]
+        assert is_log_linear_admissible(net, pair) is None
+        assert scan_rows(net, 2) == oracle_rows(net, 2) == []
+
+    def test_relabeled_grid_matches_per_pair(self, grid3):
+        # 21 vertices put the grid beyond the exhaustive oracle; the
+        # reference is the per-pair test, a fresh search per pair
+        net, _ = relabeled(grid3, 1)
+        rows = enumerate_admissible_pairs(net, 3)
+        assert len(rows) == 352
+        per_pair = (is_log_linear_admissible(net, pair) for pair in candidate_pairs(12, 3))
+        assert rows == [row for row in per_pair if row is not None]
+
+    def test_relabeled_grid_carries_base_rows(self, grid3):
+        net, perm = relabeled(grid3, 2)
+        new_id = {e.pair: e.id for e in net.edges}
+
+        def carried(row):
+            p = tuple(sorted(perm[v] for v in row.pair.p))
+            q = tuple(sorted(perm[v] for v in row.pair.q))
+            old = [grid3.edges[i - 1] for i in row.edge_ids]
+            ids = sorted(new_id[tuple(sorted((perm[e.u], perm[e.v])))] for e in old)
+            return min(p, q), max(p, q), tuple(ids)  # (Q,P) is scanned as (P,Q)
+
+        rows = {(r.pair.p, r.pair.q, r.edge_ids) for r in enumerate_admissible_pairs(net, 3)}
+        assert rows == {carried(r) for r in enumerate_admissible_pairs(grid3, 3)}
