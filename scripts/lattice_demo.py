@@ -8,15 +8,13 @@ import math
 from netinv import (
     BoundaryPair,
     build_system,
+    compile_topology,
     difference_rows,
     dtn,
     dtn_subdet,
-    enumerate_admissible_pairs,
     enumerate_path_systems,
     kirchhoff_subdet,
     lattice_fixture,
-    recover,
-    system_rank,
 )
 from netinv.network import kirchhoff
 
@@ -39,11 +37,11 @@ def main():
     for s in enumerate_path_systems(net, BoundaryPair((1,), (5,))):
         print(f"  {' | '.join('-'.join(map(str, p)) for p in s.paths)}  residual {s.residual}")
 
-    rows = enumerate_admissible_pairs(net, stop_at_full_rank=True)
-    sys = build_system(rows, lam, net.n_edges, net.n_interior)
-    print(f"\nadmissible rows collected: {sys.n_rows}, exact rank: {system_rank(sys)}")
+    plan = compile_topology(net)
+    print(f"\nadmissible rows collected: {len(plan.rows)}, exact rank: {plan.rank}")
 
-    by_pair = {(r.pair.p, r.pair.q): r for r in enumerate_admissible_pairs(net, max_pair_size=3)}
+    rows = compile_topology(net, max_pair_size=3, stop_at_full_rank=False).rows
+    by_pair = {(r.pair.p, r.pair.q): r for r in rows}
     pair_sys = build_system(
         [by_pair[((1, 2), (5, 6))], by_pair[((1, 2, 8), (5, 6, 8))]],
         lam, net.n_edges, net.n_interior,
@@ -52,7 +50,7 @@ def main():
     print(f"(1,2,8;5,6,8) row minus (1,2;5,6) row = {diff}")
     print(f"  rhs = {rhs:.17g} (= ln 7 = {math.log(7):.17g})")
 
-    report = recover(net, lam)
+    report = plan.apply(lam)
     print("\nrecovered conductivities:")
     for eid, g in enumerate(report.recovered_gammas, start=1):
         print(f"  gamma {eid} = {g:.12g}")

@@ -6,7 +6,7 @@ solvable from unique-disjoint-path determinants alone?"""
 import argparse
 from collections import Counter
 
-from netinv import admissible_rank, enumerate_admissible_pairs, is_full_rank
+from netinv import compile_topology
 from netinv.network import RandomNetSpec, random_network
 
 
@@ -28,13 +28,12 @@ def main():
             seed=args.seed + trial,
         )
         net = random_network(spec)
-        rows = enumerate_admissible_pairs(net)
-        rank, unknowns = admissible_rank(net, rows)
-        verdict = "full" if is_full_rank(len(rows), rank, unknowns) else "deficient"
+        plan = compile_topology(net, stop_at_full_rank=False)
+        verdict = "full" if plan.full_rank else "deficient"
         verdicts[verdict] += 1
         print(
             f"trial {trial}: vertices {net.n_vertices} edges {net.n_edges} "
-            f"rows {len(rows)} rank {rank}/{unknowns} {verdict}"
+            f"rows {len(plan.rows)} rank {plan.rank}/{plan.n_unknowns} {verdict}"
         )
     print(f"\nsummary: {dict(verdicts)}")
 

@@ -27,15 +27,13 @@ from .forward import (
 )
 from .inverse import (
     LogLinearSystem,
+    RecoveryPlan,
     RecoveryReport,
-    admissible_rank,
     build_system,
+    compile_topology,
     difference_rows,
-    enumerate_admissible_pairs,
-    is_full_rank,
     recover,
     solve_system,
-    system_rank,
 )
 from .network import (
     Edge,

@@ -21,9 +21,9 @@ from .errors import (
     RankDeficient,
     RoundTripFailure,
 )
-from .forward import BoundaryPair, DtNMap, dtn, kirchhoff_subdet
-from .inverse import admissible_rank, enumerate_admissible_pairs, is_full_rank, recover
-from .network import Network, kirchhoff, parse_network
+from .forward import BoundaryPair, DtNMap, dtn
+from .inverse import compile_topology, recover
+from .network import Network, parse_network
 from .numerics import format_matrix_text, parse_matrix_text
 from .paths import expand_det
 
@@ -77,7 +77,7 @@ def cmd_paths(args) -> int:
     except (OSError, NetworkError, ValueError) as exc:
         return _fail(EXIT_INPUT, f"error: {exc}")
     try:
-        terms, total = expand_det(net, pair)
+        terms, total, ref = expand_det(net, pair)
     except ExpansionMismatch as exc:
         return _fail(EXIT_EXPANSION, f"error: {exc}")
     except InteriorNotGrounded as exc:
@@ -90,11 +90,6 @@ def cmd_paths(args) -> int:
             f"{vertices or '-'}  residual: {residual}  sign: {term.sign:+d}  "
             f"monomial: {monomial}"
         )
-    k = kirchhoff(net)
-    interior = net.interior_vertices
-    rows = sorted(set(pair.p) | set(interior))
-    cols = sorted(set(pair.q) | set(interior))
-    ref = kirchhoff_subdet(k, rows, cols)
     denom = max(abs(ref), abs(total), 1e-300)
     discrepancy = abs(total - ref) / denom
     print(f"total = {total:.17g}")
@@ -108,11 +103,10 @@ def cmd_rank(args) -> int:
         net = _load_network(args.net_file)
     except (OSError, NetworkError) as exc:
         return _fail(EXIT_INPUT, f"error: {exc}")
-    rows = enumerate_admissible_pairs(net, args.max_pair_size, stop_at_full_rank=False)
-    rank, n_unknowns = admissible_rank(net, rows)
-    verdict = "full" if is_full_rank(len(rows), rank, n_unknowns) else "deficient"
-    print(f"rows={len(rows)} rank={rank} unknowns={n_unknowns} verdict={verdict}")
-    return EXIT_OK if verdict == "full" else EXIT_RANK
+    plan = compile_topology(net, args.max_pair_size, stop_at_full_rank=False)
+    verdict = "full" if plan.full_rank else "deficient"
+    print(f"rows={len(plan.rows)} rank={plan.rank} unknowns={plan.n_unknowns} verdict={verdict}")
+    return EXIT_OK if plan.full_rank else EXIT_RANK
 
 
 def cmd_invert(args) -> int:
@@ -149,6 +143,7 @@ def cmd_roundtrip(args) -> int:
         net = _load_network(args.net_file)
     except (OSError, NetworkError) as exc:
         return _fail(EXIT_INPUT, f"error: {exc}")
+    plan = compile_topology(net, args.max_pair_size)
     rng = random.Random(args.seed)
     worst = 0.0
     for trial in range(1, args.trials + 1):
@@ -156,10 +151,9 @@ def cmd_roundtrip(args) -> int:
             math.exp(rng.uniform(math.log(0.1), math.log(10.0)))
             for _ in range(net.n_edges)
         ]
-        sample = net.with_gammas(gammas)
-        lam = dtn(sample)
+        lam = dtn(net.with_gammas(gammas))
         try:
-            report = recover(net, lam, args.max_pair_size)
+            report = plan.apply(lam)
         except (RankDeficient, AllRowsDegenerate) as exc:
             return _fail(EXIT_RANK, f"error: trial {trial}: {exc}")
         except RoundTripFailure as exc:

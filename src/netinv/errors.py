@@ -48,8 +48,9 @@ class TooManySystems(RuntimeError):
 
 
 class AllRowsDegenerate(RuntimeError):
-    """Every candidate log-linear row was dropped (zero determinant or
-    sign mismatch)."""
+    """A fault of the data, not the topology: the map's minors dropped
+    rows (zero determinant, or a sign against the path system's) until
+    the rest fell short of full rank. The message lists the reasons."""
 
 
 class NotSparseDifference(ValueError):

@@ -1,7 +1,8 @@
-"""Log-linear inverse solver: collect admissible boundary pairs, build
-the {1,0,-1} system in (log gamma_1..log gamma_m, log det K(I,I)),
-certify its exact rank, and recover conductivities from a DtN map.
-"""
+"""Log-linear inverse solver. compile_topology finds the admissible
+boundary pairs, their {1,0,-1} rows in (log gamma_1..log gamma_m,
+log det K(I,I)) and the rows' exact rank, all fixed by the topology
+alone; the plan's apply takes the rhs log|det Lambda(P,Q)| from a DtN
+map, solves and checks the round trip."""
 
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ from .errors import (
 )
 from .forward import BoundaryPair, DtNMap, dtn, dtn_slogdet
 from .network import Network
-from .numerics import RowSpace, integer_rank
+from .numerics import RowSpace
 from .paths import AdmissibleRow, admissible_rows
 
 #: Least-squares residual beyond this multiple of ||rhs|| flags the
@@ -51,7 +52,7 @@ class LogLinearSystem:
 
     @property
     def n_unknowns(self) -> int:
-        return self.n_edges + (1 if self.has_logdet_column else 0)
+        return _n_unknowns(self.n_edges, self.has_logdet_column)
 
     @property
     def n_rows(self) -> int:
@@ -67,54 +68,21 @@ class RecoveryReport:
     roundtrip_error: float
 
 
-def enumerate_admissible_pairs(
-    net: Network,
-    max_pair_size: Optional[int] = None,
-    stop_at_full_rank: bool = False,
-) -> list[AdmissibleRow]:
-    """Scan boundary pairs for log-linear admissibility.
-
-    Admissibility depends only on the topology, never on the gamma
-    values. With stop_at_full_rank the scan halts as soon as the
-    collected rows reach exact rank m (+1 with interior vertices).
-    """
-    if max_pair_size is None:
-        max_pair_size = net.n_boundary
-    max_pair_size = min(max_pair_size, net.n_boundary)
-    has_logdet = net.n_interior > 0
-    space = RowSpace()
-    rows: list[AdmissibleRow] = []
-    for row in admissible_rows(net, max_pair_size):
-        rows.append(row)
-        if stop_at_full_rank:
-            space.add(_coefficient_row(row, net.n_edges, has_logdet))
-            if space.rank == net.n_edges + (1 if has_logdet else 0):
-                break
-    return rows
+def _n_unknowns(n_edges: int, has_logdet: bool) -> int:
+    return n_edges + (1 if has_logdet else 0)
 
 
-def admissible_rank(net: Network, rows: list[AdmissibleRow]) -> tuple[int, int]:
-    """Exact rank of the coefficient matrix of admissible rows on net,
-    and the number of unknowns full rank means."""
-    has_logdet = net.n_interior > 0
-    rank = integer_rank(_coefficient_row(r, net.n_edges, has_logdet) for r in rows)
-    return rank, net.n_edges + (1 if has_logdet else 0)
-
-
-def is_full_rank(n_rows: int, rank: int, n_unknowns: int) -> bool:
-    """Whether a system of n_rows rows and this exact rank determines all
-    n_unknowns. No rows never do: a network without edges has nothing to
-    recover and no equation to check a map against."""
+def _is_full_rank(n_rows: int, rank: int, n_unknowns: int) -> bool:
+    # no rows are never full rank: a network without edges has nothing
+    # to recover and no equation to check a map against
     return n_rows > 0 and rank == n_unknowns
 
 
 def _coefficient_row(row: AdmissibleRow, n_edges: int, has_logdet: bool) -> list[int]:
-    coeffs = [0] * (n_edges + (1 if has_logdet else 0))
+    coeffs = [0] * n_edges
     for eid in row.edge_ids:
         coeffs[eid - 1] = 1
-    if has_logdet:
-        coeffs[-1] = -1
-    return coeffs
+    return coeffs + [-1] if has_logdet else coeffs
 
 
 def build_system(
@@ -153,11 +121,6 @@ def build_system(
     )
 
 
-def system_rank(sys: LogLinearSystem) -> int:
-    """Exact rank of the coefficient matrix over the rationals."""
-    return integer_rank(sys.coeffs)
-
-
 def _unresolved(space: RowSpace, sys: LogLinearSystem) -> tuple[int, ...]:
     # the row space is the orthogonal complement of the null space, so
     # e_j meets the null space exactly when it leaves the row space
@@ -180,7 +143,7 @@ def solve_system(sys: LogLinearSystem) -> tuple[np.ndarray, float, float]:
     when the exact rank is below the unknown count, or when there are
     no rows at all (a network without edges has no unknowns)."""
     space = RowSpace(sys.coeffs)
-    if not is_full_rank(sys.n_rows, space.rank, sys.n_unknowns):
+    if not _is_full_rank(sys.n_rows, space.rank, sys.n_unknowns):
         raise RankDeficient(space.rank, _unresolved(space, sys))
     a = np.array(sys.coeffs, dtype=float)
     b = np.array(sys.rhs)
@@ -199,37 +162,81 @@ def solve_system(sys: LogLinearSystem) -> tuple[np.ndarray, float, float]:
     return loggammas, logdet, residual_norm
 
 
+@dataclass(frozen=True)
+class RecoveryPlan:
+    """The topology-only half of recovery: the admissible rows in scan
+    order, the exact rank of their coefficients and the unknown count m
+    (+1 with interior vertices). The topology's gammas are never read."""
+
+    topology: Network
+    rows: tuple[AdmissibleRow, ...]
+    rank: int
+    n_unknowns: int
+
+    @property
+    def full_rank(self) -> bool:
+        """Whether the rows determine every unknown. No rows never do."""
+        return _is_full_rank(len(self.rows), self.rank, self.n_unknowns)
+
+    def apply(self, lam: DtNMap) -> RecoveryReport:
+        """Solve the rows for the conductivities behind lam and check
+        that they reproduce it (else RoundTripFailure). A topology short
+        of full rank raises RankDeficient; a full-rank one whose rows
+        this map drops below full rank raises AllRowsDegenerate."""
+        net = self.topology
+        if lam.n_boundary != net.n_boundary:
+            raise ValueError(
+                f"DtN map is {lam.n_boundary}x{lam.n_boundary} but the topology has "
+                f"{net.n_boundary} boundary vertices"
+            )
+        sys = build_system(self.rows, lam, net.n_edges, net.n_interior)
+        try:
+            loggammas, logdet, residual_norm = solve_system(sys)
+        except RankDeficient as exc:
+            if not self.full_rank:
+                raise
+            raise AllRowsDegenerate(
+                f"rows kept by this map have rank {exc.rank} of {self.n_unknowns}: "
+                + "; ".join(sys.dropped)
+            ) from exc
+        gammas = tuple(math.exp(g) for g in loggammas)
+        lam_back = dtn(net.with_gammas(gammas))
+        roundtrip_error = float(np.max(np.abs(lam_back.entries - lam.entries)))
+        threshold = ROUNDTRIP_RTOL * float(np.max(np.abs(lam.entries)))
+        if roundtrip_error > threshold:
+            raise RoundTripFailure(roundtrip_error, threshold)
+        return RecoveryReport(gammas, logdet, residual_norm, self.n_unknowns, roundtrip_error)
+
+
+def compile_topology(
+    net: Network, max_pair_size: Optional[int] = None, stop_at_full_rank: bool = True
+) -> RecoveryPlan:
+    """Scan the pairs with |P| = |Q| <= max_pair_size (default: all) for
+    admissibility, ranking their rows exactly as they come; with
+    stop_at_full_rank the scan halts once the rows reach full rank."""
+    size = net.n_boundary if max_pair_size is None else min(max_pair_size, net.n_boundary)
+    has_logdet = net.n_interior > 0
+    n_unknowns = _n_unknowns(net.n_edges, has_logdet)
+    space = RowSpace()
+    rows: list[AdmissibleRow] = []
+    for row in admissible_rows(net, size):
+        rows.append(row)
+        space.add(_coefficient_row(row, net.n_edges, has_logdet))
+        if stop_at_full_rank and space.rank == n_unknowns:
+            break
+    return RecoveryPlan(net, tuple(rows), space.rank, n_unknowns)
+
+
 def recover(
     topology: Network,
     lam: DtNMap,
     max_pair_size: Optional[int] = None,
     stop_at_full_rank: bool = True,
 ) -> RecoveryReport:
-    """Full pipeline: admissible pairs on the topology (placeholder
-    gammas ignored), log-linear system from the given DtN map, solve,
-    exponentiate, verify by recomputing the forward map."""
-    if lam.n_boundary != topology.n_boundary:
-        raise ValueError(
-            f"DtN map is {lam.n_boundary}x{lam.n_boundary} but the topology has "
-            f"{topology.n_boundary} boundary vertices"
-        )
-    rows = enumerate_admissible_pairs(topology, max_pair_size, stop_at_full_rank)
-    sys = build_system(rows, lam, topology.n_edges, topology.n_interior)
-    loggammas, logdet, residual_norm = solve_system(sys)
-    gammas = tuple(math.exp(g) for g in loggammas)
-    recovered = topology.with_gammas(gammas)
-    lam_back = dtn(recovered)
-    roundtrip_error = float(np.max(np.abs(lam_back.entries - lam.entries)))
-    threshold = ROUNDTRIP_RTOL * float(np.max(np.abs(lam.entries)))
-    if roundtrip_error > threshold:
-        raise RoundTripFailure(roundtrip_error, threshold)
-    return RecoveryReport(
-        recovered_gammas=gammas,
-        logdet_interior=logdet,
-        residual_norm=residual_norm,
-        rank=sys.n_unknowns,
-        roundtrip_error=roundtrip_error,
-    )
+    """Recover the conductivities behind lam: compile the topology (its
+    gammas are ignored) and apply the plan. To recover many maps of one
+    topology, compile it once with compile_topology and apply per map."""
+    return compile_topology(topology, max_pair_size, stop_at_full_rank).apply(lam)
 
 
 def difference_rows(sys: LogLinearSystem, i: int, j: int) -> tuple[tuple[int, ...], float]:

@@ -102,9 +102,6 @@ class Network:
     def edge_lookup(self) -> dict[tuple[int, int], Edge]:
         return {e.pair: e for e in self.edges}
 
-    def degree(self, v: int) -> int:
-        return sum(1 for e in self.edges if v in (e.u, e.v))
-
     def with_gammas(self, gammas) -> "Network":
         """Same topology with replaced conductivities (by edge id order)."""
         if len(gammas) != self.n_edges:

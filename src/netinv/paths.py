@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator, Optional
+from typing import Iterator, Mapping, Optional
 
 from .errors import ExpansionMismatch, TooManySystems
 from .forward import BoundaryPair, det_roundoff, kirchhoff_subdet, submatrix
@@ -37,10 +37,6 @@ class PathSystem:
     residual: tuple[int, ...]
 
     @property
-    def endpoint_map(self) -> dict[int, int]:
-        return {p[0]: p[-1] for p in self.paths}
-
-    @property
     def path_vertices(self) -> frozenset[int]:
         return frozenset(v for p in self.paths for v in p)
 
@@ -55,8 +51,9 @@ class PathTerm:
     monomial: tuple[int, ...]  # edge ids on the paths, ascending
     residual_det: float
 
-    def value(self, net: Network) -> float:
-        gamma = {e.id: e.gamma for e in net.edges}
+    def value(self, gamma: Mapping[int, float]) -> float:
+        """The term's value, given the conductivity gamma[id] of each
+        edge id."""
         prod = 1.0
         for eid in self.monomial:
             prod *= gamma[eid]
@@ -266,15 +263,16 @@ def term_sign(system: PathSystem, pair: BoundaryPair) -> int:
 
 def expand_det(
     net: Network, pair: BoundaryPair, max_systems: int = DEFAULT_MAX_SYSTEMS
-) -> tuple[list[PathTerm], float]:
+) -> tuple[list[PathTerm], float, float]:
     """Evaluate the disjoint-path expansion of det K(P+I, Q+I).
 
-    Returns the term list and its total; internally asserts the total
-    against the determinant of K(P+I, Q+I) and raises
-    ExpansionMismatch on disagreement.
+    Returns the term list, its total and the reference determinant of
+    K(P+I, Q+I) computed directly; raises ExpansionMismatch when the
+    total and the reference disagree.
     """
     k = kirchhoff(net)
     edge_by_pair = net.edge_lookup()
+    gamma = {e.id: e.gamma for e in net.edges}
     systems = enumerate_path_systems(net, pair, max_systems)
     terms: list[PathTerm] = []
     total = 0.0
@@ -287,7 +285,7 @@ def expand_det(
                 edge_ids.append(edge_by_pair[(a, b) if a < b else (b, a)].id)
         residual_det = kirchhoff_subdet(k, system.residual, system.residual)
         term = PathTerm(system, sign, tuple(sorted(edge_ids)), residual_det)
-        value = term.value(net)
+        value = term.value(gamma)
         total += value
         mag += abs(value)
         terms.append(term)
@@ -301,7 +299,7 @@ def expand_det(
         raise ExpansionMismatch(
             f"pair {pair.p}->{pair.q}: expansion total {total!r} vs determinant {ref!r}"
         )
-    return terms, total
+    return terms, total, ref
 
 
 @dataclass(frozen=True)

@@ -15,16 +15,14 @@ from netinv import (
     DtNMap,
     RankDeficient,
     build_system,
+    compile_topology,
     difference_rows,
     dtn,
     dtn_subdet,
-    enumerate_admissible_pairs,
     enumerate_path_systems,
     expand_det,
     kirchhoff_subdet,
     lattice_fixture,
-    recover,
-    system_rank,
 )
 from netinv.forward import submatrix
 from netinv.network import RandomNetSpec, kirchhoff, random_network
@@ -146,7 +144,7 @@ def test_criterion_6_lgv_master_property():
         k = kirchhoff(net)
         interior = set(net.interior_vertices)
         for pair in random_pairs(net, rng):
-            terms, total = expand_det(net, pair)  # raises on internal mismatch
+            terms, total, _ = expand_det(net, pair)  # raises on internal mismatch
             ref = kirchhoff_subdet(
                 k, sorted(set(pair.p) | interior), sorted(set(pair.q) | interior)
             )
@@ -166,34 +164,35 @@ def test_criterion_6_lgv_master_property():
 def test_criterion_7_rank_certification():
     net = lattice_fixture([1.0] * 12)
     t0 = time.perf_counter()
-    rows = enumerate_admissible_pairs(net)  # exhaustive, max pair size 8
+    plan = compile_topology(net, stop_at_full_rank=False)  # max pair size 8
+    rows = plan.rows
     coeffs = [
         [1 if eid in r.edge_ids else 0 for eid in range(1, 13)] + [-1] for r in rows
     ]
     rank = integer_rank(coeffs)
     elapsed = time.perf_counter() - t0
-    assert rank == 13
+    assert rank == plan.rank == 13
     assert elapsed < 10.0
     report(7, elapsed, f"exact rank 13 from {len(rows)} admissible rows")
 
 
 def test_criterion_8_roundtrip_100_trials():
-    template = lattice_fixture([1.0] * 12)
     rng = random.Random(20_000)
     t0 = time.perf_counter()
+    plan = compile_topology(lattice_fixture([1.0] * 12))  # admissibility is gamma-free
     for _ in range(100):
         gammas = [
             math.exp(rng.uniform(math.log(0.1), math.log(10.0))) for _ in range(12)
         ]
         net = lattice_fixture(gammas)
         lam = dtn(net)
-        rep = recover(template, lam)
+        rep = plan.apply(lam)
         rel = max(abs(r - g) / g for r, g in zip(rep.recovered_gammas, gammas))
         assert rel <= 1e-8
         assert rep.roundtrip_error <= 1e-8 * np.max(np.abs(lam.entries))
     elapsed = time.perf_counter() - t0
     assert elapsed < 30.0
-    report(8, elapsed, "100 seeded lattice round trips, rel error <= 1e-8")
+    report(8, elapsed, "one plan applied to 100 seeded lattice maps, rel error <= 1e-8")
 
 
 def test_criterion_9_dtn_invariants():
@@ -232,7 +231,7 @@ def test_criterion_10_oracle_equivalence():
 def test_criterion_11_difference_row_fixture():
     net = lattice12()
     lam = dtn(net)
-    rows = enumerate_admissible_pairs(net, max_pair_size=3)
+    rows = compile_topology(net, max_pair_size=3, stop_at_full_rank=False).rows
     by_pair = {(r.pair.p, r.pair.q): r for r in rows}
     ordered = [by_pair[((1, 2), (5, 6))], by_pair[((1, 2, 8), (5, 6, 8))]]
     sys = build_system(ordered, lam, 12, 4)

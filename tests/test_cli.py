@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import netinv.inverse
 from netinv import dtn, lattice_fixture, serialize_network
 from netinv.cli import main
 from netinv.network import Edge, Network
@@ -152,6 +153,18 @@ class TestInvert:
         assert main(["invert", lattice_file, str(lam_file)]) == 6
         capsys.readouterr()
 
+    def test_negated_map_is_a_data_fault(self, tmp_path, lattice_file, lattice12, capsys):
+        # the topology is full rank; -Lambda's odd-size rows are dropped
+        # for their sign, and that is reported as the data's fault
+        lam_file = tmp_path / "neg.txt"
+        lam_file.write_text(format_matrix_text(-dtn(lattice12).entries))
+        assert main(["invert", lattice_file, str(lam_file)]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("error: rows kept by this map have rank 8 of 13: pair ")
+        assert "contradicts predicted" in err
+        assert main(["invert", lattice_file, str(lam_file), "--no-stop-at-full-rank"]) == 6
+        capsys.readouterr()
+
     def test_pipes_compose_with_forward(self, tmp_path, lattice_file, capsys):
         assert main(["forward", lattice_file]) == 0
         lam_text = capsys.readouterr().out
@@ -172,6 +185,19 @@ class TestRoundtrip:
         first = capsys.readouterr().out
         main(["roundtrip", lattice_file, "--seed", "7", "--trials", "2"])
         assert capsys.readouterr().out == first
+
+    def test_scans_topology_once(self, lattice_file, monkeypatch, capsys):
+        scans = []
+        scan = netinv.inverse.admissible_rows
+
+        def counted(*args):
+            scans.append(args)
+            return scan(*args)
+
+        monkeypatch.setattr(netinv.inverse, "admissible_rows", counted)
+        assert main(["roundtrip", lattice_file, "--trials", "5"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 5
+        assert len(scans) == 1
 
     def test_deficient_topology_exit_5(self, tmp_path, capsys):
         chain = tmp_path / "chain.net"

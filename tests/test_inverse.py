@@ -12,22 +12,22 @@ from netinv import (
     RankDeficient,
     RoundTripFailure,
     build_system,
+    compile_topology,
     difference_rows,
     dtn,
     dtn_subdet,
-    enumerate_admissible_pairs,
     kirchhoff_subdet,
     lattice_fixture,
     recover,
     solve_system,
-    system_rank,
 )
 from netinv.inverse import LogLinearSystem, unresolved_edges
 from netinv.network import Edge, Network, kirchhoff
+from netinv.numerics import integer_rank
 
 
-def lattice_rows(net, **kwargs):
-    return enumerate_admissible_pairs(net, **kwargs)
+def lattice_rows(net, max_pair_size=None, stop_at_full_rank=False):
+    return compile_topology(net, max_pair_size, stop_at_full_rank).rows
 
 
 class TestEnumerateAdmissiblePairs:
@@ -44,10 +44,11 @@ class TestEnumerateAdmissiblePairs:
         assert all(r.edge_ids == (1,) for r in rows)
 
     def test_stop_at_full_rank_reaches_13(self, lattice_ones):
-        rows = lattice_rows(lattice_ones, stop_at_full_rank=True)
-        assert len(rows) == 110
-        sys = build_system(rows, dtn(lattice_ones), 12, 4)
-        assert system_rank(sys) == 13
+        plan = compile_topology(lattice_ones)
+        assert len(plan.rows) == 110
+        assert (plan.rank, plan.n_unknowns, plan.full_rank) == (13, 13, True)
+        sys = build_system(plan.rows, dtn(lattice_ones), 12, 4)
+        assert integer_rank(sys.coeffs) == 13
 
     def test_admissibility_is_gamma_independent(self, lattice_ones):
         rng = random.Random(0)
@@ -95,7 +96,7 @@ class TestBuildSystem:
         sys = build_system(rows, lam, 12, 4)
         doubled = build_system(rows + rows, lam, 12, 4)
         assert doubled.n_rows == 2 * sys.n_rows
-        assert system_rank(doubled) == system_rank(sys)
+        assert integer_rank(doubled.coeffs) == integer_rank(sys.coeffs)
 
     def test_all_rows_degenerate(self, single_edge):
         rows = lattice_rows(single_edge)
@@ -107,7 +108,7 @@ class TestBuildSystem:
 class TestSystemRank:
     def test_empty_system(self):
         sys = LogLinearSystem((), (), (), 12, True)
-        assert system_rank(sys) == 0
+        assert integer_rank(sys.coeffs) == 0
 
     def test_two_row_subsystem_rank_2(self, lattice12):
         lam = dtn(lattice12)
@@ -117,13 +118,13 @@ class TestSystemRank:
             if (r.pair.p, r.pair.q) in {((1, 2), (5, 6)), ((1, 2, 8), (5, 6, 8))}
         ]
         sys = build_system(rows, lam, 12, 4)
-        assert system_rank(sys) == 2
+        assert integer_rank(sys.coeffs) == 2
 
     def test_full_lattice_rank_13(self, lattice12):
         lam = dtn(lattice12)
         rows = lattice_rows(lattice12, stop_at_full_rank=True)
         sys = build_system(rows, lam, 12, 4)
-        assert system_rank(sys) == 13
+        assert integer_rank(sys.coeffs) == 13
 
 
 class TestSolveSystem:
@@ -219,6 +220,19 @@ class TestRecover:
             with pytest.warns():
                 recover(lattice12, DtNMap(lam), stop_at_full_rank=False)
 
+    def test_negated_map_is_a_data_fault(self, lattice12):
+        # -Lambda is no DtN map: its odd-size minors contradict the signs
+        # the path systems predict, and the even-size rows left reach
+        # rank 8 of the 13 the topology's rows reach
+        neg = DtNMap(-dtn(lattice12).entries)
+        assert compile_topology(lattice12).full_rank
+        with pytest.raises(AllRowsDegenerate, match="rank 8 of 13: .*contradicts predicted"):
+            recover(lattice12, neg)
+        # over all pair sizes the even-size rows alone reach full rank:
+        # they recover Lambda's gammas, which fail the round trip to -Lambda
+        with pytest.raises(RoundTripFailure):
+            recover(lattice12, neg, stop_at_full_rank=False)
+
     def test_deficient_topology_raises(self):
         # series chain: boundary only sees the through-conductance
         net = Network(
@@ -281,3 +295,30 @@ class TestDifferenceRows:
         ext, ext_logdet, _ = solve_system(extended)
         assert np.max(np.abs(ext - base)) <= 1e-10
         assert abs(ext_logdet - base_logdet) <= 1e-10
+
+
+class TestRecoveryPlan:
+    def test_apply_equals_recover(self):
+        rng = random.Random(5)
+        template = lattice_fixture([1.0] * 12)
+        plan = compile_topology(template)
+        for _ in range(20):
+            gammas = [math.exp(rng.uniform(math.log(0.1), math.log(10))) for _ in range(12)]
+            lam = dtn(lattice_fixture(gammas))
+            assert plan.apply(lam) == recover(template, lam)
+
+    @pytest.mark.parametrize(
+        "net, rows, rank, n_unknowns",
+        [
+            (Network(2, 0, ()), 0, 0, 0),
+            (Network(2, 2, (Edge(1, 1, 3, 1.0), Edge(2, 3, 4, 1.0), Edge(3, 4, 2, 1.0))), 1, 1, 4),
+        ],
+    )
+    def test_deficient_plans(self, net, rows, rank, n_unknowns):
+        plan = compile_topology(net)
+        assert (len(plan.rows), plan.rank, plan.n_unknowns, plan.full_rank) == (
+            rows,
+            rank,
+            n_unknowns,
+            False,
+        )

@@ -10,7 +10,7 @@ from netinv import (
     BoundaryPair,
     lattice_fixture,
     TooManySystems,
-    enumerate_admissible_pairs,
+    compile_topology,
     enumerate_path_systems,
     expand_det,
     is_log_linear_admissible,
@@ -98,16 +98,17 @@ class TestTermSign:
 
 class TestExpandDet:
     def test_lattice_1_to_5_value(self, lattice12):
-        terms, total = expand_det(lattice12, BoundaryPair((1,), (5,)))
+        terms, total, ref = expand_det(lattice12, BoundaryPair((1,), (5,)))
         # -(g1*g2*g11*g6*(g8+g4+g9+g5) + g1*g8*g5*g6*(g2+g3+g10+g11))
         assert total == pytest.approx(-9672.0, rel=1e-10)
+        assert ref == pytest.approx(-9672.0, rel=1e-10)
         assert len(terms) == 2
         assert {t.monomial for t in terms} == {(1, 2, 6, 11), (1, 5, 6, 8)}
 
     def test_empty_pair_gives_interior_determinant(self, lattice12):
         k = kirchhoff(lattice12)
         interior = lattice12.interior_vertices
-        terms, total = expand_det(lattice12, BoundaryPair((), ()))
+        terms, total, _ = expand_det(lattice12, BoundaryPair((), ()))
         assert len(terms) == 1 and terms[0].sign == 1 and terms[0].monomial == ()
         assert total == pytest.approx(kirchhoff_subdet(k, interior, interior), rel=1e-12)
 
@@ -120,7 +121,7 @@ class TestExpandDet:
         q = tuple(sorted(rnd.sample(range(1, net.n_boundary + 1), size)))
         pair = BoundaryPair(p, q)
         # raises ExpansionMismatch internally on any disagreement
-        _, total = expand_det(net, pair)
+        _, total, _ = expand_det(net, pair)
         k = kirchhoff(net)
         interior = set(net.interior_vertices)
         ref = kirchhoff_subdet(k, sorted(set(p) | interior), sorted(set(q) | interior))
@@ -239,11 +240,12 @@ def oracle_rows(net, max_size):
     return rows
 
 
+def all_rows(net, max_size):
+    return compile_topology(net, max_size, stop_at_full_rank=False).rows
+
+
 def scan_rows(net, max_size):
-    return [
-        (r.pair.p, r.pair.q, r.edge_ids, r.sign)
-        for r in enumerate_admissible_pairs(net, max_size)
-    ]
+    return [(r.pair.p, r.pair.q, r.edge_ids, r.sign) for r in all_rows(net, max_size)]
 
 
 def relabeled(net, seed):
@@ -334,10 +336,10 @@ class TestAdmissibleScan:
         # 21 vertices put the grid beyond the exhaustive oracle; the
         # reference is the per-pair test, a fresh search per pair
         net, _ = relabeled(grid3, 1)
-        rows = enumerate_admissible_pairs(net, 3)
+        rows = all_rows(net, 3)
         assert len(rows) == 352
         per_pair = (is_log_linear_admissible(net, pair) for pair in candidate_pairs(12, 3))
-        assert rows == [row for row in per_pair if row is not None]
+        assert rows == tuple(row for row in per_pair if row is not None)
 
     def test_relabeled_grid_carries_base_rows(self, grid3):
         net, perm = relabeled(grid3, 2)
@@ -350,5 +352,5 @@ class TestAdmissibleScan:
             ids = sorted(new_id[tuple(sorted((perm[e.u], perm[e.v])))] for e in old)
             return min(p, q), max(p, q), tuple(ids)  # (Q,P) is scanned as (P,Q)
 
-        rows = {(r.pair.p, r.pair.q, r.edge_ids) for r in enumerate_admissible_pairs(net, 3)}
-        assert rows == {carried(r) for r in enumerate_admissible_pairs(grid3, 3)}
+        rows = {(r.pair.p, r.pair.q, r.edge_ids) for r in all_rows(net, 3)}
+        assert rows == {carried(r) for r in all_rows(grid3, 3)}
