@@ -2,8 +2,9 @@
 
 Exit codes are a stable contract: 0 ok, 2 bad input, 3 model error
 (ungrounded interior), 4 expansion mismatch, 5 rank deficient,
-6 round-trip failure. stdout carries machine-readable results only;
-diagnostics go to stderr.
+6 round-trip failure. EXIT_CODES is the one place that maps a fault to
+its code: the commands let faults rise and main reports them. stdout
+carries machine-readable results only; diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from .errors import (
     AllRowsDegenerate,
     ExpansionMismatch,
     InteriorNotGrounded,
-    NetworkError,
     RankDeficient,
     RoundTripFailure,
 )
@@ -28,16 +28,25 @@ from .numerics import format_matrix_text, parse_matrix_text
 from .paths import expand_det
 
 EXIT_OK = 0
-EXIT_INPUT = 2
-EXIT_MODEL = 3
-EXIT_EXPANSION = 4
-EXIT_RANK = 5
-EXIT_ROUNDTRIP = 6
+
+#: The exit code of each fault a command can meet; no type here is a
+#: subclass of another (NetworkError is a ValueError).
+EXIT_CODES: dict[type, int] = {
+    OSError: 2,
+    ValueError: 2,
+    InteriorNotGrounded: 3,
+    ExpansionMismatch: 4,
+    RankDeficient: 5,
+    AllRowsDegenerate: 5,
+    RoundTripFailure: 6,
+}
+_FAULTS = tuple(EXIT_CODES)
 
 
-def _fail(code: int, message: str) -> int:
-    print(message, file=sys.stderr)
-    return code
+def _report(exc: BaseException, context: str = "") -> int:
+    """Print the fault on stderr and return its exit code."""
+    print(f"error: {context}{exc}", file=sys.stderr)
+    return next(code for kind, code in EXIT_CODES.items() if isinstance(exc, kind))
 
 
 def _load_network(path: str) -> Network:
@@ -46,42 +55,22 @@ def _load_network(path: str) -> Network:
 
 
 def cmd_forward(args) -> int:
-    try:
-        net = _load_network(args.net_file)
-    except (OSError, NetworkError) as exc:
-        return _fail(EXIT_INPUT, f"error: {exc}")
-    try:
-        lam = dtn(net)
-    except InteriorNotGrounded as exc:
-        return _fail(EXIT_MODEL, f"error: {exc}")
+    lam = dtn(_load_network(args.net_file))
     sys.stdout.write(format_matrix_text(lam.entries))
     return EXIT_OK
 
 
 def _parse_indices(text: str):
     try:
-        return tuple(int(t) for t in text.split(","))
+        return tuple(sorted(int(t) for t in text.split(",")))
     except ValueError:
         raise ValueError(f"cannot parse index list {text!r}") from None
 
 
 def cmd_paths(args) -> int:
-    try:
-        net = _load_network(args.net_file)
-        p = _parse_indices(args.from_)
-        q = _parse_indices(args.to)
-        pair = BoundaryPair(tuple(sorted(p)), tuple(sorted(q)))
-        pair.validate_for(net.n_boundary)
-        if len(set(p)) != len(p) or len(set(q)) != len(q):
-            raise ValueError("index lists must be duplicate-free")
-    except (OSError, NetworkError, ValueError) as exc:
-        return _fail(EXIT_INPUT, f"error: {exc}")
-    try:
-        terms, total, ref = expand_det(net, pair)
-    except ExpansionMismatch as exc:
-        return _fail(EXIT_EXPANSION, f"error: {exc}")
-    except InteriorNotGrounded as exc:
-        return _fail(EXIT_MODEL, f"error: {exc}")
+    net = _load_network(args.net_file)
+    pair = BoundaryPair(_parse_indices(args.from_), _parse_indices(args.to))
+    terms, total, ref = expand_det(net, pair)
     for term in terms:
         vertices = " | ".join("-".join(str(v) for v in p) for p in term.system.paths)
         residual = ",".join(str(v) for v in term.system.residual) or "-"
@@ -99,37 +88,18 @@ def cmd_paths(args) -> int:
 
 
 def cmd_rank(args) -> int:
-    try:
-        net = _load_network(args.net_file)
-    except (OSError, NetworkError) as exc:
-        return _fail(EXIT_INPUT, f"error: {exc}")
+    net = _load_network(args.net_file)
     plan = compile_topology(net, args.max_pair_size, stop_at_full_rank=False)
     verdict = "full" if plan.full_rank else "deficient"
     print(f"rows={len(plan.rows)} rank={plan.rank} unknowns={plan.n_unknowns} verdict={verdict}")
-    return EXIT_OK if plan.full_rank else EXIT_RANK
+    return EXIT_OK if plan.full_rank else EXIT_CODES[RankDeficient]
 
 
 def cmd_invert(args) -> int:
-    try:
-        net = _load_network(args.topology_file)
-        with open(args.dtn_file, encoding="utf-8") as f:
-            entries = parse_matrix_text(f.read())
-        if entries.shape != (net.n_boundary, net.n_boundary):
-            raise ValueError(
-                f"DtN matrix is {entries.shape[0]}x{entries.shape[1]} but the "
-                f"topology has {net.n_boundary} boundary vertices"
-            )
-        lam = DtNMap(entries)
-    except (OSError, NetworkError, ValueError) as exc:
-        return _fail(EXIT_INPUT, f"error: {exc}")
-    try:
-        report = recover(net, lam, args.max_pair_size, not args.no_stop_at_full_rank)
-    except (RankDeficient, AllRowsDegenerate) as exc:
-        return _fail(EXIT_RANK, f"error: {exc}")
-    except RoundTripFailure as exc:
-        return _fail(EXIT_ROUNDTRIP, f"error: {exc}")
-    except InteriorNotGrounded as exc:
-        return _fail(EXIT_MODEL, f"error: {exc}")
+    net = _load_network(args.topology_file)
+    with open(args.dtn_file, encoding="utf-8") as f:
+        lam = DtNMap(parse_matrix_text(f.read()))
+    report = recover(net, lam, args.max_pair_size, not args.no_stop_at_full_rank)
     for eid, gamma in enumerate(report.recovered_gammas, start=1):
         print(f"gamma {eid} = {gamma:.17g}")
     print(f"rank = {report.rank}")
@@ -139,10 +109,7 @@ def cmd_invert(args) -> int:
 
 
 def cmd_roundtrip(args) -> int:
-    try:
-        net = _load_network(args.net_file)
-    except (OSError, NetworkError) as exc:
-        return _fail(EXIT_INPUT, f"error: {exc}")
+    net = _load_network(args.net_file)
     plan = compile_topology(net, args.max_pair_size)
     rng = random.Random(args.seed)
     worst = 0.0
@@ -151,19 +118,16 @@ def cmd_roundtrip(args) -> int:
             math.exp(rng.uniform(math.log(0.1), math.log(10.0)))
             for _ in range(net.n_edges)
         ]
-        lam = dtn(net.with_gammas(gammas))
         try:
-            report = plan.apply(lam)
-        except (RankDeficient, AllRowsDegenerate) as exc:
-            return _fail(EXIT_RANK, f"error: trial {trial}: {exc}")
-        except RoundTripFailure as exc:
-            return _fail(EXIT_ROUNDTRIP, f"error: trial {trial}: {exc}")
+            report = plan.apply(dtn(net.with_gammas(gammas)))
+        except _FAULTS as exc:
+            return _report(exc, f"trial {trial}: ")
         max_rel = max(
             abs(r - g) / g for r, g in zip(report.recovered_gammas, gammas)
         )
         worst = max(worst, max_rel)
         print(f"trial {trial} max_rel_error = {max_rel:.17g}")
-    return EXIT_OK if worst <= 1e-8 else EXIT_ROUNDTRIP
+    return EXIT_OK if worst <= 1e-8 else EXIT_CODES[RoundTripFailure]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -207,7 +171,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _FAULTS as exc:
+        return _report(exc)
 
 
 if __name__ == "__main__":

@@ -26,7 +26,10 @@ class InteriorNotGrounded(RuntimeError):
 
 
 class RankDeficient(RuntimeError):
-    """Exact rank fell short of the column count.
+    """Exact rank fell short of the column count: a fault of the
+    topology. RecoveryPlan.apply raises it with the plan's rank and
+    unresolved edges before it reads any minor of the map;
+    solve_system raises it for a system it ranks itself.
 
     `rank` is the achieved rank; `columns` the free/unresolved column
     (or edge id) set.
@@ -48,9 +51,10 @@ class TooManySystems(RuntimeError):
 
 
 class AllRowsDegenerate(RuntimeError):
-    """A fault of the data, not the topology: the map's minors dropped
-    rows (zero determinant, or a sign against the path system's) until
-    the rest fell short of full rank. The message lists the reasons."""
+    """A fault of the data, not the topology: the topology's rows reach
+    full rank, but the map's minors dropped rows (zero determinant, or
+    a sign against the path system's) until the rest fell short of it.
+    The message lists the reasons."""
 
 
 class NotSparseDifference(ValueError):

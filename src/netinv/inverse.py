@@ -121,20 +121,20 @@ def build_system(
     )
 
 
-def _unresolved(space: RowSpace, sys: LogLinearSystem) -> tuple[int, ...]:
+def _unresolved(space: RowSpace, n_edges: int, n_unknowns: int) -> tuple[int, ...]:
     # the row space is the orthogonal complement of the null space, so
     # e_j meets the null space exactly when it leaves the row space
     return tuple(
         j
-        for j in range(1, sys.n_edges + 1)
-        if any(space.reduce([int(c == j) for c in range(1, sys.n_unknowns + 1)]))
+        for j in range(1, n_edges + 1)
+        if any(space.reduce([int(c == j) for c in range(1, n_unknowns + 1)]))
     )
 
 
 def unresolved_edges(sys: LogLinearSystem) -> tuple[int, ...]:
     """Edge ids whose unit directions meet the coefficient null space:
     exactly the conductivities the system cannot pin down."""
-    return _unresolved(RowSpace(sys.coeffs), sys)
+    return _unresolved(RowSpace(sys.coeffs), sys.n_edges, sys.n_unknowns)
 
 
 def solve_system(sys: LogLinearSystem) -> tuple[np.ndarray, float, float]:
@@ -144,7 +144,12 @@ def solve_system(sys: LogLinearSystem) -> tuple[np.ndarray, float, float]:
     no rows at all (a network without edges has no unknowns)."""
     space = RowSpace(sys.coeffs)
     if not _is_full_rank(sys.n_rows, space.rank, sys.n_unknowns):
-        raise RankDeficient(space.rank, _unresolved(space, sys))
+        raise RankDeficient(space.rank, _unresolved(space, sys.n_edges, sys.n_unknowns))
+    return _least_squares(sys)
+
+
+def _least_squares(sys: LogLinearSystem) -> tuple[np.ndarray, float, float]:
+    # the rows are certified full rank by the caller
     a = np.array(sys.coeffs, dtype=float)
     b = np.array(sys.rhs)
     x = np.linalg.lstsq(a, b, rcond=None)[0]
@@ -155,7 +160,7 @@ def solve_system(sys: LogLinearSystem) -> tuple[np.ndarray, float, float]:
             f"least-squares residual {residual_norm:.3e} vs ||rhs|| {rhs_norm:.3e}: "
             "data is not an exact DtN map of this topology",
             InconsistentDataWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
     loggammas = x[: sys.n_edges]
     logdet = float(x[sys.n_edges]) if sys.has_logdet_column else 0.0
@@ -165,13 +170,15 @@ def solve_system(sys: LogLinearSystem) -> tuple[np.ndarray, float, float]:
 @dataclass(frozen=True)
 class RecoveryPlan:
     """The topology-only half of recovery: the admissible rows in scan
-    order, the exact rank of their coefficients and the unknown count m
-    (+1 with interior vertices). The topology's gammas are never read."""
+    order, the exact rank of their coefficients, the unknown count m
+    (+1 with interior vertices) and the edge ids the rows leave
+    unresolved. The topology's gammas are never read."""
 
     topology: Network
     rows: tuple[AdmissibleRow, ...]
     rank: int
     n_unknowns: int
+    unresolved_edges: tuple[int, ...]
 
     @property
     def full_rank(self) -> bool:
@@ -181,24 +188,25 @@ class RecoveryPlan:
     def apply(self, lam: DtNMap) -> RecoveryReport:
         """Solve the rows for the conductivities behind lam and check
         that they reproduce it (else RoundTripFailure). A topology short
-        of full rank raises RankDeficient; a full-rank one whose rows
-        this map drops below full rank raises AllRowsDegenerate."""
+        of full rank raises RankDeficient before any minor of lam is
+        read; a full-rank one whose rows this map drops below full rank
+        raises AllRowsDegenerate."""
         net = self.topology
         if lam.n_boundary != net.n_boundary:
             raise ValueError(
                 f"DtN map is {lam.n_boundary}x{lam.n_boundary} but the topology has "
                 f"{net.n_boundary} boundary vertices"
             )
+        if not self.full_rank:
+            raise RankDeficient(self.rank, self.unresolved_edges)
         sys = build_system(self.rows, lam, net.n_edges, net.n_interior)
-        try:
-            loggammas, logdet, residual_norm = solve_system(sys)
-        except RankDeficient as exc:
-            if not self.full_rank:
-                raise
+        rank = RowSpace(sys.coeffs).rank if sys.dropped else self.rank
+        if rank < self.n_unknowns:
             raise AllRowsDegenerate(
-                f"rows kept by this map have rank {exc.rank} of {self.n_unknowns}: "
+                f"rows kept by this map have rank {rank} of {self.n_unknowns}: "
                 + "; ".join(sys.dropped)
-            ) from exc
+            )
+        loggammas, logdet, residual_norm = _least_squares(sys)
         gammas = tuple(math.exp(g) for g in loggammas)
         lam_back = dtn(net.with_gammas(gammas))
         roundtrip_error = float(np.max(np.abs(lam_back.entries - lam.entries)))
@@ -224,7 +232,8 @@ def compile_topology(
         space.add(_coefficient_row(row, net.n_edges, has_logdet))
         if stop_at_full_rank and space.rank == n_unknowns:
             break
-    return RecoveryPlan(net, tuple(rows), space.rank, n_unknowns)
+    unresolved = _unresolved(space, net.n_edges, n_unknowns)
+    return RecoveryPlan(net, tuple(rows), space.rank, n_unknowns, unresolved)
 
 
 def recover(

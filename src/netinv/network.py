@@ -55,26 +55,12 @@ class Network:
         self._check_interior_grounded()
 
     def _check_interior_grounded(self):
-        # every connected component with an interior vertex needs a boundary vertex
-        n = self.n_vertices
-        adj = self.adjacency()
-        seen = [False] * (n + 1)
-        for start in range(self.n_boundary + 1, n + 1):
-            if seen[start]:
-                continue
-            stack = [start]
-            seen[start] = True
-            component = []
-            while stack:
-                v = stack.pop()
-                component.append(v)
-                for w in adj[v]:
-                    if not seen[w]:
-                        seen[w] = True
-                        stack.append(w)
-            if all(v > self.n_boundary for v in component):
+        # boundary vertices come first, so a component without one has
+        # an interior smallest vertex
+        for component in _components(self.adjacency()):
+            if component[0] > self.n_boundary:
                 raise NetworkError(
-                    f"interior vertex {start} lies in a component with no boundary vertex"
+                    f"interior vertex {component[0]} lies in a component with no boundary vertex"
                 )
 
     @property
@@ -318,16 +304,27 @@ def random_network(spec: RandomNetSpec) -> Network:
     raise NetworkError(f"no valid network after {MAX_RETRIES} draws for spec {spec}")
 
 
+def _components(adj: dict[int, list[int]]):
+    """Yield the vertex lists of the connected components of an
+    adjacency keyed in ascending vertex order (as Network.adjacency
+    builds it): in ascending order of their smallest vertex, which
+    comes first in its list."""
+    seen = set()
+    for start in adj:
+        if start in seen:
+            continue
+        seen.add(start)
+        stack = [start]
+        component = []
+        while stack:
+            v = stack.pop()
+            component.append(v)
+            for w in adj[v]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        yield component
+
+
 def _is_connected(net: Network) -> bool:
-    if net.n_vertices == 0:
-        return True
-    adj = net.adjacency()
-    seen = {1}
-    stack = [1]
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == net.n_vertices
+    return sum(1 for _ in _components(net.adjacency())) <= 1

@@ -261,9 +261,7 @@ def term_sign(system: PathSystem, pair: BoundaryPair) -> int:
     return _permutation_sign(perm) * (-1) ** n_edges
 
 
-def expand_det(
-    net: Network, pair: BoundaryPair, max_systems: int = DEFAULT_MAX_SYSTEMS
-) -> tuple[list[PathTerm], float, float]:
+def expand_det(net: Network, pair: BoundaryPair) -> tuple[list[PathTerm], float, float]:
     """Evaluate the disjoint-path expansion of det K(P+I, Q+I).
 
     Returns the term list, its total and the reference determinant of
@@ -273,7 +271,7 @@ def expand_det(
     k = kirchhoff(net)
     edge_by_pair = net.edge_lookup()
     gamma = {e.id: e.gamma for e in net.edges}
-    systems = enumerate_path_systems(net, pair, max_systems)
+    systems = enumerate_path_systems(net, pair)
     terms: list[PathTerm] = []
     total = 0.0
     mag = 0.0

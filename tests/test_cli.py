@@ -1,8 +1,19 @@
 import numpy as np
 import pytest
 
+import netinv.cli
 import netinv.inverse
-from netinv import dtn, lattice_fixture, serialize_network
+from netinv import (
+    AllRowsDegenerate,
+    ExpansionMismatch,
+    InteriorNotGrounded,
+    NetworkError,
+    RankDeficient,
+    RoundTripFailure,
+    dtn,
+    lattice_fixture,
+    serialize_network,
+)
 from netinv.cli import main
 from netinv.network import Edge, Network
 from netinv.numerics import format_matrix_text, parse_matrix_text
@@ -165,6 +176,14 @@ class TestInvert:
         assert main(["invert", lattice_file, str(lam_file), "--no-stop-at-full-rank"]) == 6
         capsys.readouterr()
 
+    def test_negated_chain_map_is_the_topology_fault(self, tmp_path, capsys):
+        chain = tmp_path / "chain.net"
+        chain.write_text("boundary 2\ninterior 2\nedge 1 3 1.0\nedge 3 4 1.0\nedge 4 2 1.0\n")
+        lam_file = tmp_path / "neg.txt"
+        lam_file.write_text("2 2\n-1 1\n1 -1\n")
+        assert main(["invert", str(chain), str(lam_file)]) == 5
+        assert capsys.readouterr() == ("", "error: rank 1, unresolved columns [1, 2, 3]\n")
+
     def test_pipes_compose_with_forward(self, tmp_path, lattice_file, capsys):
         assert main(["forward", lattice_file]) == 0
         lam_text = capsys.readouterr().out
@@ -204,3 +223,43 @@ class TestRoundtrip:
         chain.write_text("boundary 2\ninterior 2\nedge 1 3 1.0\nedge 3 4 1.0\nedge 4 2 1.0\n")
         assert main(["roundtrip", str(chain), "--trials", "1"]) == 5
         capsys.readouterr()
+
+
+FAULT_CODES = [
+    (OSError("disk gone"), 2),
+    (NetworkError("bad network"), 2),
+    (ValueError("bad value"), 2),
+    (InteriorNotGrounded("not grounded"), 3),
+    (ExpansionMismatch("terms disagree"), 4),
+    (RankDeficient(1, (2, 3)), 5),
+    (AllRowsDegenerate("rows dropped"), 5),
+    (RoundTripFailure(1.0, 0.5), 6),
+]
+
+
+@pytest.mark.parametrize(
+    "exc, code", FAULT_CODES, ids=[type(exc).__name__ for exc, _ in FAULT_CODES]
+)
+@pytest.mark.parametrize(
+    "command, call, prefix",
+    [
+        (["forward", "{net}"], "dtn", ""),
+        (["paths", "{net}", "--from", "1", "--to", "2"], "expand_det", ""),
+        (["invert", "{net}", "{lam}"], "recover", ""),
+        (["roundtrip", "{net}", "--trials", "2"], "dtn", "trial 1: "),
+    ],
+    ids=["forward", "paths", "invert", "roundtrip"],
+)
+def test_exit_code_table(
+    tmp_path, single_edge_file, monkeypatch, capsys, exc, code, command, call, prefix
+):
+    lam_file = tmp_path / "lam.txt"
+    lam_file.write_text("2 2\n5 -5\n-5 5\n")
+
+    def fault(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(netinv.cli, call, fault)
+    argv = [a.format(net=single_edge_file, lam=lam_file) for a in command]
+    assert main(argv) == code
+    assert capsys.readouterr() == ("", f"error: {prefix}{exc}\n")

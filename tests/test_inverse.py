@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+import netinv.inverse
 from netinv import (
     AllRowsDegenerate,
     BoundaryPair,
@@ -23,7 +24,12 @@ from netinv import (
 )
 from netinv.inverse import LogLinearSystem, unresolved_edges
 from netinv.network import Edge, Network, kirchhoff
-from netinv.numerics import integer_rank
+from netinv.numerics import RowSpace, integer_rank
+
+
+# boundary 1, 2 joined through interior 3, 4: the boundary sees only
+# the through-conductance, so no map pins the three gammas
+SERIES_CHAIN = Network(2, 2, (Edge(1, 1, 3, 1.0), Edge(2, 3, 4, 1.0), Edge(3, 4, 2, 1.0)))
 
 
 def lattice_rows(net, max_pair_size=None, stop_at_full_rank=False):
@@ -47,6 +53,7 @@ class TestEnumerateAdmissiblePairs:
         plan = compile_topology(lattice_ones)
         assert len(plan.rows) == 110
         assert (plan.rank, plan.n_unknowns, plan.full_rank) == (13, 13, True)
+        assert plan.unresolved_edges == ()
         sys = build_system(plan.rows, dtn(lattice_ones), 12, 4)
         assert integer_rank(sys.coeffs) == 13
 
@@ -233,15 +240,20 @@ class TestRecover:
         with pytest.raises(RoundTripFailure):
             recover(lattice12, neg, stop_at_full_rank=False)
 
-    def test_deficient_topology_raises(self):
-        # series chain: boundary only sees the through-conductance
-        net = Network(
-            2,
-            2,
-            (Edge(1, 1, 3, 1.0), Edge(2, 3, 4, 1.0), Edge(3, 4, 2, 1.0)),
-        )
-        with pytest.raises(RankDeficient):
-            recover(net, dtn(net))
+    def test_deficient_topology_raises(self, monkeypatch):
+        # -Lambda contradicts the chain's one row, but the topology is
+        # deficient whatever the map, and that is the one verdict: it is
+        # given before any minor is read
+        lams = (dtn(SERIES_CHAIN), DtNMap(-dtn(SERIES_CHAIN).entries))
+
+        def no_minor(*args):
+            raise AssertionError("a deficient plan evaluated a minor")
+
+        monkeypatch.setattr(netinv.inverse, "dtn_slogdet", no_minor)
+        for lam in lams:
+            with pytest.raises(RankDeficient) as exc:
+                recover(SERIES_CHAIN, lam)
+            assert (exc.value.rank, exc.value.columns) == (1, (1, 2, 3))
 
 
 class TestDifferenceRows:
@@ -311,7 +323,7 @@ class TestRecoveryPlan:
         "net, rows, rank, n_unknowns",
         [
             (Network(2, 0, ()), 0, 0, 0),
-            (Network(2, 2, (Edge(1, 1, 3, 1.0), Edge(2, 3, 4, 1.0), Edge(3, 4, 2, 1.0))), 1, 1, 4),
+            (SERIES_CHAIN, 1, 1, 4),
         ],
     )
     def test_deficient_plans(self, net, rows, rank, n_unknowns):
@@ -322,3 +334,32 @@ class TestRecoveryPlan:
             n_unknowns,
             False,
         )
+        # neither plan pins any edge
+        assert plan.unresolved_edges == tuple(range(1, net.n_edges + 1))
+
+    def test_grid3_negated_map_is_the_topology_fault(self, grid3):
+        # at |P| <= 3 every grid3 row has size 3 and -Lambda contradicts
+        # each one's sign, but rank 12 of 25 is the topology's verdict
+        with pytest.raises(RankDeficient) as exc:
+            recover(grid3, DtNMap(-dtn(grid3).entries), max_pair_size=3)
+        assert exc.value.rank == 12
+
+    def test_apply_reuses_the_plan_rank(self, lattice12, monkeypatch):
+        plan = compile_topology(lattice_fixture([1.0] * 12))
+        spaces = []
+
+        class CountedRowSpace(RowSpace):
+            def __init__(self, rows=()):
+                spaces.append(rows)
+                super().__init__(rows)
+
+        monkeypatch.setattr(netinv.inverse, "RowSpace", CountedRowSpace)
+        rng = random.Random(11)
+        for _ in range(5):
+            gammas = [math.exp(rng.uniform(math.log(0.1), math.log(10))) for _ in range(12)]
+            plan.apply(dtn(lattice_fixture(gammas)))
+        assert spaces == []
+        # a map that drops rows has its kept rows ranked
+        with pytest.raises(AllRowsDegenerate, match="rank 8 of 13: "):
+            plan.apply(DtNMap(-dtn(lattice12).entries))
+        assert len(spaces) == 1
