@@ -7,7 +7,6 @@ import math
 
 from netinv import (
     BoundaryPair,
-    build_system,
     compile_topology,
     difference_rows,
     dtn,
@@ -40,13 +39,9 @@ def main():
     plan = compile_topology(net)
     print(f"\nadmissible rows collected: {len(plan.rows)}, exact rank: {plan.rank}")
 
-    rows = compile_topology(net, max_pair_size=3, stop_at_full_rank=False).rows
-    by_pair = {(r.pair.p, r.pair.q): r for r in rows}
-    pair_sys = build_system(
-        [by_pair[((1, 2), (5, 6))], by_pair[((1, 2, 8), (5, 6, 8))]],
-        lam, net.n_edges, net.n_interior,
-    )
-    diff, rhs = difference_rows(pair_sys, 1, 0)
+    sys3 = compile_topology(net, max_pair_size=3, stop_at_full_rank=False).system(lam)
+    at = {(pair.p, pair.q): i for i, pair in enumerate(sys3.provenance)}
+    diff, rhs = difference_rows(sys3, at[((1, 2, 8), (5, 6, 8))], at[((1, 2), (5, 6))])
     print(f"(1,2,8;5,6,8) row minus (1,2;5,6) row = {diff}")
     print(f"  rhs = {rhs:.17g} (= ln 7 = {math.log(7):.17g})")
 

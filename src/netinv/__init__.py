@@ -29,11 +29,9 @@ from .inverse import (
     LogLinearSystem,
     RecoveryPlan,
     RecoveryReport,
-    build_system,
     compile_topology,
     difference_rows,
     recover,
-    solve_system,
 )
 from .network import (
     Edge,

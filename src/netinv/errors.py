@@ -20,19 +20,20 @@ class NotPositiveDefinite(ArithmeticError):
     Cholesky factor."""
 
 
-class InteriorNotGrounded(RuntimeError):
+class InteriorNotGrounded(NetworkError):
     """Some interior component has no boundary vertex; the interior
-    block is singular and the DtN map is undefined."""
+    block is singular and the DtN map is undefined. Network raises it
+    on construction (the CLI's exit 3, not the 2 of other NetworkErrors);
+    dtn and harmonic_extension raise it when the interior block has no
+    Cholesky factor."""
 
 
 class RankDeficient(RuntimeError):
-    """Exact rank fell short of the column count: a fault of the
+    """The plan's rows fall short of full rank: a fault of the
     topology. RecoveryPlan.apply raises it with the plan's rank and
-    unresolved edges before it reads any minor of the map;
-    solve_system raises it for a system it ranks itself.
+    unresolved edges before it reads any minor of the map.
 
-    `rank` is the achieved rank; `columns` the free/unresolved column
-    (or edge id) set.
+    `rank` is the achieved rank; `columns` the unresolved edge ids.
     """
 
     def __init__(self, rank, columns):
@@ -52,9 +53,10 @@ class TooManySystems(RuntimeError):
 
 class AllRowsDegenerate(RuntimeError):
     """A fault of the data, not the topology: the topology's rows reach
-    full rank, but the map's minors dropped rows (zero determinant, or
-    a sign against the path system's) until the rest fell short of it.
-    The message lists the reasons."""
+    full rank, but RecoveryPlan.system dropped rows for the map's minors
+    (zero determinant, or a sign against the path system's) until the
+    rest fell short of it. RecoveryPlan.apply alone raises it, and the
+    message lists the reasons."""
 
 
 class NotSparseDifference(ValueError):

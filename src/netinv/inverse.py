@@ -1,8 +1,8 @@
 """Log-linear inverse solver. compile_topology finds the admissible
 boundary pairs, their {1,0,-1} rows in (log gamma_1..log gamma_m,
 log det K(I,I)) and the rows' exact rank, all fixed by the topology
-alone; the plan's apply takes the rhs log|det Lambda(P,Q)| from a DtN
-map, solves and checks the round trip."""
+alone; the plan's system takes the rhs log|det Lambda(P,Q)| from a DtN
+map, and its apply solves that system and checks the round trip."""
 
 from __future__ import annotations
 
@@ -35,24 +35,15 @@ ROUNDTRIP_RTOL = 1e-6
 
 @dataclass(frozen=True)
 class LogLinearSystem:
-    """Integer-coefficient system over (log gamma_1..log gamma_m
-    [, log det K(I,I)]) with rhs log|det Lambda(P,Q)|.
-
-    The log-det column is present only when the network has interior
-    vertices (det of the empty interior block is 1, so its log is 0 and
-    the column is dropped).
-    """
+    """One map's integer-coefficient system over (log gamma_1..log gamma_m
+    [, log det K(I,I)]) with rhs log|det Lambda(P,Q)|: the plan rows
+    whose minor has the predicted sign, and why each other row was
+    dropped. RecoveryPlan.system builds it."""
 
     coeffs: tuple[tuple[int, ...], ...]
     rhs: tuple[float, ...]
     provenance: tuple[BoundaryPair, ...]
-    n_edges: int
-    has_logdet_column: bool
     dropped: tuple[str, ...] = ()
-
-    @property
-    def n_unknowns(self) -> int:
-        return _n_unknowns(self.n_edges, self.has_logdet_column)
 
     @property
     def n_rows(self) -> int:
@@ -68,122 +59,67 @@ class RecoveryReport:
     roundtrip_error: float
 
 
-def _n_unknowns(n_edges: int, has_logdet: bool) -> int:
-    return n_edges + (1 if has_logdet else 0)
-
-
-def _is_full_rank(n_rows: int, rank: int, n_unknowns: int) -> bool:
-    # no rows are never full rank: a network without edges has nothing
-    # to recover and no equation to check a map against
-    return n_rows > 0 and rank == n_unknowns
-
-
-def _coefficient_row(row: AdmissibleRow, n_edges: int, has_logdet: bool) -> list[int]:
+def _coefficient_row(row: AdmissibleRow, n_edges: int, has_logdet: bool) -> tuple[int, ...]:
     coeffs = [0] * n_edges
     for eid in row.edge_ids:
         coeffs[eid - 1] = 1
-    return coeffs + [-1] if has_logdet else coeffs
+    return tuple(coeffs + [-1] if has_logdet else coeffs)
 
 
-def build_system(
-    rows: list[AdmissibleRow], lam: DtNMap, n_edges: int, n_interior: int
-) -> LogLinearSystem:
-    """Evaluate rhs values log|det Lambda(P,Q)| for admissible rows.
-
-    Rows whose determinant is exactly singular, or whose observed sign
-    contradicts the sign predicted by the path system (a near-zero
-    determinant flipped by roundoff), are dropped with a warning
-    record.
-    """
-    has_logdet = n_interior > 0
-    coeffs: list[tuple[int, ...]] = []
-    rhs: list[float] = []
-    provenance: list[BoundaryPair] = []
-    dropped: list[str] = []
-    for row in rows:
-        sign, logabs = dtn_slogdet(lam, row.pair)
-        if sign == 0:
-            dropped.append(f"pair {row.pair.p}->{row.pair.q}: zero determinant")
-            continue
-        if sign != row.sign:
-            dropped.append(
-                f"pair {row.pair.p}->{row.pair.q}: sign {'+' if sign > 0 else '-'} "
-                f"contradicts predicted {'+' if row.sign > 0 else '-'}"
-            )
-            continue
-        coeffs.append(tuple(_coefficient_row(row, n_edges, has_logdet)))
-        rhs.append(logabs)
-        provenance.append(row.pair)
-    if rows and not coeffs:
-        raise AllRowsDegenerate("; ".join(dropped))
-    return LogLinearSystem(
-        tuple(coeffs), tuple(rhs), tuple(provenance), n_edges, has_logdet, tuple(dropped)
-    )
-
-
-def _unresolved(space: RowSpace, n_edges: int, n_unknowns: int) -> tuple[int, ...]:
-    # the row space is the orthogonal complement of the null space, so
-    # e_j meets the null space exactly when it leaves the row space
-    return tuple(
-        j
-        for j in range(1, n_edges + 1)
-        if any(space.reduce([int(c == j) for c in range(1, n_unknowns + 1)]))
-    )
-
-
-def unresolved_edges(sys: LogLinearSystem) -> tuple[int, ...]:
-    """Edge ids whose unit directions meet the coefficient null space:
-    exactly the conductivities the system cannot pin down."""
-    return _unresolved(RowSpace(sys.coeffs), sys.n_edges, sys.n_unknowns)
-
-
-def solve_system(sys: LogLinearSystem) -> tuple[np.ndarray, float, float]:
-    """Least-squares solve; returns (log gammas, log det K(I,I),
-    residual norm). Raises RankDeficient with the unresolved edge ids
-    when the exact rank is below the unknown count, or when there are
-    no rows at all (a network without edges has no unknowns)."""
-    space = RowSpace(sys.coeffs)
-    if not _is_full_rank(sys.n_rows, space.rank, sys.n_unknowns):
-        raise RankDeficient(space.rank, _unresolved(space, sys.n_edges, sys.n_unknowns))
-    return _least_squares(sys)
-
-
-def _least_squares(sys: LogLinearSystem) -> tuple[np.ndarray, float, float]:
-    # the rows are certified full rank by the caller
-    a = np.array(sys.coeffs, dtype=float)
-    b = np.array(sys.rhs)
-    x = np.linalg.lstsq(a, b, rcond=None)[0]
-    residual_norm = float(np.linalg.norm(a @ x - b))
-    rhs_norm = float(np.linalg.norm(b))
-    if residual_norm > INCONSISTENT_RTOL * max(rhs_norm, 1.0):
-        warnings.warn(
-            f"least-squares residual {residual_norm:.3e} vs ||rhs|| {rhs_norm:.3e}: "
-            "data is not an exact DtN map of this topology",
-            InconsistentDataWarning,
-            stacklevel=3,
+def _check_size(lam: DtNMap, net: Network) -> None:
+    if lam.n_boundary != net.n_boundary:
+        raise ValueError(
+            f"DtN map is {lam.n_boundary}x{lam.n_boundary} but the topology has "
+            f"{net.n_boundary} boundary vertices"
         )
-    loggammas = x[: sys.n_edges]
-    logdet = float(x[sys.n_edges]) if sys.has_logdet_column else 0.0
-    return loggammas, logdet, residual_norm
 
 
 @dataclass(frozen=True)
 class RecoveryPlan:
     """The topology-only half of recovery: the admissible rows in scan
-    order, the exact rank of their coefficients, the unknown count m
-    (+1 with interior vertices) and the edge ids the rows leave
-    unresolved. The topology's gammas are never read."""
+    order, their coefficient rows over (log gamma_1..log gamma_m
+    [, log det K(I,I)]; the log-det column only with interior vertices),
+    the exact rank of those rows, the unknown count and the edge ids the
+    rows leave unresolved. The topology's gammas are never read."""
 
     topology: Network
     rows: tuple[AdmissibleRow, ...]
+    coeffs: tuple[tuple[int, ...], ...]
     rank: int
     n_unknowns: int
     unresolved_edges: tuple[int, ...]
 
     @property
     def full_rank(self) -> bool:
-        """Whether the rows determine every unknown. No rows never do."""
-        return _is_full_rank(len(self.rows), self.rank, self.n_unknowns)
+        """Whether the rows determine every unknown. No rows never do:
+        a network without edges has nothing to recover and no equation
+        to check a map against."""
+        return bool(self.rows) and self.rank == self.n_unknowns
+
+    def system(self, lam: DtNMap) -> LogLinearSystem:
+        """The rows' system for lam, rhs log|det Lambda(P,Q)|. A row
+        whose minor is exactly singular, or whose sign contradicts the
+        path system's (a near-zero determinant flipped by roundoff), is
+        dropped with its reason."""
+        _check_size(lam, self.topology)
+        coeffs: list[tuple[int, ...]] = []
+        rhs: list[float] = []
+        provenance: list[BoundaryPair] = []
+        dropped: list[str] = []
+        for row, row_coeffs in zip(self.rows, self.coeffs):
+            sign, logabs = dtn_slogdet(lam, row.pair)
+            if sign == 0:
+                dropped.append(f"pair {row.pair.p}->{row.pair.q}: zero determinant")
+            elif sign != row.sign:
+                dropped.append(
+                    f"pair {row.pair.p}->{row.pair.q}: sign {'+' if sign > 0 else '-'} "
+                    f"contradicts predicted {'+' if row.sign > 0 else '-'}"
+                )
+            else:
+                coeffs.append(row_coeffs)
+                rhs.append(logabs)
+                provenance.append(row.pair)
+        return LogLinearSystem(tuple(coeffs), tuple(rhs), tuple(provenance), tuple(dropped))
 
     def apply(self, lam: DtNMap) -> RecoveryReport:
         """Solve the rows for the conductivities behind lam and check
@@ -192,22 +128,30 @@ class RecoveryPlan:
         read; a full-rank one whose rows this map drops below full rank
         raises AllRowsDegenerate."""
         net = self.topology
-        if lam.n_boundary != net.n_boundary:
-            raise ValueError(
-                f"DtN map is {lam.n_boundary}x{lam.n_boundary} but the topology has "
-                f"{net.n_boundary} boundary vertices"
-            )
+        _check_size(lam, net)
         if not self.full_rank:
             raise RankDeficient(self.rank, self.unresolved_edges)
-        sys = build_system(self.rows, lam, net.n_edges, net.n_interior)
+        sys = self.system(lam)
         rank = RowSpace(sys.coeffs).rank if sys.dropped else self.rank
         if rank < self.n_unknowns:
             raise AllRowsDegenerate(
                 f"rows kept by this map have rank {rank} of {self.n_unknowns}: "
                 + "; ".join(sys.dropped)
             )
-        loggammas, logdet, residual_norm = _least_squares(sys)
-        gammas = tuple(math.exp(g) for g in loggammas)
+        a = np.array(sys.coeffs, dtype=float)
+        b = np.array(sys.rhs)
+        x = np.linalg.lstsq(a, b, rcond=None)[0]
+        residual_norm = float(np.linalg.norm(a @ x - b))
+        rhs_norm = float(np.linalg.norm(b))
+        if residual_norm > INCONSISTENT_RTOL * max(rhs_norm, 1.0):
+            warnings.warn(
+                f"least-squares residual {residual_norm:.3e} vs ||rhs|| {rhs_norm:.3e}: "
+                "data is not an exact DtN map of this topology",
+                InconsistentDataWarning,
+                stacklevel=2,
+            )
+        gammas = tuple(math.exp(g) for g in x[: net.n_edges])
+        logdet = float(x[net.n_edges]) if net.n_interior else 0.0
         lam_back = dtn(net.with_gammas(gammas))
         roundtrip_error = float(np.max(np.abs(lam_back.entries - lam.entries)))
         threshold = ROUNDTRIP_RTOL * float(np.max(np.abs(lam.entries)))
@@ -224,16 +168,24 @@ def compile_topology(
     stop_at_full_rank the scan halts once the rows reach full rank."""
     size = net.n_boundary if max_pair_size is None else min(max_pair_size, net.n_boundary)
     has_logdet = net.n_interior > 0
-    n_unknowns = _n_unknowns(net.n_edges, has_logdet)
+    n_unknowns = net.n_edges + has_logdet
     space = RowSpace()
     rows: list[AdmissibleRow] = []
+    coeffs: list[tuple[int, ...]] = []
     for row in admissible_rows(net, size):
         rows.append(row)
-        space.add(_coefficient_row(row, net.n_edges, has_logdet))
+        coeffs.append(_coefficient_row(row, net.n_edges, has_logdet))
+        space.add(coeffs[-1])
         if stop_at_full_rank and space.rank == n_unknowns:
             break
-    unresolved = _unresolved(space, net.n_edges, n_unknowns)
-    return RecoveryPlan(net, tuple(rows), space.rank, n_unknowns, unresolved)
+    # the row space is the orthogonal complement of the null space, so
+    # e_j meets the null space exactly when it leaves the row space
+    unresolved = tuple(
+        j
+        for j in range(1, net.n_edges + 1)
+        if any(space.reduce([int(c == j) for c in range(1, n_unknowns + 1)]))
+    )
+    return RecoveryPlan(net, tuple(rows), tuple(coeffs), space.rank, n_unknowns, unresolved)
 
 
 def recover(
@@ -245,6 +197,7 @@ def recover(
     """Recover the conductivities behind lam: compile the topology (its
     gammas are ignored) and apply the plan. To recover many maps of one
     topology, compile it once with compile_topology and apply per map."""
+    _check_size(lam, topology)
     return compile_topology(topology, max_pair_size, stop_at_full_rank).apply(lam)
 
 

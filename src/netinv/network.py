@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NetworkError, NetworkFormatError
+from .errors import InteriorNotGrounded, NetworkError, NetworkFormatError
 
 
 @dataclass(frozen=True)
@@ -59,7 +59,7 @@ class Network:
         # an interior smallest vertex
         for component in _components(self.adjacency()):
             if component[0] > self.n_boundary:
-                raise NetworkError(
+                raise InteriorNotGrounded(
                     f"interior vertex {component[0]} lies in a component with no boundary vertex"
                 )
 
@@ -125,10 +125,6 @@ class KirchhoffMatrix:
 
     entries: np.ndarray
     n_boundary: int
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
 
     @property
     def block_a(self) -> np.ndarray:

@@ -245,7 +245,6 @@ def term_sign(system: PathSystem, pair: BoundaryPair) -> int:
     and C both ascending, times (-1)^(total edge count).
     """
     p_set, q_set = set(pair.p), set(pair.q)
-    shared = p_set & q_set
     touched = system.path_vertices
     interior = (set(system.residual) | touched) - p_set - q_set
     rows = sorted(p_set | interior)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from netinv import (
     InteriorNotGrounded,
     NetworkError,
     RankDeficient,
+    RecoveryPlan,
     RoundTripFailure,
     dtn,
     lattice_fixture,
@@ -57,6 +60,22 @@ class TestForward:
     def test_missing_file_exit_2(self, capsys):
         assert main(["forward", "/nonexistent.net"]) == 2
         assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command", [["forward"], ["rank"], ["invert", "{lam}"]], ids=["forward", "rank", "invert"]
+)
+def test_ungrounded_interior_exit_3(tmp_path, command, capsys):
+    net = tmp_path / "ungrounded.net"
+    net.write_text("boundary 2\ninterior 1\nedge 1 2 1.0\n")
+    lam = tmp_path / "lam.txt"
+    lam.write_text("2 2\n1 -1\n-1 1\n")
+    argv = [command[0], str(net)] + [a.format(lam=lam) for a in command[1:]]
+    assert main(argv) == 3
+    assert capsys.readouterr() == (
+        "",
+        "error: interior vertex 3 lies in a component with no boundary vertex\n",
+    )
 
 
 class TestPaths:
@@ -145,6 +164,23 @@ class TestInvert:
         assert main(["invert", lattice_file, str(lam_file)]) == 2
         capsys.readouterr()
 
+    def test_dimension_mismatch_before_the_scan(
+        self, tmp_path, grid3, lattice12, monkeypatch, capsys
+    ):
+        net_file = tmp_path / "grid3.net"
+        net_file.write_text(serialize_network(grid3))
+        lam_file = tmp_path / "lam.txt"
+        lam_file.write_text(format_matrix_text(dtn(lattice12).entries))
+        scans = []
+        monkeypatch.setattr(netinv.inverse, "admissible_rows", lambda *args: scans.append(args))
+        argv = ["invert", str(net_file), str(lam_file), "--max-pair-size", "3"]
+        assert main(argv) == 2
+        assert capsys.readouterr() == (
+            "",
+            "error: DtN map is 8x8 but the topology has 12 boundary vertices\n",
+        )
+        assert scans == []
+
     def test_nonfinite_map_exit_2(self, tmp_path, lattice_file, lattice12, capsys):
         lam = dtn(lattice12).entries.copy()
         lam[2, 3] = np.nan
@@ -217,6 +253,24 @@ class TestRoundtrip:
         assert main(["roundtrip", lattice_file, "--trials", "5"]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 5
         assert len(scans) == 1
+
+    def test_gamma_error_above_bound_exit_6(self, lattice_file, monkeypatch, capsys):
+        apply = RecoveryPlan.apply
+
+        def off_by_1e6(plan, lam):
+            report = apply(plan, lam)
+            scaled = tuple(g * (1 + 1e-6) for g in report.recovered_gammas)
+            return dataclasses.replace(report, recovered_gammas=scaled)
+
+        monkeypatch.setattr(RecoveryPlan, "apply", off_by_1e6)
+        assert main(["roundtrip", lattice_file, "--trials", "2"]) == 6
+        out, err = capsys.readouterr()
+        assert [line.split(" = ")[0] for line in out.splitlines()] == [
+            "trial 1 max_rel_error",
+            "trial 2 max_rel_error",
+        ]
+        worst = max(float(line.split(" = ")[1]) for line in out.splitlines())
+        assert err == f"error: worst max_rel_error {worst:.3e} exceeds 1e-08\n"
 
     def test_deficient_topology_exit_5(self, tmp_path, capsys):
         chain = tmp_path / "chain.net"

@@ -12,7 +12,6 @@ from netinv import (
     NotSparseDifference,
     RankDeficient,
     RoundTripFailure,
-    build_system,
     compile_topology,
     difference_rows,
     dtn,
@@ -20,9 +19,8 @@ from netinv import (
     kirchhoff_subdet,
     lattice_fixture,
     recover,
-    solve_system,
 )
-from netinv.inverse import LogLinearSystem, unresolved_edges
+from netinv.inverse import LogLinearSystem
 from netinv.network import Edge, Network, kirchhoff
 from netinv.numerics import RowSpace, integer_rank
 
@@ -31,9 +29,27 @@ from netinv.numerics import RowSpace, integer_rank
 # the through-conductance, so no map pins the three gammas
 SERIES_CHAIN = Network(2, 2, (Edge(1, 1, 3, 1.0), Edge(2, 3, 4, 1.0), Edge(3, 4, 2, 1.0)))
 
+# boundary 1, 2 joined directly and through interior 3: every pair has
+# two path systems, so there is no admissible row at all
+CHAIN_WITH_BYPASS = Network(2, 1, (Edge(1, 1, 3, 1.0), Edge(2, 3, 2, 1.0), Edge(3, 1, 2, 1.0)))
+
 
 def lattice_rows(net, max_pair_size=None, stop_at_full_rank=False):
     return compile_topology(net, max_pair_size, stop_at_full_rank).rows
+
+
+def row_index(sys, p, q):
+    """Index of the row of pair p->q in a map's system."""
+    return next(i for i, pair in enumerate(sys.provenance) if (pair.p, pair.q) == (p, q))
+
+
+def two_row_space(lattice12):
+    """The exact span of the (1,2;5,6) and (1,2,8;5,6,8) rows of the
+    lattice's system."""
+    sys = compile_topology(lattice12, 3, stop_at_full_rank=False).system(dtn(lattice12))
+    return RowSpace(
+        sys.coeffs[row_index(sys, *pair)] for pair in (((1, 2), (5, 6)), ((1, 2, 8), (5, 6, 8)))
+    )
 
 
 class TestEnumerateAdmissiblePairs:
@@ -54,8 +70,9 @@ class TestEnumerateAdmissiblePairs:
         assert len(plan.rows) == 110
         assert (plan.rank, plan.n_unknowns, plan.full_rank) == (13, 13, True)
         assert plan.unresolved_edges == ()
-        sys = build_system(plan.rows, dtn(lattice_ones), 12, 4)
-        assert integer_rank(sys.coeffs) == 13
+        assert integer_rank(plan.coeffs) == 13
+        # an exact map keeps every row
+        assert plan.system(dtn(lattice_ones)).coeffs == plan.coeffs
 
     def test_admissibility_is_gamma_independent(self, lattice_ones):
         rng = random.Random(0)
@@ -75,110 +92,109 @@ class TestEnumerateAdmissiblePairs:
 class TestBuildSystem:
     def test_lattice_first_row_coefficients(self, lattice12):
         lam = dtn(lattice12)
-        rows = [
-            r
-            for r in lattice_rows(lattice12, max_pair_size=2)
-            if (r.pair.p, r.pair.q) == ((1, 2), (5, 6))
-        ]
-        sys = build_system(rows, lam, 12, 4)
-        assert sys.coeffs[0] == (1, 1, 1, 1, 1, 1, 0, 0, 0, 0, 0, 0, -1)
+        sys = compile_topology(lattice12, 2, stop_at_full_rank=False).system(lam)
+        i = row_index(sys, (1, 2), (5, 6))
+        assert sys.coeffs[i] == (1, 1, 1, 1, 1, 1, 0, 0, 0, 0, 0, 0, -1)
         k = kirchhoff(lattice12)
         det_kii = kirchhoff_subdet(k, (9, 10, 11, 12), (9, 10, 11, 12))
-        assert sys.rhs[0] == pytest.approx(math.log(720.0) - math.log(det_kii), rel=1e-12)
-        assert sys.rhs[0] == pytest.approx(
-            math.log(abs(dtn_subdet(lam, rows[0].pair))), rel=1e-12
+        assert sys.rhs[i] == pytest.approx(math.log(720.0) - math.log(det_kii), rel=1e-12)
+        assert sys.rhs[i] == pytest.approx(
+            math.log(abs(dtn_subdet(lam, sys.provenance[i]))), rel=1e-12
         )
 
     def test_single_edge_drops_logdet_column(self, single_edge):
-        lam = dtn(single_edge)
-        rows = lattice_rows(single_edge)
-        sys = build_system(rows, lam, 1, 0)
-        assert not sys.has_logdet_column
-        assert sys.n_unknowns == 1
+        plan = compile_topology(single_edge, stop_at_full_rank=False)
+        assert plan.n_unknowns == 1
+        sys = plan.system(dtn(single_edge))
+        assert sys.n_rows == len(plan.rows) > 0
         assert all(row == (1,) for row in sys.coeffs)
 
     def test_duplicate_rows_keep_rank(self, lattice12):
-        lam = dtn(lattice12)
-        rows = lattice_rows(lattice12, max_pair_size=2)
-        sys = build_system(rows, lam, 12, 4)
-        doubled = build_system(rows + rows, lam, 12, 4)
-        assert doubled.n_rows == 2 * sys.n_rows
-        assert integer_rank(doubled.coeffs) == integer_rank(sys.coeffs)
+        plan = compile_topology(lattice12, 2, stop_at_full_rank=False)
+        sys = plan.system(dtn(lattice12))
+        distinct = set(sys.coeffs)
+        assert len(distinct) < sys.n_rows
+        assert integer_rank(sys.coeffs) == integer_rank(list(distinct)) == plan.rank
+        assert integer_rank(sys.coeffs + sys.coeffs) == plan.rank
 
     def test_all_rows_degenerate(self, single_edge):
-        rows = lattice_rows(single_edge)
+        # the system keeps no row and raises nothing; apply's rank check
+        # is the one place that decides the fault
+        plan = compile_topology(single_edge)
         zero_map = DtNMap(np.zeros((2, 2)))
-        with pytest.raises(AllRowsDegenerate):
-            build_system(rows, zero_map, 1, 0)
+        sys = plan.system(zero_map)
+        assert sys.coeffs == sys.rhs == sys.provenance == ()
+        assert sys.dropped == ("pair (1,)->(1,): zero determinant",)
+        with pytest.raises(AllRowsDegenerate) as exc:
+            plan.apply(zero_map)
+        assert str(exc.value) == (
+            "rows kept by this map have rank 0 of 1: pair (1,)->(1,): zero determinant"
+        )
+
+    def test_map_size_checked(self, lattice12, single_edge):
+        with pytest.raises(ValueError, match="DtN map is 8x8 but the topology has 2"):
+            compile_topology(single_edge).system(dtn(lattice12))
 
 
 class TestSystemRank:
-    def test_empty_system(self):
-        sys = LogLinearSystem((), (), (), 12, True)
-        assert integer_rank(sys.coeffs) == 0
+    def test_empty_system(self, lattice12):
+        # no 1x1 lattice minor is log-linear
+        plan = compile_topology(lattice12, 1)
+        sys = plan.system(dtn(lattice12))
+        assert plan.coeffs == sys.coeffs == ()
+        assert plan.rank == integer_rank(sys.coeffs) == 0
 
     def test_two_row_subsystem_rank_2(self, lattice12):
-        lam = dtn(lattice12)
-        rows = [
-            r
-            for r in lattice_rows(lattice12, max_pair_size=3)
-            if (r.pair.p, r.pair.q) in {((1, 2), (5, 6)), ((1, 2, 8), (5, 6, 8))}
-        ]
-        sys = build_system(rows, lam, 12, 4)
-        assert integer_rank(sys.coeffs) == 2
+        assert two_row_space(lattice12).rank == 2
 
     def test_full_lattice_rank_13(self, lattice12):
-        lam = dtn(lattice12)
-        rows = lattice_rows(lattice12, stop_at_full_rank=True)
-        sys = build_system(rows, lam, 12, 4)
+        sys = compile_topology(lattice12).system(dtn(lattice12))
         assert integer_rank(sys.coeffs) == 13
 
 
 class TestSolveSystem:
     def test_single_edge_recovers_gamma(self, single_edge):
         lam = DtNMap(np.array([[5.0, -5.0], [-5.0, 5.0]]))
-        sys = build_system(lattice_rows(single_edge), lam, 1, 0)
-        loggammas, logdet, residual = solve_system(sys)
-        assert math.exp(loggammas[0]) == pytest.approx(5.0, rel=1e-12)
-        assert logdet == 0.0
-        assert residual <= 1e-12
+        report = compile_topology(single_edge).apply(lam)
+        assert report.recovered_gammas[0] == pytest.approx(5.0, rel=1e-12)
+        assert report.logdet_interior == 0.0
+        assert report.residual_norm <= 1e-12
 
     def test_lattice_exact_data(self, lattice12):
-        lam = dtn(lattice12)
-        sys = build_system(lattice_rows(lattice12, stop_at_full_rank=True), lam, 12, 4)
-        loggammas, logdet, residual = solve_system(sys)
-        assert residual <= 1e-9
-        recovered = [math.exp(g) for g in loggammas]
-        assert recovered == pytest.approx(list(range(1, 13)), rel=1e-8)
+        report = compile_topology(lattice12).apply(dtn(lattice12))
+        assert report.residual_norm <= 1e-9
+        assert report.recovered_gammas == pytest.approx(list(range(1, 13)), rel=1e-8)
         k = kirchhoff(lattice12)
         det_kii = kirchhoff_subdet(k, (9, 10, 11, 12), (9, 10, 11, 12))
-        assert logdet == pytest.approx(math.log(det_kii), rel=1e-10)
+        assert report.logdet_interior == pytest.approx(math.log(det_kii), rel=1e-10)
 
     def test_rank_deficient_carries_unresolved_edges(self, lattice12):
-        lam = dtn(lattice12)
-        rows = [
-            r
-            for r in lattice_rows(lattice12, max_pair_size=3)
-            if (r.pair.p, r.pair.q) in {((1, 2), (5, 6)), ((1, 2, 8), (5, 6, 8))}
-        ]
-        sys = build_system(rows, lam, 12, 4)
+        # the |P| <= 2 rows reach rank 8 and pin no edge
+        plan = compile_topology(lattice12, 2)
         with pytest.raises(RankDeficient) as exc:
-            solve_system(sys)
-        assert exc.value.rank == 2
-        # gamma_7 is pinned by the row difference; the rest are not
-        assert 7 not in exc.value.columns
-        assert set(exc.value.columns) >= {8, 9, 10, 11, 12}
+            plan.apply(dtn(lattice12))
+        assert (exc.value.rank, exc.value.columns) == (8, tuple(range(1, 13)))
+        # two rows of rank 2: gamma_7 is pinned by the row difference;
+        # the rest are not
+        space = two_row_space(lattice12)
+        unit = {j: [int(c == j) for c in range(1, 14)] for j in range(7, 13)}
+        assert not any(space.reduce(unit[7]))
+        assert all(any(space.reduce(unit[j])) for j in (8, 9, 10, 11, 12))
 
     @pytest.mark.parametrize("n_edges, columns", [(3, (1, 2, 3)), (0, ())])
     def test_empty_system_is_rank_deficient(self, n_edges, columns):
+        net = CHAIN_WITH_BYPASS if n_edges else Network(2, 0, ())
+        plan = compile_topology(net, stop_at_full_rank=False)
+        assert plan.rows == plan.coeffs == ()
         with pytest.raises(RankDeficient) as exc:
-            solve_system(LogLinearSystem((), (), (), n_edges, False))
+            plan.apply(dtn(net))
         assert exc.value.rank == 0
         assert exc.value.columns == columns
 
     def test_unresolved_edges_empty_system(self):
-        sys = LogLinearSystem((), (), (), 3, False)
-        assert unresolved_edges(sys) == (1, 2, 3)
+        plan = compile_topology(CHAIN_WITH_BYPASS, stop_at_full_rank=False)
+        assert plan.coeffs == ()
+        assert plan.unresolved_edges == (1, 2, 3)
 
 
 class TestRecover:
@@ -258,55 +274,43 @@ class TestRecover:
 
 class TestDifferenceRows:
     def _two_row_system(self, lattice12):
-        lam = dtn(lattice12)
-        rows = lattice_rows(lattice12, max_pair_size=3)
-        wanted = {((1, 2), (5, 6)): 0, ((1, 2, 8), (5, 6, 8)): 1}
-        ordered = [None, None]
-        for r in rows:
-            key = (r.pair.p, r.pair.q)
-            if key in wanted:
-                ordered[wanted[key]] = r
-        return build_system(ordered, lam, 12, 4)
+        """The lattice's |P| <= 3 system and the indices of its
+        (1,2;5,6) and (1,2,8;5,6,8) rows."""
+        sys = compile_topology(lattice12, 3, stop_at_full_rank=False).system(dtn(lattice12))
+        return sys, row_index(sys, (1, 2), (5, 6)), row_index(sys, (1, 2, 8), (5, 6, 8))
 
     def test_isolates_gamma_7(self, lattice12):
-        sys = self._two_row_system(lattice12)
-        row, rhs = difference_rows(sys, 1, 0)
+        sys, i, j = self._two_row_system(lattice12)
+        row, rhs = difference_rows(sys, j, i)
         assert row == (0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0)
         assert rhs == pytest.approx(math.log(7.0), rel=1e-10)
 
     def test_row_minus_itself_is_zero(self, lattice12):
-        sys = self._two_row_system(lattice12)
-        row, rhs = difference_rows(sys, 0, 0)
+        sys, i, _ = self._two_row_system(lattice12)
+        row, rhs = difference_rows(sys, i, i)
         assert row == (0,) * 13
         assert rhs == 0.0
 
     def test_difference_of_indicator_rows_always_legal(self, lattice12):
-        sys = self._two_row_system(lattice12)
+        sys, i, j = self._two_row_system(lattice12)
         # {0,1} - {0,1} stays within {-1,0,1}
-        row, _ = difference_rows(sys, 0, 1)
+        row, _ = difference_rows(sys, i, j)
         assert all(c in (-1, 0, 1) for c in row)
 
     def test_not_sparse_difference(self):
-        sys = LogLinearSystem(((2, 0), (0, 1)), (0.0, 0.0), (None, None), 2, False)
+        sys = LogLinearSystem(((2, 0), (0, 1)), (0.0, 0.0), (None, None))
         with pytest.raises(NotSparseDifference):
             difference_rows(sys, 0, 1)
 
     def test_appending_difference_preserves_solution(self, lattice12):
+        # a difference row lies in the rows' span, so apply's solution
+        # satisfies it as it satisfies the rows themselves
         lam = dtn(lattice12)
-        rows = lattice_rows(lattice12, stop_at_full_rank=True)
-        sys = build_system(rows, lam, 12, 4)
-        base, base_logdet, _ = solve_system(sys)
-        row, rhs = difference_rows(sys, 1, 0)
-        extended = LogLinearSystem(
-            sys.coeffs + (row,),
-            sys.rhs + (rhs,),
-            sys.provenance + (sys.provenance[0],),
-            sys.n_edges,
-            sys.has_logdet_column,
-        )
-        ext, ext_logdet, _ = solve_system(extended)
-        assert np.max(np.abs(ext - base)) <= 1e-10
-        assert abs(ext_logdet - base_logdet) <= 1e-10
+        plan = compile_topology(lattice12)
+        report = plan.apply(lam)
+        x = [math.log(g) for g in report.recovered_gammas] + [report.logdet_interior]
+        row, rhs = difference_rows(plan.system(lam), 1, 0)
+        assert abs(sum(c * v for c, v in zip(row, x)) - rhs) <= 1e-10
 
 
 class TestRecoveryPlan:
@@ -363,3 +367,17 @@ class TestRecoveryPlan:
         with pytest.raises(AllRowsDegenerate, match="rank 8 of 13: "):
             plan.apply(DtNMap(-dtn(lattice12).entries))
         assert len(spaces) == 1
+
+    def test_apply_builds_no_coefficient_row(self, monkeypatch):
+        # the plan holds its coefficient rows; a map supplies the rhs only
+        plan = compile_topology(lattice_fixture([1.0] * 12))
+
+        def no_row(*args):
+            raise AssertionError("apply built a coefficient row")
+
+        monkeypatch.setattr(netinv.inverse, "_coefficient_row", no_row)
+        rng = random.Random(13)
+        for _ in range(5):
+            gammas = [math.exp(rng.uniform(math.log(0.1), math.log(10))) for _ in range(12)]
+            report = plan.apply(dtn(lattice_fixture(gammas)))
+            assert report.recovered_gammas == pytest.approx(gammas, rel=1e-8)

@@ -1,4 +1,3 @@
-import math
 import random
 
 import numpy as np
@@ -10,14 +9,15 @@ from netinv import (
     BoundaryPair,
     DtNMap,
     InconsistentDataWarning,
-    LogLinearSystem,
     NotPositiveDefinite,
     RankDeficient,
+    RoundTripFailure,
+    compile_topology,
+    dtn,
     dtn_subdet,
-    solve_system,
+    lattice_fixture,
 )
-from netinv.inverse import unresolved_edges
-from netinv.network import kirchhoff
+from netinv.network import Edge, Network, kirchhoff
 from netinv.numerics import (
     RowSpace,
     format_matrix_text,
@@ -34,12 +34,6 @@ def full_det(m) -> float:
     lam = DtNMap(m)
     everything = range(1, lam.n_boundary + 1)
     return dtn_subdet(lam, BoundaryPair(everything, everything))
-
-
-def integer_system(coeffs, rhs) -> LogLinearSystem:
-    """A log-linear system over the given integer columns, no log-det column."""
-    coeffs = tuple(tuple(int(c) for c in row) for row in coeffs)
-    return LogLinearSystem(coeffs, tuple(float(r) for r in rhs), (), len(coeffs[0]), False)
 
 
 class TestLuDet:
@@ -104,40 +98,23 @@ class TestSolveSpd:
 class TestLstsq:
     """The least-squares solve of the log-linear system."""
 
-    def test_identity(self):
-        x, _, r = solve_system(integer_system(np.eye(3), [1.0, 2.0, 3.0]))
-        assert np.allclose(x, [1, 2, 3], atol=1e-15)
-        assert r == 0.0
-
-    def test_consistent_overdetermined(self):
-        m = np.array([[2, 1], [1, 3]])
-        b = np.array([1.0, 2.0])
-        x_sq, _, _ = solve_system(integer_system(m, b))
-        stacked_x, _, r = solve_system(integer_system(np.vstack([m, m]), np.concatenate([b, b])))
-        assert np.allclose(stacked_x, x_sq, rtol=1e-12)
-        assert r <= 1e-12
-
-    def test_square_matches_direct_solve(self):
-        rng = np.random.default_rng(11)
-        for _ in range(50):
-            n = rng.integers(1, 8)
-            m = rng.integers(-1, 2, size=(n, n)) + np.eye(n, dtype=int) * (n + 1)
-            b = rng.normal(size=n)
-            x, _, _ = solve_system(integer_system(m, b))
-            assert np.allclose(x, np.linalg.solve(m, b), rtol=1e-12, atol=1e-13)
-
     def test_rank_deficient_reports_free_columns(self):
-        m = [[1, 1, 0], [2, 2, 0], [0, 0, 1]]
+        # boundary 1, 2, 3, interior 4: edges 1-4, 4-2 and 1-3; the rows
+        # pin gamma_3 but only the product gamma_1 gamma_2
+        net = Network(3, 1, (Edge(1, 1, 4, 1.0), Edge(2, 4, 2, 1.0), Edge(3, 1, 3, 1.0)))
         with pytest.raises(RankDeficient) as exc:
-            solve_system(integer_system(m, [1.0, 2.0, 3.0]))
+            compile_topology(net).apply(dtn(net))
         assert exc.value.rank == 2
         assert set(exc.value.columns) == {1, 2}  # edge ids, 1-based
 
     def test_genuinely_overdetermined_residual(self):
-        with pytest.warns(InconsistentDataWarning):
-            x, _, r = solve_system(integer_system([[1], [1]], [0.0, 2.0]))
-        assert x[0] == pytest.approx(1.0)
-        assert r == pytest.approx(math.sqrt(2.0))
+        net = lattice_fixture(range(1, 13))
+        lam = dtn(net).entries.copy()
+        lam[0, 1] *= 1.5
+        lam[1, 0] *= 1.5
+        with pytest.warns(InconsistentDataWarning, match="not an exact DtN map"):
+            with pytest.raises(RoundTripFailure):
+                compile_topology(net).apply(DtNMap(lam))
 
 
 class TestIntegerRank:
@@ -193,7 +170,8 @@ class TestIntegerRank:
                 for j in range(n)
                 if np_rank(np.vstack([m, np.eye(n, dtype=int)[j]])) > np_rank(m)
             }
-            assert set(unresolved_edges(integer_system(m, [0.0] * len(m)))) == unit_raises
+            unit = np.eye(n, dtype=int)
+            assert {j + 1 for j in range(n) if any(space.reduce(unit[j]))} == unit_raises
 
 
 class TestMatrixText:
