@@ -37,6 +37,7 @@ from .network import (
     Edge,
     KirchhoffMatrix,
     Network,
+    grid_fixture,
     kirchhoff,
     lattice_fixture,
     parse_network,

@@ -1,5 +1,6 @@
 """Resistor network data model, Kirchhoff matrix assembly, the 8+4
-lattice fixture, seeded random networks, and the line-based text format.
+lattice and n x n grid fixtures, seeded random networks, and the
+line-based text format.
 
 Vertices are 1-based: boundary vertices are 1..n_boundary, interior
 vertices follow. Edge identity is the input ordering (edge_id 1..m), so
@@ -185,6 +186,38 @@ def lattice_fixture(gammas) -> Network:
         for i, ((u, v), g) in enumerate(zip(LATTICE_EDGE_PAIRS, gammas), start=1)
     )
     return Network(n_boundary=8, n_interior=4, edges=edges)
+
+
+def grid_fixture(n: int, gammas) -> Network:
+    """The n x n square grid: n^2 interior cells (row r, column c is
+    vertex 4n + 1 + r*n + c) and 4n pendant boundary vertices, one on
+    each side cell, numbered clockwise: the top side left to right, the
+    right side top to bottom, the bottom side right to left, the left
+    side bottom to top. Edge ids run over the pendant edges in boundary
+    order, then the horizontal, then the vertical grid edges, 2n^2 + 2n
+    in all; `gammas` supplies their conductivities in that order."""
+    if n < 1:
+        raise NetworkError(f"grid side must be at least 1, got {n}")
+
+    def cell(r: int, c: int) -> int:
+        return 4 * n + 1 + r * n + c
+
+    sides = (
+        [cell(0, c) for c in range(n)]
+        + [cell(r, n - 1) for r in range(n)]
+        + [cell(n - 1, c) for c in reversed(range(n))]
+        + [cell(r, 0) for r in reversed(range(n))]
+    )
+    pairs = list(enumerate(sides, start=1))
+    pairs += [(cell(r, c), cell(r, c + 1)) for r in range(n) for c in range(n - 1)]
+    pairs += [(cell(r, c), cell(r + 1, c)) for r in range(n - 1) for c in range(n)]
+    gammas = [float(g) for g in gammas]
+    if len(gammas) != len(pairs):
+        raise NetworkError(
+            f"{n}x{n} grid fixture needs {len(pairs)} conductivities, got {len(gammas)}"
+        )
+    edges = tuple(Edge(i, u, v, g) for i, ((u, v), g) in enumerate(zip(pairs, gammas), start=1))
+    return Network(4 * n, n * n, edges)
 
 
 def parse_network(text: str) -> Network:

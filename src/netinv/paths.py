@@ -80,16 +80,17 @@ def _vertices(mask: int) -> tuple[int, ...]:
 class _SearchGraph:
     """The topology data the path search reads, built once per network:
     per vertex its ascending (neighbor, bit) steps and its neighbor
-    bitmask, plus the interior and degree-1 vertex bitmasks and the edge
-    ids. Vertex sets are int bitmasks (bit v is vertex v)."""
+    bitmask, plus the boundary, interior and degree-1 vertex bitmasks and
+    the edge ids. Vertex sets are int bitmasks (bit v is vertex v)."""
 
-    __slots__ = ("steps", "masks", "interior", "pendants", "edge_id")
+    __slots__ = ("steps", "masks", "boundary", "interior", "pendants", "edge_id")
 
     def __init__(self, net: Network):
         adj = net.adjacency()
         vertices = range(1, net.n_vertices + 1)
         self.steps = [()] + [tuple((w, 1 << w) for w in adj[v]) for v in vertices]
         self.masks = [0] + [_mask(adj[v]) for v in vertices]
+        self.boundary = _mask(range(1, net.n_boundary + 1))
         self.interior = _mask(net.interior_vertices)
         self.pendants = _mask(v for v in vertices if len(adj[v]) == 1)
         self.edge_id = {e.pair: e.id for e in net.edges}
@@ -326,35 +327,122 @@ def is_log_linear_admissible(net: Network, pair: BoundaryPair) -> Optional[Admis
     return None if system is None else graph.row(pair.p, pair.q, system)
 
 
+def covering_family_counts(net: Network, max_pair_size: int) -> dict[tuple[int, int], int]:
+    """Count, per endpoint core, the chordless path families that cover I.
+
+    A family is a set of vertex-disjoint paths, each joining two boundary
+    vertices through interior vertices and non-pendant boundary vertices,
+    that together cover every interior vertex; with no interior vertices
+    the empty family counts too. Its paths plus the boundary vertices
+    inside them number at most max_pair_size. Oriented from P to Q, a
+    family is a covering path system of its core (P, Q): P holds the path
+    starts, Q the path ends, and both hold the boundary vertices inside
+    the paths.
+
+    A family is left out when one of its paths has a chord, an edge
+    between two of its vertices that are not consecutive on it: the
+    shortcut along the chord is a second system of the same core, so that
+    core has no unique system. Returns the number of chordless families
+    of each core that has one, keyed by the core's (P, Q) vertex bitmasks
+    (bit v is vertex v), with P before Q lexicographically: the mirror
+    (Q, P) has the same systems reversed.
+
+    The walk builds each family once, its paths ordered by their lower
+    end and each starting there, and gives up a branch as soon as an
+    uncovered interior vertex has fewer than two neighbors left that a
+    path can still pass through.
+    """
+    graph = _SearchGraph(net)
+    steps, masks, interior, boundary = graph.steps, graph.masks, graph.interior, graph.boundary
+    inner = boundary & ~graph.pendants  # degree 2 or more: no step reaches degree 0
+    counts: dict[tuple[int, int], int] = {}
+    ends: list[tuple[int, int]] = []  # (lower end, upper end) of each finished path
+
+    def record(shared: int) -> None:
+        # the first path runs from the lowest endpoint, which puts it in
+        # P and so P before Q; every other path runs either way
+        cores = [(shared, shared)]
+        for i, (s, t) in enumerate(ends):
+            s_bit, t_bit = 1 << s, 1 << t
+            cores = [(p | s_bit, q | t_bit) for p, q in cores] + (
+                [(p | t_bit, q | s_bit) for p, q in cores] if i else []
+            )
+        for core in cores:
+            counts[core] = counts.get(core, 0) + 1
+
+    def next_path(first: int, used: int, cost: int, shared: int) -> None:
+        if not interior & ~used:
+            record(shared)
+        if cost < max_pair_size:
+            for s in _vertices(boundary & ~used & ~((2 << first) - 1)):
+                extend(s, s, 1 << s, used | 1 << s, cost + 1, shared)
+
+    def extend(s: int, u: int, path: int, used: int, cost: int, shared: int) -> None:
+        # a later path end lies above s, so a lower unused boundary
+        # vertex can only lie inside a path
+        usable = (interior | inner | boundary & ~((2 << s) - 1)) & ~used | 1 << u
+        uncovered = interior & ~used
+        while uncovered:
+            low = uncovered & -uncovered
+            if (masks[low.bit_length() - 1] & usable).bit_count() < 2:
+                return
+            uncovered ^= low
+        behind = path & ~(1 << u)  # a step next to these would leave a chord
+        for w, bit in steps[u]:
+            if used & bit or masks[w] & behind:
+                continue
+            if not boundary & bit:
+                extend(s, w, path | bit, used | bit, cost, shared)
+                continue
+            if w > s:
+                ends.append((s, w))
+                next_path(s, used | bit, cost, shared)
+                ends.pop()
+            if inner & bit and cost < max_pair_size:
+                extend(s, w, path | bit, used | bit, cost + 1, shared | bit)
+
+    next_path(0, 0, 0, 0)
+    return counts
+
+
 def admissible_rows(net: Network, max_pair_size: int) -> Iterator[AdmissibleRow]:
     """The rows of the admissible pairs with |P| = |Q| <= max_pair_size,
     lazily, in candidate order: increasing |P|, then lexicographic, with
     (Q,P) skipped after (P,Q) (Lambda is symmetric, so both give the
     same determinant).
 
-    One search graph serves the whole scan. A shared vertex of degree 1
-    never lies inside a path, so a pair has the path systems of its core
-    (the pair without its shared pendant vertices), those vertices added
-    to the residual. A core's search result is kept for reuse only when
-    the core is smaller than max_pair_size: a pair's core is never larger
-    than the pair, and a core of the largest size is never met again.
+    A shared vertex of degree 1 never lies inside a path, so a pair has
+    the path systems of its core (the pair without its shared pendant
+    vertices), those vertices added to the residual. An admissible pair's
+    unique system covers I, passes through every other shared vertex and
+    has no chord, so its core has exactly one chordless covering family
+    (covering_family_counts). Only those cores are searched, by the full
+    search, which also sees the systems that leave a vertex out. Each
+    core found to have a unique covering system gives the candidates of
+    a size by adding shared pendant vertices; candidates are built one
+    size at a time, so the sizes a caller never reaches cost nothing
+    beyond the walk.
     """
     graph = _SearchGraph(net)
-    cores: dict[tuple[int, int], Optional[tuple]] = {}
-    indices = range(1, net.n_boundary + 1)
+    pendants = graph.boundary & graph.pendants
+    counts = covering_family_counts(net, max_pair_size)
+    # searched smallest first, as the sizes are reached
+    cores = sorted((core for core, n in counts.items() if n == 1), key=lambda c: -c[0].bit_count())
+    unique: list[tuple[int, int, tuple]] = []  # (p_mask, q_mask, system) per core found unique
     for size in range(1, max_pair_size + 1):
-        subsets = [(s, _mask(s)) for s in combinations(indices, size)]
-        for i, (p, p_mask) in enumerate(subsets):
-            for q, q_mask in subsets[i:]:
-                shared_pendants = p_mask & q_mask & graph.pendants
-                core = (p_mask ^ shared_pendants, q_mask ^ shared_pendants)
-                if core in cores:
-                    system = cores[core]
-                else:
-                    system = graph.unique_system(*core)
-                    if size - shared_pendants.bit_count() < max_pair_size:
-                        cores[core] = system
-                if system is not None:
-                    row = graph.row(p, q, system)
-                    if row is not None:
-                        yield row
+        while cores and cores[-1][0].bit_count() <= size:
+            p_mask, q_mask = cores.pop()
+            system = graph.unique_system(p_mask, q_mask)
+            if system is not None:
+                unique.append((p_mask, q_mask, system))
+        candidates = []
+        for p_mask, q_mask, system in unique:
+            free = _vertices(pendants & ~(p_mask | q_mask))
+            for extra in combinations(free, size - p_mask.bit_count()):
+                shared = _mask(extra)
+                candidates.append((_vertices(p_mask | shared), _vertices(q_mask | shared), system))
+        candidates.sort()
+        for p, q, system in candidates:
+            row = graph.row(p, q, system)
+            if row is not None:
+                yield row

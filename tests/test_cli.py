@@ -136,6 +136,7 @@ class TestRank:
     @pytest.mark.parametrize(
         "size, line",
         [
+            ("4", "rows=3360 rank=24 unknowns=25 verdict=deficient\n"),
             ("3", "rows=352 rank=12 unknowns=25 verdict=deficient\n"),
             ("2", "rows=0 rank=0 unknowns=25 verdict=deficient\n"),
         ],

@@ -3,7 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netinv import NetworkError, NetworkFormatError, lattice_fixture, parse_network, serialize_network
+from netinv import (
+    NetworkError,
+    NetworkFormatError,
+    grid_fixture,
+    lattice_fixture,
+    parse_network,
+    serialize_network,
+)
 from netinv.network import Edge, Network, RandomNetSpec, kirchhoff, random_network
 from netinv.numerics import solve_spd
 
@@ -65,6 +72,28 @@ def test_lattice_edge_incidences(lattice12):
     by_id = {e.id: e for e in lattice12.edges}
     assert by_id[2].pair == (9, 12)
     assert by_id[5].pair == (10, 11)
+
+
+def test_grid_fixture_numbering():
+    net = grid_fixture(3, range(1, 25))
+    assert (net.n_boundary, net.n_interior, net.n_edges) == (12, 9, 24)
+    # boundary 1..12 hang clockwise on the side cells 13..21 (row-major)
+    assert [e.pair for e in net.edges[:12]] == [
+        (1, 13), (2, 14), (3, 15), (4, 15), (5, 18), (6, 21),
+        (7, 21), (8, 20), (9, 19), (10, 19), (11, 16), (12, 13),
+    ]
+    assert [e.pair for e in net.edges[12:]] == [
+        (13, 14), (14, 15), (16, 17), (17, 18), (19, 20), (20, 21),
+        (13, 16), (14, 17), (15, 18), (16, 19), (17, 20), (18, 21),
+    ]
+    assert [e.gamma for e in net.edges] == list(range(1, 25))
+
+
+def test_grid_fixture_rejects_bad_input():
+    with pytest.raises(NetworkError, match="needs 4 conductivities, got 3"):
+        grid_fixture(1, [1.0] * 3)
+    with pytest.raises(NetworkError, match="at least 1"):
+        grid_fixture(0, [])
 
 
 def test_network_rejects_self_loop():

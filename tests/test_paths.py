@@ -18,6 +18,7 @@ from netinv import (
     term_sign,
 )
 from netinv.network import Edge, Network, RandomNetSpec, kirchhoff, random_network
+from netinv.paths import covering_family_counts
 from oracle import exhaustive_path_systems
 
 
@@ -277,9 +278,34 @@ def pendant_network(seed):
     return Network(nb, ni, tuple(Edge(i, u, v, 1.0) for i, (u, v) in enumerate(pairs, start=1)))
 
 
+def oracle_family_counts(net, max_size):
+    """covering_family_counts by its definition, from the exhaustive
+    oracle: per pair with P before Q, the empty pair included, its
+    systems that cover I, pass through every shared vertex and have no
+    chord."""
+    edges = {e.pair for e in net.edges}
+    counts = {}
+    for pair in [BoundaryPair((), ())] + list(candidate_pairs(net.n_boundary, max_size)):
+        n = sum(
+            1
+            for system in exhaustive_path_systems(net, pair)
+            if not system.residual
+            and not any(
+                (min(a, b), max(a, b)) in edges
+                for path in system.paths
+                for i, a in enumerate(path)
+                for b in path[i + 2 :]
+            )
+        )
+        if n:
+            counts[(sum(1 << v for v in pair.p), sum(1 << v for v in pair.q))] = n
+    return counts
+
+
 class TestAdmissibleScan:
-    """The scan (one search graph, early rejection, pendant-core reuse)
-    admits exactly the rows the definition does, in candidate order."""
+    """The scan (covering walk, unique-system check, shared-pendant
+    extension) admits exactly the rows the definition does, in candidate
+    order."""
 
     def test_lattice_matches_oracle(self, lattice_ones):
         rows = scan_rows(lattice_ones, 3)
@@ -300,9 +326,41 @@ class TestAdmissibleScan:
         net = pendant_network(seed)
         assert scan_rows(net, 3) == oracle_rows(net, 3)
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_boundary_only_network_matches_oracle(self, seed):
+        # no interior vertex: only the empty family and paths between
+        # boundary vertices exist
+        net = random_network(RandomNetSpec(n_boundary=(3, 6), n_interior=(0, 0), seed=seed))
+        assert scan_rows(net, 3) == oracle_rows(net, 3)
+
+    def test_single_edge_matches_oracle(self, single_edge):
+        rows = scan_rows(single_edge, 2)
+        assert rows == [((1,), (1,), (1,), 1), ((1,), (2,), (1,), -1), ((2,), (2,), (1,), 1)]
+        assert rows == oracle_rows(single_edge, 2)
+
+    def test_lattice_every_size_matches_per_pair(self, lattice_ones):
+        rows = all_rows(lattice_ones, 8)
+        assert len(rows) == 1288
+        per_pair = (is_log_linear_admissible(lattice_ones, pair) for pair in candidate_pairs(8, 8))
+        assert rows == tuple(row for row in per_pair if row is not None)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_family_counts_match_oracle(self, seed):
+        net = random_network(RandomNetSpec(n_boundary=(3, 6), n_interior=(0, 4), seed=seed))
+        for size in (1, 2, 3):
+            assert covering_family_counts(net, size) == oracle_family_counts(net, size)
+
+    def test_lattice_family_counts(self, lattice_ones):
+        counts = covering_family_counts(lattice_ones, 2)
+        assert counts == oracle_family_counts(lattice_ones, 2)
+        # 1-9-12-6 and 2-10-11-5 are the one family of (1,2;5,6); the
+        # two systems of (1;5) each leave an interior vertex out
+        assert counts[(0b110, 0b1100000)] == 1
+        assert (0b10, 0b100000) not in counts
+
     def test_shared_vertex_inside_a_path(self):
         # shared boundary vertex 2 has degree 2 and carries the path
-        # 1-2-3, so it is no pendant and the pair is searched whole
+        # 1-2-3, so it is no pendant and stays in the pair's core
         net = Network(3, 0, (Edge(1, 1, 2, 1.0), Edge(2, 2, 3, 1.0)))
         rows = scan_rows(net, 3)
         assert ((1, 2), (2, 3), (1, 2), 1) in rows

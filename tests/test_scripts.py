@@ -7,8 +7,8 @@ import pytest
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
-# Random networks with mostly non-pendant boundary vertices, so the scan
-# runs with little pendant-core reuse.
+# Random networks with mostly non-pendant boundary vertices, so the
+# covering walk runs paths through boundary vertices.
 RANK_SURVEY_5 = """\
 trial 0: vertices 10 edges 26 rows 0 rank 0/27 deficient
 trial 1: vertices 5 edges 6 rows 3 rank 2/7 deficient
