@@ -23,7 +23,6 @@ from .forward import (
     dtn_subdet,
     harmonic_extension,
     kirchhoff_subdet,
-    schur_identity_check,
 )
 from .inverse import (
     LogLinearSystem,
@@ -35,7 +34,6 @@ from .inverse import (
 )
 from .network import (
     Edge,
-    KirchhoffMatrix,
     Network,
     grid_fixture,
     kirchhoff,

@@ -1,10 +1,12 @@
 """Command-line front end.
 
-Exit codes are a stable contract: 0 ok, 2 bad input, 3 model error
-(ungrounded interior), 4 expansion mismatch, 5 rank deficient,
-6 round-trip failure. EXIT_CODES is the one place that maps a fault to
-its code: the commands let faults rise and main reports them. stdout
-carries machine-readable results only; diagnostics go to stderr.
+Exit codes are a stable contract: 0 ok, 2 bad input (or a path search
+beyond its budget, or a recovered conductivity outside the float range),
+3 model error (ungrounded interior), 4 expansion mismatch, 5 rank
+deficient, 6 round-trip failure. EXIT_CODES is the one place that maps
+a fault to its code: the commands let faults rise and main reports
+them. stdout carries machine-readable results only; diagnostics go to
+stderr.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from .errors import (
     InteriorNotGrounded,
     RankDeficient,
     RoundTripFailure,
+    TooManySystems,
 )
 from .forward import BoundaryPair, DtNMap, dtn
 from .inverse import compile_topology, recover
@@ -35,6 +38,7 @@ EXIT_OK = 0
 EXIT_CODES: dict[type, int] = {
     OSError: 2,
     ValueError: 2,
+    TooManySystems: 2,
     InteriorNotGrounded: 3,
     ExpansionMismatch: 4,
     RankDeficient: 5,

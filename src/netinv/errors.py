@@ -48,7 +48,8 @@ class ExpansionMismatch(RuntimeError):
 
 
 class TooManySystems(RuntimeError):
-    """Path-system enumeration exceeded the configured cap."""
+    """The path search ran out of budget: more than paths.MAX_SYSTEMS
+    systems for one pair, or deeper than the recursion limit."""
 
 
 class AllRowsDegenerate(RuntimeError):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InteriorNotGrounded, NotPositiveDefinite
-from .network import KirchhoffMatrix, Network, kirchhoff
+from .network import Network, kirchhoff
 from .numerics import solve_spd
 
 #: Roundoff level of a computed determinant, relative to the Hadamard
@@ -68,39 +68,34 @@ class BoundaryPair:
                 raise ValueError(f"{name} index out of boundary range 1..{n_boundary}: {idx}")
 
 
-def dtn(net: Network) -> DtNMap:
-    """DtN map of a network: the Schur complement of K onto the
-    boundary block. With no interior vertices Lambda is K itself."""
-    k = kirchhoff(net)
-    if net.n_interior == 0:
-        return DtNMap(k.entries.copy())
-    a, b, c = k.block_a, k.block_b, k.block_c
+def _harmonic_basis(k: np.ndarray, b: int) -> np.ndarray:
+    """X = -C^-1 B^T of the Kirchhoff matrix k with b boundary vertices:
+    column j holds the interior potentials when boundary vertex j is held
+    at 1 and every other at 0, so U = [I; X] is the harmonic-extension
+    basis."""
     try:
-        x = solve_spd(c, b.T)
+        return -solve_spd(k[b:, b:], k[:b, b:].T)
     except NotPositiveDefinite as exc:
         raise InteriorNotGrounded(str(exc)) from exc
-    lam = a - b @ x
-    return DtNMap(lam)
+
+
+def dtn(net: Network) -> DtNMap:
+    """DtN map of a network: the Schur complement A + B X = A - B C^-1 B^T
+    of K onto the boundary block. With no interior vertices Lambda is K
+    itself."""
+    k = kirchhoff(net)
+    b = net.n_boundary
+    return DtNMap(k[:b, :b] + k[:b, b:] @ _harmonic_basis(k, b))
 
 
 def harmonic_extension(net: Network, u_boundary) -> np.ndarray:
-    """Extend boundary potentials to the unique harmonic vector.
-
-    Interior values solve C u_int = -B^T u_boundary, i.e. every
-    interior vertex takes the conductivity-weighted average of its
-    neighbors.
-    """
+    """Extend boundary potentials to the unique harmonic vector [u; X u]:
+    every interior vertex takes the conductivity-weighted average of its
+    neighbors."""
     u_b = np.asarray(u_boundary, dtype=float)
     if u_b.shape != (net.n_boundary,):
         raise ValueError(f"expected {net.n_boundary} boundary values, got {u_b.shape}")
-    if net.n_interior == 0:
-        return u_b.copy()
-    k = kirchhoff(net)
-    try:
-        u_int = solve_spd(k.block_c, -k.block_b.T @ u_b)
-    except NotPositiveDefinite as exc:
-        raise InteriorNotGrounded(str(exc)) from exc
-    return np.concatenate([u_b, u_int])
+    return np.concatenate([u_b, _harmonic_basis(kirchhoff(net), net.n_boundary) @ u_b])
 
 
 def submatrix(m: np.ndarray, rows, cols) -> np.ndarray:
@@ -134,26 +129,8 @@ def det_roundoff(m: np.ndarray) -> float:
     return DET_ROUNDOFF_RTOL * float(np.prod(np.where(norms > 0, norms, 1.0)))
 
 
-def kirchhoff_subdet(k: KirchhoffMatrix, rows, cols) -> float:
+def kirchhoff_subdet(k: np.ndarray, rows, cols) -> float:
     """Signed det K(rows, cols); the empty submatrix has determinant 1."""
     if len(rows) != len(cols):
         raise ValueError(f"|rows| = {len(rows)} != |cols| = {len(cols)}")
-    return float(np.linalg.det(submatrix(k.entries, rows, cols)))
-
-
-def schur_identity_check(net: Network, pair: BoundaryPair) -> float:
-    """Relative discrepancy of det Lambda(P,Q) * det K(I,I) against
-    det K(P+I, Q+I). A reference that is zero up to det_roundoff reports
-    0.0 when the test value is too, else 1.0."""
-    k = kirchhoff(net)
-    lam = dtn(net)
-    interior = net.interior_vertices
-    test = dtn_subdet(lam, pair) * kirchhoff_subdet(k, interior, interior)
-    rows = sorted(set(pair.p) | set(interior))
-    cols = sorted(set(pair.q) | set(interior))
-    sub = submatrix(k.entries, rows, cols)
-    ref = float(np.linalg.det(sub))
-    zero = det_roundoff(sub)
-    if abs(ref) <= zero:
-        return 0.0 if abs(test) <= zero else 1.0
-    return abs(test - ref) / abs(ref)
+    return float(np.linalg.det(submatrix(k, rows, cols)))

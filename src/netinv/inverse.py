@@ -126,7 +126,8 @@ class RecoveryPlan:
         that they reproduce it (else RoundTripFailure). A topology short
         of full rank raises RankDeficient before any minor of lam is
         read; a full-rank one whose rows this map drops below full rank
-        raises AllRowsDegenerate."""
+        raises AllRowsDegenerate, and a recovered conductivity beyond the
+        float range raises ValueError."""
         net = self.topology
         _check_size(lam, net)
         if not self.full_rank:
@@ -150,7 +151,14 @@ class RecoveryPlan:
                 InconsistentDataWarning,
                 stacklevel=2,
             )
-        gammas = tuple(math.exp(g) for g in x[: net.n_edges])
+        try:
+            gammas = tuple(math.exp(g) for g in x[: net.n_edges])
+        except OverflowError:
+            eid = int(np.argmax(x[: net.n_edges])) + 1
+            raise ValueError(
+                f"recovered conductivity of edge {eid}, exp({x[eid - 1]:.17g}), "
+                "is beyond the float range"
+            ) from None
         logdet = float(x[net.n_edges]) if net.n_interior else 0.0
         lam_back = dtn(net.with_gammas(gammas))
         roundtrip_error = float(np.max(np.abs(lam_back.entries - lam.entries)))

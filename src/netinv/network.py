@@ -116,35 +116,11 @@ def _edge_fault(u: int, v: int, gamma: float, n: int, seen_pairs: set) -> str | 
     return None
 
 
-@dataclass(frozen=True)
-class KirchhoffMatrix:
-    """Weighted graph Laplacian with the boundary/interior block split.
-
-    Off-diagonal (i,j) is -gamma_ij when edge {i,j} exists, diagonals
-    make every row sum exactly zero.
-    """
-
-    entries: np.ndarray
-    n_boundary: int
-
-    @property
-    def block_a(self) -> np.ndarray:
-        b = self.n_boundary
-        return self.entries[:b, :b]
-
-    @property
-    def block_b(self) -> np.ndarray:
-        b = self.n_boundary
-        return self.entries[:b, b:]
-
-    @property
-    def block_c(self) -> np.ndarray:
-        b = self.n_boundary
-        return self.entries[b:, b:]
-
-
-def kirchhoff(net: Network) -> KirchhoffMatrix:
-    """Assemble the Kirchhoff matrix of a network."""
+def kirchhoff(net: Network) -> np.ndarray:
+    """The read-only Kirchhoff matrix (weighted graph Laplacian) of a
+    network: off-diagonal (i, j) is -gamma_ij when edge {i, j} exists,
+    and the diagonal makes every row sum exactly zero. Its blocks split
+    at net.n_boundary: A = k[:b, :b], B = k[:b, b:], C = k[b:, b:]."""
     n = net.n_vertices
     k = np.zeros((n, n))
     for e in net.edges:
@@ -154,7 +130,7 @@ def kirchhoff(net: Network) -> KirchhoffMatrix:
         k[i, i] += e.gamma
         k[j, j] += e.gamma
     k.flags.writeable = False
-    return KirchhoffMatrix(k, net.n_boundary)
+    return k
 
 
 # Lattice with 8 boundary and 4 interior vertices; edge order matches

@@ -15,13 +15,19 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator, Mapping, Optional
 
+import numpy as np
+
 from .errors import ExpansionMismatch, TooManySystems
 from .forward import BoundaryPair, det_roundoff, kirchhoff_subdet, submatrix
 from .network import Network, kirchhoff
 
-#: Default cap on systems enumerated per pair; exceeded means the pair
-#: is beyond desk scale and the caller gets an explicit error.
-DEFAULT_MAX_SYSTEMS = 10**6
+#: Cap on the systems enumerated per pair; exceeded means the pair is
+#: beyond desk scale and the caller gets TooManySystems.
+MAX_SYSTEMS = 10**6
+
+#: The search recurses once per path vertex; past the recursion limit it
+#: has run out of budget too.
+_TOO_DEEP = "path search deeper than the recursion limit"
 
 #: Internal assertion tolerance for the expansion-vs-determinant identity.
 EXPANSION_RTOL = 1e-9
@@ -152,7 +158,10 @@ class _SearchGraph:
                     return True
             return False
 
-        return next_system(0, 0)
+        try:
+            return next_system(0, 0)
+        except RecursionError:
+            raise TooManySystems(_TOO_DEEP) from None
 
     def unique_system(self, p_mask: int, q_mask: int) -> Optional[tuple]:
         """(paths, used) of the pair's path system when it is the only
@@ -192,14 +201,12 @@ class _SearchGraph:
         return AdmissibleRow(pair, tuple(sorted(edge_ids)), sign)
 
 
-def enumerate_path_systems(
-    net: Network, pair: BoundaryPair, max_systems: int = DEFAULT_MAX_SYSTEMS
-) -> list[PathSystem]:
+def enumerate_path_systems(net: Network, pair: BoundaryPair) -> list[PathSystem]:
     """All vertex-disjoint path systems connecting P\\Q to Q\\P through
     I + (P&Q), by DFS in ascending-neighbor order with dead-end pruning.
 
     When P = Q the single empty system (everything residual) is
-    returned. More than max_systems systems raise TooManySystems.
+    returned. More than MAX_SYSTEMS systems raise TooManySystems.
     """
     pair.validate_for(net.n_boundary)
     graph = _SearchGraph(net)
@@ -208,9 +215,9 @@ def enumerate_path_systems(
     systems: list[PathSystem] = []
 
     def visit(paths, used):
-        if len(systems) == max_systems:
+        if len(systems) == MAX_SYSTEMS:
             raise TooManySystems(
-                f"more than {max_systems} path systems for pair {pair.p}->{pair.q}"
+                f"more than {MAX_SYSTEMS} path systems for pair {pair.p}->{pair.q}"
             )
         systems.append(PathSystem(paths, _vertices(allowed & ~used)))
         return False
@@ -290,8 +297,8 @@ def expand_det(net: Network, pair: BoundaryPair) -> tuple[list[PathTerm], float,
     interior = set(net.interior_vertices)
     rows = sorted(set(pair.p) | interior)
     cols = sorted(set(pair.q) | interior)
-    ref = kirchhoff_subdet(k, rows, cols)
-    sub = submatrix(k.entries, rows, cols)
+    sub = submatrix(k, rows, cols)
+    ref = float(np.linalg.det(sub))
     tol = EXPANSION_RTOL * max(abs(ref), abs(total), mag) + det_roundoff(sub)
     if abs(total - ref) > tol:
         raise ExpansionMismatch(
@@ -401,7 +408,10 @@ def covering_family_counts(net: Network, max_pair_size: int) -> dict[tuple[int, 
             if inner & bit and cost < max_pair_size:
                 extend(s, w, path | bit, used | bit, cost + 1, shared | bit)
 
-    next_path(0, 0, 0, 0)
+    try:
+        next_path(0, 0, 0, 0)
+    except RecursionError:
+        raise TooManySystems(_TOO_DEEP) from None
     return counts
 
 

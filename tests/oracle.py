@@ -1,9 +1,12 @@
-"""Brute-force reference implementations for the test suite only:
-permutation-expansion determinants and exhaustive path-system search.
+"""Reference checks for the test suite only: permutation-expansion
+determinants, exhaustive path-system search and the Schur-identity check
+of the DtN map.
 
-Nothing here shares determinant or path-walking code with the modules
-it checks; independence is the point. Factorial cost is fine, size caps
-are hard errors.
+The brute-force references share no determinant or path-walking code
+with the modules they check; independence is the point. Factorial cost
+is fine, size caps are hard errors. The Schur check instead sets two of
+the package's computations against each other: a minor of Lambda and a
+minor of K.
 """
 
 from __future__ import annotations
@@ -12,8 +15,17 @@ from functools import lru_cache
 from itertools import permutations, product
 
 import networkx as nx
+import numpy as np
 
-from netinv.network import Network
+from netinv.forward import (
+    BoundaryPair,
+    det_roundoff,
+    dtn,
+    dtn_subdet,
+    kirchhoff_subdet,
+    submatrix,
+)
+from netinv.network import Network, kirchhoff
 from netinv.paths import PathSystem
 
 
@@ -87,3 +99,21 @@ def exhaustive_path_systems(net: Network, pair) -> list[PathSystem]:
                 systems.append(PathSystem(tuple(combo), residual))
     systems.sort(key=lambda s: s.paths)
     return systems
+
+
+def schur_identity_check(net: Network, pair: BoundaryPair) -> float:
+    """Relative discrepancy of det Lambda(P,Q) * det K(I,I) against
+    det K(P+I, Q+I). A reference that is zero up to det_roundoff reports
+    0.0 when the test value is too, else 1.0."""
+    k = kirchhoff(net)
+    lam = dtn(net)
+    interior = net.interior_vertices
+    test = dtn_subdet(lam, pair) * kirchhoff_subdet(k, interior, interior)
+    rows = sorted(set(pair.p) | set(interior))
+    cols = sorted(set(pair.q) | set(interior))
+    sub = submatrix(k, rows, cols)
+    ref = float(np.linalg.det(sub))
+    zero = det_roundoff(sub)
+    if abs(ref) <= zero:
+        return 0.0 if abs(test) <= zero else 1.0
+    return abs(test - ref) / abs(ref)

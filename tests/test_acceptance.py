@@ -109,7 +109,7 @@ def test_criterion_4_det_15_26():
     # the permutation-expansion oracle on the integer submatrix.
     net = lattice12()
     k = kirchhoff(net)
-    sub = submatrix(k.entries, (1, 5) + INTERIOR, (2, 6) + INTERIOR)
+    sub = submatrix(k, (1, 5) + INTERIOR, (2, 6) + INTERIOR)
     oracle_value = perm_det(sub)
     assert oracle_value == pytest.approx(6336 - 720, rel=1e-12)
     t0 = time.perf_counter()

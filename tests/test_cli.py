@@ -5,6 +5,7 @@ import pytest
 
 import netinv.cli
 import netinv.inverse
+import netinv.paths
 from netinv import (
     AllRowsDegenerate,
     ExpansionMismatch,
@@ -13,6 +14,7 @@ from netinv import (
     RankDeficient,
     RecoveryPlan,
     RoundTripFailure,
+    TooManySystems,
     dtn,
     lattice_fixture,
     serialize_network,
@@ -103,6 +105,48 @@ class TestPaths:
         capsys.readouterr()
 
 
+def test_search_cap_exit_2(lattice_file, monkeypatch, capsys):
+    # lattice (1;5) has two path systems
+    monkeypatch.setattr(netinv.paths, "MAX_SYSTEMS", 1)
+    assert main(["paths", lattice_file, "--from", "1", "--to", "5"]) == 2
+    assert capsys.readouterr() == ("", "error: more than 1 path systems for pair (1,)->(5,)\n")
+
+
+@pytest.fixture(scope="module")
+def deep_chain(tmp_path_factory):
+    """A series chain 1 - 3 - 4 - ... - 1202 - 2: its one path is longer
+    than the recursion limit, and its DtN map is 1/1201 times [1 -1; -1 1]."""
+    n = 1200
+    pairs = [(1, 3)] + [(v, v + 1) for v in range(3, n + 2)] + [(n + 2, 2)]
+    edges = tuple(Edge(i, u, v, 1.0) for i, (u, v) in enumerate(pairs, start=1))
+    path = tmp_path_factory.mktemp("chain") / "chain.net"
+    path.write_text(serialize_network(Network(2, n, edges)))
+    lam = path.with_name("chain.txt")
+    lam.write_text(format_matrix_text(np.array([[1.0, -1.0], [-1.0, 1.0]]) / (n + 1)))
+    return str(path), str(lam)
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["rank", "{net}"],
+        ["paths", "{net}", "--from", "1", "--to", "2"],
+        ["invert", "{net}", "{lam}"],
+    ],
+    ids=["rank", "paths", "invert"],
+)
+def test_search_deeper_than_recursion_limit_exit_2(deep_chain, command, capsys):
+    net, lam = deep_chain
+    assert main([a.format(net=net, lam=lam) for a in command]) == 2
+    assert capsys.readouterr() == ("", "error: path search deeper than the recursion limit\n")
+
+
+def test_deep_chain_forward_exit_0(deep_chain, capsys):
+    assert main(["forward", deep_chain[0]]) == 0
+    lam = parse_matrix_text(capsys.readouterr().out)
+    assert np.allclose(lam, np.array([[1.0, -1.0], [-1.0, 1.0]]) / 1201, rtol=1e-9, atol=0)
+
+
 class TestRank:
     def test_lattice_full(self, lattice_file, capsys):
         assert main(["rank", lattice_file]) == 0
@@ -191,6 +235,19 @@ class TestInvert:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "non-finite" in captured.err
+
+    def test_conductivity_beyond_float_range_exit_2(
+        self, tmp_path, lattice_file, lattice12, capsys
+    ):
+        # a finite map whose recovered gamma_12 is ~2.6e308
+        lam = dtn(lattice12).entries
+        lam_file = tmp_path / "lam.txt"
+        lam_file.write_text(format_matrix_text(lam * (1.5e308 / np.max(np.abs(lam)))))
+        assert main(["invert", lattice_file, str(lam_file)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: recovered conductivity of edge 12, exp(")
+        assert err.endswith("), is beyond the float range\n") and err.count("\n") == 1
 
     def test_wrong_map_exit_6(self, tmp_path, lattice_file, lattice12, capsys, recwarn):
         lam = dtn(lattice12).entries.copy()
@@ -289,6 +346,7 @@ FAULT_CODES = [
     (RankDeficient(1, (2, 3)), 5),
     (AllRowsDegenerate("rows dropped"), 5),
     (RoundTripFailure(1.0, 0.5), 6),
+    (TooManySystems("search over budget"), 2),
 ]
 
 

@@ -17,6 +17,7 @@ from netinv import (
     kirchhoff_subdet,
     term_sign,
 )
+from netinv import paths
 from netinv.network import Edge, Network, RandomNetSpec, kirchhoff, random_network
 from netinv.paths import covering_family_counts
 from oracle import exhaustive_path_systems
@@ -49,13 +50,15 @@ class TestEnumeration:
         # residual covers all of I plus the shared boundary vertices
         assert systems[0].residual == (1, 2, 9, 10, 11, 12)
 
-    def test_cap_raises(self, lattice12):
+    def test_cap_raises(self, lattice12, monkeypatch):
+        monkeypatch.setattr(paths, "MAX_SYSTEMS", 1)
         with pytest.raises(TooManySystems):
-            enumerate_path_systems(lattice12, BoundaryPair((1,), (5,)), max_systems=1)
+            enumerate_path_systems(lattice12, BoundaryPair((1,), (5,)))
 
-    def test_cap_counts_systems(self, lattice12):
+    def test_cap_counts_systems(self, lattice12, monkeypatch):
         # (1;5) has exactly two systems, which a cap of two allows
-        systems = enumerate_path_systems(lattice12, BoundaryPair((1,), (5,)), max_systems=2)
+        monkeypatch.setattr(paths, "MAX_SYSTEMS", 2)
+        systems = enumerate_path_systems(lattice12, BoundaryPair((1,), (5,)))
         assert len(systems) == 2
 
     def test_systems_satisfy_invariants(self, lattice12):
