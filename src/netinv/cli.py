@@ -1,12 +1,13 @@
 """Command-line front end.
 
 Exit codes are a stable contract: 0 ok, 2 bad input (or a path search
-beyond its budget, or a recovered conductivity outside the float range),
-3 model error (ungrounded interior), 4 expansion mismatch, 5 rank
-deficient, 6 round-trip failure. EXIT_CODES is the one place that maps
-a fault to its code: the commands let faults rise and main reports
-them. stdout carries machine-readable results only; diagnostics go to
-stderr.
+beyond its budget, a recovered conductivity outside the float range,
+conductivities that sum beyond it at a vertex, or a map too asymmetric
+for any DtN map to match), 3 model error (ungrounded interior), 4
+expansion mismatch, 5 rank deficient, 6 round-trip failure. EXIT_CODES
+is the one place that maps a fault to its code: the commands let faults
+rise and main reports them. stdout carries machine-readable results
+only; diagnostics go to stderr.
 """
 
 from __future__ import annotations

@@ -113,15 +113,6 @@ def dtn_subdet(lam: DtNMap, pair: BoundaryPair) -> float:
     return float(np.linalg.det(submatrix(lam.entries, pair.p, pair.q)))
 
 
-def dtn_slogdet(lam: DtNMap, pair: BoundaryPair) -> tuple[float, float]:
-    """Sign (1, -1, or 0 for an exactly singular minor) and
-    log|det Lambda(P, Q)|, taken from the LU factors so the minor itself
-    never passes through a float that can underflow or overflow."""
-    pair.validate_for(lam.n_boundary)
-    sign, logabs = np.linalg.slogdet(submatrix(lam.entries, pair.p, pair.q))
-    return float(sign), float(logabs)
-
-
 def det_roundoff(m: np.ndarray) -> float:
     """Absolute roundoff level of a computed det M: DET_ROUNDOFF_RTOL
     times the product of the row norms, a zero row counting as 1."""

@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Optional
 
 import numpy as np
@@ -20,7 +21,7 @@ from .errors import (
     RankDeficient,
     RoundTripFailure,
 )
-from .forward import BoundaryPair, DtNMap, dtn, dtn_slogdet
+from .forward import BoundaryPair, DtNMap, dtn
 from .network import Network
 from .numerics import RowSpace
 from .paths import AdmissibleRow, admissible_rows
@@ -74,6 +75,20 @@ def _check_size(lam: DtNMap, net: Network) -> None:
         )
 
 
+def _check_symmetric(lam: DtNMap, tol: float) -> None:
+    """ValueError naming an entry of lam more than 2 tol from its mirror
+    entry: then no symmetric matrix, hence no network's DtN map, lies
+    within tol of lam in every entry."""
+    with np.errstate(over="ignore"):
+        gap = np.abs(lam.entries - lam.entries.T)
+    i, j = np.unravel_index(np.argmax(gap), gap.shape)
+    if gap[i, j] > 2 * tol:
+        raise ValueError(
+            f"map is not symmetric: |Lambda[{i + 1},{j + 1}] - Lambda[{j + 1},{i + 1}]| = "
+            f"{gap[i, j]:.3e} exceeds 2 x {tol:.3e}"
+        )
+
+
 @dataclass(frozen=True)
 class RecoveryPlan:
     """The topology-only half of recovery: the admissible rows in scan
@@ -97,17 +112,24 @@ class RecoveryPlan:
         return bool(self.rows) and self.rank == self.n_unknowns
 
     def system(self, lam: DtNMap) -> LogLinearSystem:
-        """The rows' system for lam, rhs log|det Lambda(P,Q)|. A row
-        whose minor is exactly singular, or whose sign contradicts the
-        path system's (a near-zero determinant flipped by roundoff), is
-        dropped with its reason."""
+        """The rows' system for lam, rhs log|det Lambda(P,Q)|: one stacked
+        slogdet per pair size, so no minor passes through a float that can
+        underflow or overflow. A row whose minor is exactly singular, or
+        whose sign contradicts the path system's (a near-zero determinant
+        flipped by roundoff), is dropped with its reason."""
         _check_size(lam, self.topology)
         coeffs: list[tuple[int, ...]] = []
         rhs: list[float] = []
         provenance: list[BoundaryPair] = []
         dropped: list[str] = []
-        for row, row_coeffs in zip(self.rows, self.coeffs):
-            sign, logabs = dtn_slogdet(lam, row.pair)
+        signs: list[float] = []
+        logabs: list[float] = []
+        for _, group in groupby(self.rows, key=lambda row: len(row.pair.p)):
+            idx = np.array([(row.pair.p, row.pair.q) for row in group]) - 1
+            sign, log = np.linalg.slogdet(lam.entries[idx[:, 0, :, None], idx[:, 1, None, :]])
+            signs += sign.tolist()
+            logabs += log.tolist()
+        for row, row_coeffs, sign, log in zip(self.rows, self.coeffs, signs, logabs):
             if sign == 0:
                 dropped.append(f"pair {row.pair.p}->{row.pair.q}: zero determinant")
             elif sign != row.sign:
@@ -117,7 +139,7 @@ class RecoveryPlan:
                 )
             else:
                 coeffs.append(row_coeffs)
-                rhs.append(logabs)
+                rhs.append(log)
                 provenance.append(row.pair)
         return LogLinearSystem(tuple(coeffs), tuple(rhs), tuple(provenance), tuple(dropped))
 
@@ -127,7 +149,9 @@ class RecoveryPlan:
         of full rank raises RankDeficient before any minor of lam is
         read; a full-rank one whose rows this map drops below full rank
         raises AllRowsDegenerate, and a recovered conductivity beyond the
-        float range raises ValueError."""
+        float range raises ValueError. A map that fails the round trip
+        and lies beyond its threshold of every symmetric matrix raises
+        ValueError instead of RoundTripFailure."""
         net = self.topology
         _check_size(lam, net)
         if not self.full_rank:
@@ -164,6 +188,7 @@ class RecoveryPlan:
         roundtrip_error = float(np.max(np.abs(lam_back.entries - lam.entries)))
         threshold = ROUNDTRIP_RTOL * float(np.max(np.abs(lam.entries)))
         if roundtrip_error > threshold:
+            _check_symmetric(lam, threshold)
             raise RoundTripFailure(roundtrip_error, threshold)
         return RecoveryReport(gammas, logdet, residual_norm, self.n_unknowns, roundtrip_error)
 

@@ -120,15 +120,22 @@ def kirchhoff(net: Network) -> np.ndarray:
     """The read-only Kirchhoff matrix (weighted graph Laplacian) of a
     network: off-diagonal (i, j) is -gamma_ij when edge {i, j} exists,
     and the diagonal makes every row sum exactly zero. Its blocks split
-    at net.n_boundary: A = k[:b, :b], B = k[:b, b:], C = k[b:, b:]."""
+    at net.n_boundary: A = k[:b, :b], B = k[:b, b:], C = k[b:, b:].
+    ValueError if a vertex's conductivities sum beyond the float range."""
     n = net.n_vertices
     k = np.zeros((n, n))
-    for e in net.edges:
-        i, j = e.u - 1, e.v - 1
-        k[i, j] -= e.gamma
-        k[j, i] -= e.gamma
-        k[i, i] += e.gamma
-        k[j, j] += e.gamma
+    with np.errstate(over="ignore"):
+        for e in net.edges:
+            i, j = e.u - 1, e.v - 1
+            k[i, j] -= e.gamma
+            k[j, i] -= e.gamma
+            k[i, i] += e.gamma
+            k[j, j] += e.gamma
+    overflowed = np.flatnonzero(~np.isfinite(k.diagonal()))
+    if overflowed.size:
+        raise ValueError(
+            f"conductivities at vertex {overflowed[0] + 1} sum beyond the float range"
+        )
     k.flags.writeable = False
     return k
 

@@ -1,6 +1,6 @@
 """Reference checks for the test suite only: permutation-expansion
-determinants, exhaustive path-system search and the Schur-identity check
-of the DtN map.
+determinants, exhaustive path-system search, the Schur-identity check
+of the DtN map, and a plan's system read one minor at a time.
 
 The brute-force references share no determinant or path-walking code
 with the modules they check; independence is the point. Factorial cost
@@ -19,12 +19,14 @@ import numpy as np
 
 from netinv.forward import (
     BoundaryPair,
+    DtNMap,
     det_roundoff,
     dtn,
     dtn_subdet,
     kirchhoff_subdet,
     submatrix,
 )
+from netinv.inverse import LogLinearSystem, RecoveryPlan
 from netinv.network import Network, kirchhoff
 from netinv.paths import PathSystem
 
@@ -117,3 +119,23 @@ def schur_identity_check(net: Network, pair: BoundaryPair) -> float:
     if abs(ref) <= zero:
         return 0.0 if abs(test) <= zero else 1.0
     return abs(test - ref) / abs(ref)
+
+
+def per_row_system(plan: RecoveryPlan, lam: DtNMap) -> LogLinearSystem:
+    """RecoveryPlan.system read the way it once was: one slogdet per
+    row, on that row's minor, with the same reasons for a dropped row."""
+    coeffs, rhs, provenance, dropped = [], [], [], []
+    for row, row_coeffs in zip(plan.rows, plan.coeffs):
+        sign, logabs = np.linalg.slogdet(submatrix(lam.entries, row.pair.p, row.pair.q))
+        if sign == 0:
+            dropped.append(f"pair {row.pair.p}->{row.pair.q}: zero determinant")
+        elif sign != row.sign:
+            dropped.append(
+                f"pair {row.pair.p}->{row.pair.q}: sign {'+' if sign > 0 else '-'} "
+                f"contradicts predicted {'+' if row.sign > 0 else '-'}"
+            )
+        else:
+            coeffs.append(row_coeffs)
+            rhs.append(float(logabs))
+            provenance.append(row.pair)
+    return LogLinearSystem(tuple(coeffs), tuple(rhs), tuple(provenance), tuple(dropped))

@@ -59,6 +59,17 @@ class TestForward:
         assert captured.out == ""
         assert "self-loop" in captured.err
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_kirchhoff_exit_2(self, tmp_path, lattice12, capsys):
+        big = lattice12.with_gammas([e.gamma * 10**307.1 for e in lattice12.edges])
+        net_file = tmp_path / "big.net"
+        net_file.write_text(serialize_network(big))
+        assert main(["forward", str(net_file)]) == 2
+        assert capsys.readouterr() == (
+            "",
+            "error: conductivities at vertex 9 sum beyond the float range\n",
+        )
+
     def test_missing_file_exit_2(self, capsys):
         assert main(["forward", "/nonexistent.net"]) == 2
         assert "error" in capsys.readouterr().err
@@ -248,6 +259,32 @@ class TestInvert:
         assert out == ""
         assert err.startswith("error: recovered conductivity of edge 12, exp(")
         assert err.endswith("), is beyond the float range\n") and err.count("\n") == 1
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_roundtrip_kirchhoff_exit_2(
+        self, tmp_path, lattice_file, lattice12, capsys
+    ):
+        # the recovered conductivities e * 10^307.1 are representable,
+        # but the round trip's Kirchhoff matrix is not
+        lam_file = tmp_path / "lam.txt"
+        lam_file.write_text(format_matrix_text(dtn(lattice12).entries * 10**307.1))
+        assert main(["invert", lattice_file, str(lam_file)]) == 2
+        assert capsys.readouterr() == (
+            "",
+            "error: conductivities at vertex 9 sum beyond the float range\n",
+        )
+
+    def test_asymmetric_map_exit_2(self, tmp_path, lattice_file, lattice12, capsys, recwarn):
+        lam = dtn(lattice12).entries.copy()
+        lam[0, 1] += 1e-3 * np.max(np.abs(lam))
+        lam_file = tmp_path / "lam.txt"
+        lam_file.write_text(format_matrix_text(lam))
+        assert main(["invert", lattice_file, str(lam_file)]) == 2
+        assert capsys.readouterr() == (
+            "",
+            "error: map is not symmetric: |Lambda[1,2] - Lambda[2,1]| = 6.860e-03 "
+            "exceeds 2 x 6.860e-06\n",
+        )
 
     def test_wrong_map_exit_6(self, tmp_path, lattice_file, lattice12, capsys, recwarn):
         lam = dtn(lattice12).entries.copy()

@@ -102,3 +102,48 @@ def test_network_text(workdir, command, codes, text):
     net_file = workdir / "drawn.net"
     net_file.write_text(text)
     assert run_quietly([command, str(net_file)]) in codes
+
+
+COUNTS = list(range(-1, 10)) + [10**20]
+MATRIX_TOKENS = ["nan", "inf", "-inf", "1e999", "0x10", "1,5", "junk", "0", "-1e-300"]
+
+
+@st.composite
+def matrix_text(draw):
+    """Matrix text from a small grammar: a header of two counts, 8 8
+    in half the draws and else each from -1..9 or 10^20, then the
+    lattice map's values (repeated) cut to its 64 or to 0..80 tokens,
+    up to three of them replaced by MATRIX_TOKENS: nan, inf, 1e999,
+    0x10, junk, or a zero."""
+    header = draw(st.just((8, 8)) | st.tuples(st.sampled_from(COUNTS), st.sampled_from(COUNTS)))
+    values = [repr(float(v)) for v in LATTICE_MAP.ravel()] * 2
+    values = values[: draw(st.just(64) | st.integers(0, 80))]
+    for _ in range(draw(st.integers(0, 3))):
+        if values:
+            values[draw(st.integers(0, len(values) - 1))] = draw(st.sampled_from(MATRIX_TOKENS))
+    lines = [" ".join(values[i : i + 8]) for i in range(0, len(values), 8)]
+    return "\n".join([f"{header[0]} {header[1]}"] + lines) + "\n"
+
+
+@given(text=matrix_text())
+@example(text=f"{10**20} 0\n")
+@example(text="-1 -1\n1\n")
+@settings(max_examples=50, deadline=None)
+def test_invert_matrix_text(workdir, text):
+    lam_file = workdir / "drawn.txt"
+    lam_file.write_text(text)
+    argv = ["invert", str(workdir / "lattice.net"), str(lam_file)]
+    assert run_quietly(argv) in {0, 2, 3, 4, 5, 6}
+
+
+INDEX_TOKENS = [str(i) for i in range(-1, 11)] + ["", "x", "1.5", " 2", "0x1"]
+
+
+@given(
+    p=st.lists(st.sampled_from(INDEX_TOKENS), max_size=5),
+    q=st.lists(st.sampled_from(INDEX_TOKENS), max_size=5),
+)
+@settings(max_examples=50, deadline=None)
+def test_paths_index_lists(workdir, p, q):
+    argv = ["paths", str(workdir / "lattice.net"), f"--from={','.join(p)}", f"--to={','.join(q)}"]
+    assert run_quietly(argv) in {0, 2, 4}

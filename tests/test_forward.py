@@ -7,7 +7,6 @@ from netinv import (
     BoundaryPair,
     DtNMap,
     dtn,
-    dtn_slogdet,
     dtn_subdet,
     harmonic_extension,
     kirchhoff_subdet,
@@ -53,18 +52,6 @@ def test_dtn_homogeneous_in_gamma(lattice12):
 def test_dtn_map_rejects_bad_entries(entries):
     with pytest.raises(ValueError):
         DtNMap(entries)
-
-
-def test_dtn_slogdet_beyond_float_range(lattice12):
-    lam = dtn(lattice12)
-    pair = BoundaryPair((1, 2, 8), (5, 6, 8))
-    det = dtn_subdet(lam, pair)
-    sign, logabs = dtn_slogdet(lam, pair)
-    assert sign == np.sign(det)
-    assert logabs == pytest.approx(np.log(abs(det)), rel=1e-12)
-    tiny = DtNMap(1e-120 * lam.entries)
-    assert dtn_subdet(tiny, pair) == 0.0  # the minor itself underflows
-    assert dtn_slogdet(tiny, pair) == pytest.approx((sign, logabs + 3 * np.log(1e-120)), rel=1e-12)
 
 
 def test_harmonic_extension_constant(lattice12):

@@ -9,6 +9,7 @@ from netinv import (
     AllRowsDegenerate,
     BoundaryPair,
     DtNMap,
+    InconsistentDataWarning,
     NotSparseDifference,
     RankDeficient,
     RoundTripFailure,
@@ -21,8 +22,9 @@ from netinv import (
     recover,
 )
 from netinv.inverse import LogLinearSystem
-from netinv.network import Edge, Network, kirchhoff
+from netinv.network import Edge, Network, RandomNetSpec, kirchhoff, random_network
 from netinv.numerics import RowSpace, integer_rank
+from oracle import per_row_system
 
 
 # boundary 1, 2 joined through interior 3, 4: the boundary sees only
@@ -101,6 +103,39 @@ class TestBuildSystem:
         assert sys.rhs[i] == pytest.approx(
             math.log(abs(dtn_subdet(lam, sys.provenance[i]))), rel=1e-12
         )
+
+    def test_minors_beyond_float_range(self, lattice12):
+        # slogdet reads each minor from its LU factors: scaled by 1e-120
+        # the (1,2,8;5,6,8) minor itself underflows to 0, yet no row
+        # drops and each rhs shifts by exactly |P| log 1e-120
+        plan = compile_topology(lattice12, stop_at_full_rank=False)
+        lam = dtn(lattice12)
+        tiny = DtNMap(1e-120 * lam.entries)
+        pair = BoundaryPair((1, 2, 8), (5, 6, 8))
+        assert dtn_subdet(tiny, pair) == 0.0
+        sys, tiny_sys = plan.system(lam), plan.system(tiny)
+        assert sys.dropped == tiny_sys.dropped == ()
+        assert sys.provenance == tiny_sys.provenance and sys.n_rows == len(plan.rows)
+        i = row_index(sys, pair.p, pair.q)
+        assert plan.rows[i].sign == np.sign(dtn_subdet(lam, pair))
+        assert sys.rhs[i] == pytest.approx(math.log(abs(dtn_subdet(lam, pair))), rel=1e-12)
+        for row_pair, logabs, tiny_logabs in zip(sys.provenance, sys.rhs, tiny_sys.rhs):
+            shifted = logabs + len(row_pair.p) * math.log(1e-120)
+            assert tiny_logabs == pytest.approx(shifted, rel=1e-12)
+
+    def test_stacked_read_matches_per_row_reference(self):
+        # sparse random topologies over all pair sizes: most plans mix
+        # sizes, and many hold pairs that share a pendant boundary vertex
+        mixed = shared = 0
+        for seed in range(30):
+            net = random_network(RandomNetSpec((4, 7), (0, 3), edge_prob=0.3, seed=seed))
+            plan = compile_topology(net, stop_at_full_rank=False)
+            mixed += len({len(row.pair.p) for row in plan.rows}) > 1
+            shared += any(set(row.pair.p) & set(row.pair.q) for row in plan.rows)
+            lam = dtn(net).entries
+            for m in (lam, -lam, np.zeros_like(lam)):
+                assert plan.system(DtNMap(m)) == per_row_system(plan, DtNMap(m)), seed
+        assert mixed >= 10 and shared >= 10
 
     def test_single_edge_drops_logdet_column(self, single_edge):
         plan = compile_topology(single_edge, stop_at_full_rank=False)
@@ -243,6 +278,29 @@ class TestRecover:
             with pytest.warns():
                 recover(lattice12, DtNMap(lam), stop_at_full_rank=False)
 
+    def test_asymmetric_map_is_bad_input(self, lattice12):
+        # Lambda_12 alone raised by 1e-3 max|Lambda|: no symmetric matrix,
+        # so no DtN map, lies within the round-trip threshold of the map
+        lam = dtn(lattice12).entries.copy()
+        lam[0, 1] += 1e-3 * np.max(np.abs(lam))
+        with pytest.warns(InconsistentDataWarning):
+            with pytest.raises(ValueError) as exc:
+                recover(lattice12, DtNMap(lam))
+        assert str(exc.value) == (
+            "map is not symmetric: |Lambda[1,2] - Lambda[2,1]| = 6.860e-03 exceeds 2 x 6.860e-06"
+        )
+
+    def test_asymmetry_within_twice_the_threshold_fails_roundtrip(self, lattice12):
+        # the symmetric perturbation above, plus an asymmetry that a
+        # symmetric matrix within the threshold could still explain
+        lam = dtn(lattice12).entries.copy()
+        lam[0, 1] *= 1.5
+        lam[1, 0] *= 1.5
+        lam[0, 1] += 1.9e-6 * np.max(np.abs(lam))
+        with pytest.raises(RoundTripFailure):
+            with pytest.warns(InconsistentDataWarning):
+                recover(lattice12, DtNMap(lam))
+
     def test_negated_map_is_a_data_fault(self, lattice12):
         # -Lambda is no DtN map: its odd-size minors contradict the signs
         # the path systems predict, and the even-size rows left reach
@@ -265,7 +323,7 @@ class TestRecover:
         def no_minor(*args):
             raise AssertionError("a deficient plan evaluated a minor")
 
-        monkeypatch.setattr(netinv.inverse, "dtn_slogdet", no_minor)
+        monkeypatch.setattr(netinv.inverse.RecoveryPlan, "system", no_minor)
         for lam in lams:
             with pytest.raises(RankDeficient) as exc:
                 recover(SERIES_CHAIN, lam)

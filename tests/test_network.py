@@ -55,6 +55,15 @@ def test_kirchhoff_zero_row_sums_random(seed):
     assert np.max(np.abs(k.sum(axis=1))) <= 1e-12 * max(np.max(np.abs(k)), 1.0)
 
 
+@pytest.mark.filterwarnings("error")
+def test_kirchhoff_diagonal_overflow_names_vertex(lattice12):
+    # gamma_e = e * 10^307.1: every conductivity is finite, but the sums
+    # at the interior vertices pass the float maximum, quietly
+    net = lattice12.with_gammas([e.gamma * 10**307.1 for e in lattice12.edges])
+    with pytest.raises(ValueError, match="^conductivities at vertex 9 sum beyond the float range$"):
+        kirchhoff(net)
+
+
 def test_interior_block_positive_definite(lattice12):
     # the SPD solve (Cholesky-checked) must succeed on K(I,I) of the fixtures
     k = kirchhoff(lattice12)
