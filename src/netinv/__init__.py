@@ -46,7 +46,6 @@ from .paths import (
     PathTerm,
     enumerate_path_systems,
     expand_det,
-    is_log_linear_admissible,
     term_sign,
 )
 

@@ -7,7 +7,8 @@ for any DtN map to match), 3 model error (ungrounded interior), 4
 expansion mismatch, 5 rank deficient, 6 round-trip failure. EXIT_CODES
 is the one place that maps a fault to its code: the commands let faults
 rise and main reports them. stdout carries machine-readable results
-only; diagnostics go to stderr.
+only; diagnostics go to stderr: one `error:` line when a command fails,
+else a `warning:` line for each warning it met.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import argparse
 import math
 import random
 import sys
+import warnings
 
 from .errors import (
     AllRowsDegenerate,
@@ -184,9 +186,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        with warnings.catch_warnings(record=True) as caught:
+            code = args.func(args)
     except _FAULTS as exc:
         return _report(exc)
+    if code == EXIT_OK:
+        for warning in caught:
+            print(f"warning: {warning.message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -163,21 +163,57 @@ class _SearchGraph:
         except RecursionError:
             raise TooManySystems(_TOO_DEEP) from None
 
-    def unique_system(self, p_mask: int, q_mask: int) -> Optional[tuple]:
-        """(paths, used) of the pair's path system when it is the only
-        one and covers every interior vertex, else None. The search stops
-        at the second system, or at the first that leaves an interior
-        vertex out: either way the pair has no unique covering system."""
-        interior = self.interior
-        found = []
+    def sole_system(self, p_mask: int, q_mask: int, family) -> Optional[tuple]:
+        """(paths, used) of the core (p_mask, q_mask) when `family`, its one
+        chordless covering family ((lower end, upper end, vertex bitmask)
+        per path), is its only path system, else None. Any other system
+        leaves a vertex v of A = I + (P&Q) out, or has a chord whose
+        shortcut does; so, by Menger's theorem, there is one iff for some
+        v in A the family's other k - 1 paths plus an augmenting path make
+        k vertex-disjoint paths in G - v."""
+        paths, before, used = [], {}, 0  # before[u]: the vertices preceding u on its path
+        for s, t, path in family:
+            u, prefix, ordered = s if p_mask >> s & 1 else t, 0, []
+            while path:  # the path is chordless: u has one neighbor left on it
+                ordered.append(u)
+                before[u] = prefix
+                prefix |= 1 << u
+                path ^= 1 << u
+                u = (self.masks[u] & path).bit_length() - 1
+            paths.append((tuple(ordered), prefix))
+            used |= prefix
+        paths.sort()
+        vertices = p_mask | q_mask | self.interior
+        for path, bits in paths:
+            for v in path[1:-1]:
+                if self._augments(path[0], path[-1], used & ~bits, before, vertices & ~(1 << v)):
+                    return None
+        return tuple(path for path, _ in paths), used
 
-        def visit(paths, used):
-            found.append((paths, used))
-            return len(found) > 1 or bool(interior & ~used)
-
-        if self.search(p_mask, q_mask, visit):
-            return None
-        return found[0] if found else None
+    def _augments(self, source: int, sink: int, used: int, before, allowed: int) -> bool:
+        """Whether the paths on `used` have an augmenting path from source to
+        sink through `allowed` in the split-vertex residual graph. Entering a
+        used vertex (a used sink too) leads back to the out-side of every
+        vertex before it on its path, its source included."""
+        masks = self.masks
+        reached = frontier = 1 << source
+        while frontier:
+            step = 0
+            while frontier:
+                low = frontier & -frontier
+                step |= masks[low.bit_length() - 1]
+                frontier ^= low
+            step &= allowed
+            if step >> sink & 1:
+                return True
+            hit, frontier = step & used, step & ~used
+            while hit:
+                low = hit & -hit
+                frontier |= before[low.bit_length() - 1]
+                hit ^= low
+            frontier &= ~reached
+            reached |= frontier
+        return False
 
     def row(self, p, q, system) -> Optional[AdmissibleRow]:
         """The row of pair (p, q) whose unique covering system is
@@ -319,21 +355,6 @@ class AdmissibleRow:
     sign: int
 
 
-def is_log_linear_admissible(net: Network, pair: BoundaryPair) -> Optional[AdmissibleRow]:
-    """Return the row description if the pair yields a log-linear
-    equation, else None.
-
-    Requires: exactly one path system; its residual covers no interior
-    vertex; every residual vertex is pendant (degree 1) with its
-    neighbor outside the residual, so det K(residual, residual) is the
-    product of the pendant conductivities.
-    """
-    pair.validate_for(net.n_boundary)
-    graph = _SearchGraph(net)
-    system = graph.unique_system(_mask(pair.p), _mask(pair.q))
-    return None if system is None else graph.row(pair.p, pair.q, system)
-
-
 def covering_family_counts(net: Network, max_pair_size: int) -> dict[tuple[int, int], int]:
     """Count, per endpoint core, the chordless path families that cover I.
 
@@ -359,23 +380,32 @@ def covering_family_counts(net: Network, max_pair_size: int) -> dict[tuple[int, 
     uncovered interior vertex has fewer than two neighbors left that a
     path can still pass through.
     """
+    return covering_families(net, max_pair_size)[0]
+
+
+def covering_families(net: Network, max_pair_size: int) -> tuple[dict, dict]:
+    """covering_family_counts, and per core its last family (its only
+    one if it has one): (lower end, upper end, vertex bitmask) per path."""
     graph = _SearchGraph(net)
     steps, masks, interior, boundary = graph.steps, graph.masks, graph.interior, graph.boundary
     inner = boundary & ~graph.pendants  # degree 2 or more: no step reaches degree 0
     counts: dict[tuple[int, int], int] = {}
-    ends: list[tuple[int, int]] = []  # (lower end, upper end) of each finished path
+    families: dict[tuple[int, int], tuple] = {}
+    ends: list[tuple[int, int, int]] = []  # (lower end, upper end, vertices) of each finished path
 
     def record(shared: int) -> None:
         # the first path runs from the lowest endpoint, which puts it in
         # P and so P before Q; every other path runs either way
         cores = [(shared, shared)]
-        for i, (s, t) in enumerate(ends):
+        for i, (s, t, _) in enumerate(ends):
             s_bit, t_bit = 1 << s, 1 << t
             cores = [(p | s_bit, q | t_bit) for p, q in cores] + (
                 [(p | t_bit, q | s_bit) for p, q in cores] if i else []
             )
+        family = tuple(ends)
         for core in cores:
             counts[core] = counts.get(core, 0) + 1
+            families[core] = family
 
     def next_path(first: int, used: int, cost: int, shared: int) -> None:
         if not interior & ~used:
@@ -402,7 +432,7 @@ def covering_family_counts(net: Network, max_pair_size: int) -> dict[tuple[int, 
                 extend(s, w, path | bit, used | bit, cost, shared)
                 continue
             if w > s:
-                ends.append((s, w))
+                ends.append((s, w, path | bit))
                 next_path(s, used | bit, cost, shared)
                 ends.pop()
             if inner & bit and cost < max_pair_size:
@@ -412,7 +442,7 @@ def covering_family_counts(net: Network, max_pair_size: int) -> dict[tuple[int, 
         next_path(0, 0, 0, 0)
     except RecursionError:
         raise TooManySystems(_TOO_DEEP) from None
-    return counts
+    return counts, families
 
 
 def admissible_rows(net: Network, max_pair_size: int) -> Iterator[AdmissibleRow]:
@@ -426,23 +456,23 @@ def admissible_rows(net: Network, max_pair_size: int) -> Iterator[AdmissibleRow]
     vertices), those vertices added to the residual. An admissible pair's
     unique system covers I, passes through every other shared vertex and
     has no chord, so its core has exactly one chordless covering family
-    (covering_family_counts). Only those cores are searched, by the full
-    search, which also sees the systems that leave a vertex out. Each
-    core found to have a unique covering system gives the candidates of
-    a size by adding shared pendant vertices; candidates are built one
-    size at a time, so the sizes a caller never reaches cost nothing
-    beyond the walk.
+    (covering_family_counts). Only those cores are checked for a second
+    system, by one augmenting-path search per vertex inside the family's
+    paths (_SearchGraph.sole_system). Each core whose family is its only
+    system gives the candidates of a size by adding shared pendant
+    vertices; candidates are built one size at a time, so the sizes a
+    caller never reaches cost nothing beyond the walk.
     """
     graph = _SearchGraph(net)
     pendants = graph.boundary & graph.pendants
-    counts = covering_family_counts(net, max_pair_size)
-    # searched smallest first, as the sizes are reached
+    counts, families = covering_families(net, max_pair_size)
+    # checked smallest first, as the sizes are reached
     cores = sorted((core for core, n in counts.items() if n == 1), key=lambda c: -c[0].bit_count())
     unique: list[tuple[int, int, tuple]] = []  # (p_mask, q_mask, system) per core found unique
     for size in range(1, max_pair_size + 1):
         while cores and cores[-1][0].bit_count() <= size:
-            p_mask, q_mask = cores.pop()
-            system = graph.unique_system(p_mask, q_mask)
+            p_mask, q_mask = core = cores.pop()
+            system = graph.sole_system(p_mask, q_mask, families[core])
             if system is not None:
                 unique.append((p_mask, q_mask, system))
         candidates = []

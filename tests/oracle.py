@@ -1,18 +1,22 @@
 """Reference checks for the test suite only: permutation-expansion
-determinants, exhaustive path-system search, the Schur-identity check
-of the DtN map, and a plan's system read one minor at a time.
+determinants, exhaustive path-system search, the second-system search
+behind the per-pair admissibility test, the Schur-identity check of the
+DtN map, and a plan's system read one minor at a time.
 
 The brute-force references share no determinant or path-walking code
 with the modules they check; independence is the point. Factorial cost
-is fine, size caps are hard errors. The Schur check instead sets two of
-the package's computations against each other: a minor of Lambda and a
-minor of K.
+is fine, size caps are hard errors. The second-system search walks path
+systems with the package's enumeration walk (itself checked against the
+exhaustive search), which shares no code with the augmenting-path test
+it checks. The Schur check sets two of the package's computations
+against each other: a minor of Lambda and a minor of K.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import permutations, product
+from typing import Optional
 
 import networkx as nx
 import numpy as np
@@ -28,7 +32,7 @@ from netinv.forward import (
 )
 from netinv.inverse import LogLinearSystem, RecoveryPlan
 from netinv.network import Network, kirchhoff
-from netinv.paths import PathSystem
+from netinv.paths import AdmissibleRow, PathSystem, _mask, _SearchGraph
 
 
 def perm_det(m) -> float:
@@ -101,6 +105,35 @@ def exhaustive_path_systems(net: Network, pair) -> list[PathSystem]:
                 systems.append(PathSystem(tuple(combo), residual))
     systems.sort(key=lambda s: s.paths)
     return systems
+
+
+def second_system_search(graph: _SearchGraph, p_mask: int, q_mask: int) -> Optional[tuple]:
+    """(paths, used) of the pair's path system when it is the only one
+    and covers every interior vertex, else None. The search stops at the
+    second system, or at the first that leaves an interior vertex out:
+    either way the pair has no unique covering system."""
+    interior = graph.interior
+    found = []
+
+    def visit(paths, used):
+        found.append((paths, used))
+        return len(found) > 1 or bool(interior & ~used)
+
+    if graph.search(p_mask, q_mask, visit):
+        return None
+    return found[0] if found else None
+
+
+def is_log_linear_admissible(net: Network, pair: BoundaryPair) -> Optional[AdmissibleRow]:
+    """The row of the pair if it yields a log-linear equation, else None,
+    decided for the pair alone: exactly one path system, whose residual
+    holds no interior vertex and only pendant vertices whose neighbors lie
+    outside it, so det K(residual, residual) is the product of the pendant
+    conductivities."""
+    pair.validate_for(net.n_boundary)
+    graph = _SearchGraph(net)
+    system = second_system_search(graph, _mask(pair.p), _mask(pair.q))
+    return None if system is None else graph.row(pair.p, pair.q, system)
 
 
 def schur_identity_check(net: Network, pair: BoundaryPair) -> float:

@@ -16,6 +16,7 @@ from netinv import (
     RoundTripFailure,
     TooManySystems,
     dtn,
+    grid_fixture,
     lattice_fixture,
     serialize_network,
 )
@@ -202,6 +203,12 @@ class TestRank:
         assert main(["rank", str(path), "--max-pair-size", size]) == 5
         assert capsys.readouterr().out == line
 
+    def test_grid4_rank_line(self, tmp_path, capsys):
+        path = tmp_path / "grid4.net"
+        path.write_text(serialize_network(grid_fixture(4, [1.0] * 40)))
+        assert main(["rank", str(path), "--max-pair-size", "4"]) == 5
+        assert capsys.readouterr().out == "rows=1792 rank=16 unknowns=41 verdict=deficient\n"
+
 
 class TestInvert:
     def test_lattice_roundtrip(self, tmp_path, lattice_file, lattice12, capsys):
@@ -294,6 +301,32 @@ class TestInvert:
         lam_file.write_text(format_matrix_text(lam))
         assert main(["invert", lattice_file, str(lam_file)]) == 6
         capsys.readouterr()
+
+    def test_inconsistent_map_warns_on_one_line(self, tmp_path, lattice_file, lattice12, capsys):
+        # Lambda_15 and Lambda_51 raised by 1e-5: within the round-trip
+        # threshold, but not the log-linear fit of all 1,288 rows
+        lam = dtn(lattice12).entries.copy()
+        lam[0, 4] *= 1 + 1e-5
+        lam[4, 0] *= 1 + 1e-5
+        lam_file = tmp_path / "lam.txt"
+        lam_file.write_text(format_matrix_text(lam))
+        assert main(["invert", lattice_file, str(lam_file), "--no-stop-at-full-rank"]) == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("gamma 1 = ")
+        assert err == (
+            "warning: least-squares residual 1.231e-04 vs ||rhs|| 7.418e+01: "
+            "data is not an exact DtN map of this topology\n"
+        )
+
+    def test_failure_prints_only_its_error(self, tmp_path, lattice_file, lattice12, capsys):
+        # the same warning is met, but the error line is the report
+        lam = dtn(lattice12).entries.copy()
+        lam[0, 1] *= 1.5
+        lam[1, 0] *= 1.5
+        lam_file = tmp_path / "lam.txt"
+        lam_file.write_text(format_matrix_text(lam))
+        assert main(["invert", lattice_file, str(lam_file)]) == 6
+        assert capsys.readouterr() == ("", "error: roundtrip error 2.091e-01 exceeds 6.860e-06\n")
 
     def test_negated_map_is_a_data_fault(self, tmp_path, lattice_file, lattice12, capsys):
         # the topology is full rank; -Lambda's odd-size rows are dropped

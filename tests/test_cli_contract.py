@@ -104,6 +104,20 @@ def test_network_text(workdir, command, codes, text):
     assert run_quietly([command, str(net_file)]) in codes
 
 
+@given(
+    text=network_text(),
+    seed=st.integers(0, 2**32),
+    trials=st.integers(-1, 3),
+    size=st.sampled_from([[], ["--max-pair-size", "-1"], ["--max-pair-size", "2"]]),
+)
+@settings(max_examples=50, deadline=None)
+def test_roundtrip_network_text(workdir, text, seed, trials, size):
+    net_file = workdir / "drawn.net"
+    net_file.write_text(text)
+    argv = ["roundtrip", str(net_file), "--seed", str(seed), "--trials", str(trials), *size]
+    assert run_quietly(argv) in {0, 2, 3, 5, 6}
+
+
 COUNTS = list(range(-1, 10)) + [10**20]
 MATRIX_TOKENS = ["nan", "inf", "-inf", "1e999", "0x10", "1,5", "junk", "0", "-1e-300"]
 

@@ -13,14 +13,13 @@ from netinv import (
     compile_topology,
     enumerate_path_systems,
     expand_det,
-    is_log_linear_admissible,
     kirchhoff_subdet,
     term_sign,
 )
 from netinv import paths
 from netinv.network import Edge, Network, RandomNetSpec, kirchhoff, random_network
 from netinv.paths import covering_family_counts
-from oracle import exhaustive_path_systems
+from oracle import exhaustive_path_systems, is_log_linear_admissible, second_system_search
 
 
 def system_summaries(systems):
@@ -415,3 +414,69 @@ class TestAdmissibleScan:
 
         rows = {(r.pair.p, r.pair.q, r.edge_ids) for r in all_rows(net, 3)}
         assert rows == {carried(r) for r in all_rows(grid3, 3)}
+
+
+def sole_system_verdicts(net, max_size):
+    """The numbers of one-family cores with |P| <= max_size and of those
+    kept, after checking that the augmenting-path test keeps each exactly
+    when the second-system search finds its family to be its only
+    system, and with that system."""
+    graph = paths._SearchGraph(net)
+    counts, families = paths.covering_families(net, max_size)
+    cores = [core for core, n in counts.items() if n == 1]
+    kept = 0
+    for p_mask, q_mask in cores:
+        sole = graph.sole_system(p_mask, q_mask, families[(p_mask, q_mask)])
+        assert sole == second_system_search(graph, p_mask, q_mask)
+        kept += sole is not None
+    return len(cores), kept
+
+
+def two_paths_network(*extra):
+    """The family 1-5-3, 2-6-4 of the core (1,2;3,4), plus the edges
+    `extra`, every conductivity 1."""
+    pairs = [(1, 5), (3, 5), (2, 6), (4, 6), *extra]
+    return Network(4, 2, tuple(Edge(i, u, v, 1.0) for i, (u, v) in enumerate(pairs, start=1)))
+
+
+class TestSoleSystem:
+    """The augmenting-path test agrees with the second-system search on
+    every core it is asked about: those with one chordless covering
+    family."""
+
+    def test_lattice(self, lattice_ones):
+        assert sole_system_verdicts(lattice_ones, 8) == (136, 136)
+
+    @pytest.mark.parametrize("size, verdicts", [(3, (928, 352)), (4, (2336, 1248))])
+    def test_grid(self, grid3, size, verdicts):
+        assert sole_system_verdicts(grid3, size) == verdicts
+
+    @pytest.mark.parametrize(
+        "edge_prob, verdicts", [(0.3, (3000, 2156)), (0.5, (6634, 3595)), (0.7, (6432, 2803))]
+    )
+    def test_random_networks(self, edge_prob, verdicts):
+        totals = [0, 0]
+        for seed in range(300):
+            spec = RandomNetSpec(n_boundary=(3, 7), n_interior=(0, 5), edge_prob=edge_prob, seed=seed)
+            net = random_network(spec)
+            for i, n in enumerate(sole_system_verdicts(net, net.n_boundary)):
+                totals[i] += n
+        assert tuple(totals) == verdicts
+
+    def test_reroute_back_through_a_used_sink(self):
+        # 1-4, 2-6-3 is a second system that leaves 5 out; without path
+        # 1-5-3 and vertex 5, the only augmenting path 1-4-6-3 enters the
+        # used sink 4 and runs back along 2-6-4 to 6
+        net = two_paths_network((1, 4), (3, 6))
+        assert covering_family_counts(net, 2)[(0b110, 0b11000)] == 1
+        assert sole_system_verdicts(net, 2) == (3, 2)
+        assert scan_rows(net, 2) == oracle_rows(net, 2)
+
+    def test_reroute_back_through_a_source(self):
+        # 1-6-4, 2-3 is a second system that leaves 5 out; without path
+        # 1-5-3 and vertex 5, the only augmenting path 1-6-2-3 enters 6,
+        # runs back along 2-6-4 to its source 2 and leaves it for sink 3
+        net = two_paths_network((1, 6), (2, 3))
+        assert covering_family_counts(net, 2)[(0b110, 0b11000)] == 1
+        assert sole_system_verdicts(net, 2) == (3, 2)
+        assert scan_rows(net, 2) == oracle_rows(net, 2)
