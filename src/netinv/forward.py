@@ -7,6 +7,7 @@ determinant sign in the package is relative to that one convention.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,8 +53,11 @@ class BoundaryPair:
     q: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "p", tuple(int(i) for i in self.p))
-        object.__setattr__(self, "q", tuple(int(i) for i in self.q))
+        try:  # integral indices only: a float or a str is no index
+            object.__setattr__(self, "p", tuple(map(operator.index, self.p)))
+            object.__setattr__(self, "q", tuple(map(operator.index, self.q)))
+        except TypeError:
+            raise ValueError(f"indices must be integers, got {self.p!r} and {self.q!r}") from None
         if len(self.p) != len(self.q):
             raise ValueError(f"|P| = {len(self.p)} != |Q| = {len(self.q)}")
         for name, idx in (("P", self.p), ("Q", self.q)):

@@ -205,10 +205,13 @@ def compile_topology(
     space = RowSpace()
     rows: list[AdmissibleRow] = []
     coeffs: list[tuple[int, ...]] = []
+    distinct: dict[tuple[int, ...], tuple[int, ...]] = {}  # coefficient row per edge set
     for row in admissible_rows(net, size):
+        if row.edge_ids not in distinct:
+            distinct[row.edge_ids] = _coefficient_row(row, net.n_edges, has_logdet)
+            space.add(distinct[row.edge_ids])
         rows.append(row)
-        coeffs.append(_coefficient_row(row, net.n_edges, has_logdet))
-        space.add(coeffs[-1])
+        coeffs.append(distinct[row.edge_ids])
         if stop_at_full_rank and space.rank == n_unknowns:
             break
     # the row space is the orthogonal complement of the null space, so

@@ -31,7 +31,7 @@ class RowSpace:
     The basis is fraction-free echelon form keyed by pivot column:
     each stored row is zero in the pivot columns of the rows stored
     before it, and every reduced row is divided by the gcd of its
-    entries so the integers stay small.
+    entries so the stored integers stay small.
     """
 
     def __init__(self, rows=()):
@@ -53,10 +53,8 @@ class RowSpace:
             if c:
                 p = b[col]
                 r = [p * x - c * y for x, y in zip(r, b)]
-                g = math.gcd(*r)
-                if g > 1:
-                    r = [x // g for x in r]
-        return r
+        g = math.gcd(*r)
+        return [x // g for x in r] if g > 1 else r
 
     def add(self, row) -> bool:
         """Add a row to the span; True when the rank rose."""

@@ -87,7 +87,8 @@ class _SearchGraph:
     """The topology data the path search reads, built once per network:
     per vertex its ascending (neighbor, bit) steps and its neighbor
     bitmask, plus the boundary, interior and degree-1 vertex bitmasks and
-    the edge ids. Vertex sets are int bitmasks (bit v is vertex v)."""
+    the edge id of each ordered vertex pair. Vertex sets are int bitmasks
+    (bit v is vertex v)."""
 
     __slots__ = ("steps", "masks", "boundary", "interior", "pendants", "edge_id")
 
@@ -99,7 +100,7 @@ class _SearchGraph:
         self.boundary = _mask(range(1, net.n_boundary + 1))
         self.interior = _mask(net.interior_vertices)
         self.pendants = _mask(v for v in vertices if len(adj[v]) == 1)
-        self.edge_id = {e.pair: e.id for e in net.edges}
+        self.edge_id = {pair: e.id for e in net.edges for pair in (e.pair, e.pair[::-1])}
 
     def search(self, p_mask: int, q_mask: int, visit) -> bool:
         """Walk the path systems of the pair with vertex masks (p_mask,
@@ -164,77 +165,50 @@ class _SearchGraph:
             raise TooManySystems(_TOO_DEEP) from None
 
     def sole_system(self, p_mask: int, q_mask: int, family) -> Optional[tuple]:
-        """(paths, used) of the core (p_mask, q_mask) when `family`, its one
-        chordless covering family ((lower end, upper end, vertex bitmask)
-        per path), is its only path system, else None. Any other system
-        leaves a vertex v of A = I + (P&Q) out, or has a chord whose
-        shortcut does; so, by Menger's theorem, there is one iff for some
-        v in A the family's other k - 1 paths plus an augmenting path make
-        k vertex-disjoint paths in G - v."""
-        paths, before, used = [], {}, 0  # before[u]: the vertices preceding u on its path
-        for s, t, path in family:
-            u, prefix, ordered = s if p_mask >> s & 1 else t, 0, []
-            while path:  # the path is chordless: u has one neighbor left on it
-                ordered.append(u)
+        """The paths of the core (p_mask, q_mask), each from P to Q and
+        ordered by source, when `family`, its one chordless covering family
+        (per path, its vertices from its lower end), is its only path
+        system, else None. Any other system leaves a vertex of
+        A = I + (P&Q) out, or has a chord whose shortcut does; so, by
+        Menger's theorem, there is one iff some path s = v_0, ..., v_m, t
+        has an augmenting path from s to t around one of v_1..v_m in the
+        split-vertex residual graph of the other paths, where entering a
+        used vertex (a sink too) leads back to the out-side of every vertex
+        before it on its path, its source included. With no chord, such a
+        route leaves the path at some v_l and comes back past v_(l+1): so
+        launch l = 0..m-1 adds v_l to one growing search that never walks
+        along the path, and touching a v_i with i >= l + 2 finds one."""
+        masks = self.masks
+        paths = sorted(path if p_mask >> path[0] & 1 else path[::-1] for path in family)
+        before = {}  # before[u]: the vertices preceding u on its path
+        for path in paths:
+            prefix = 0
+            for u in path:
                 before[u] = prefix
                 prefix |= 1 << u
-                path ^= 1 << u
-                u = (self.masks[u] & path).bit_length() - 1
-            paths.append((tuple(ordered), prefix))
-            used |= prefix
-        paths.sort()
-        vertices = p_mask | q_mask | self.interior
-        for path, bits in paths:
-            for v in path[1:-1]:
-                if self._augments(path[0], path[-1], used & ~bits, before, vertices & ~(1 << v)):
-                    return None
-        return tuple(path for path, _ in paths), used
-
-    def _augments(self, source: int, sink: int, used: int, before, allowed: int) -> bool:
-        """Whether the paths on `used` have an augmenting path from source to
-        sink through `allowed` in the split-vertex residual graph. Entering a
-        used vertex (a used sink too) leads back to the out-side of every
-        vertex before it on its path, its source included."""
-        masks = self.masks
-        reached = frontier = 1 << source
-        while frontier:
-            step = 0
-            while frontier:
-                low = frontier & -frontier
-                step |= masks[low.bit_length() - 1]
-                frontier ^= low
-            step &= allowed
-            if step >> sink & 1:
-                return True
-            hit, frontier = step & used, step & ~used
-            while hit:
-                low = hit & -hit
-                frontier |= before[low.bit_length() - 1]
-                hit ^= low
-            frontier &= ~reached
-            reached |= frontier
-        return False
-
-    def row(self, p, q, system) -> Optional[AdmissibleRow]:
-        """The row of pair (p, q) whose unique covering system is
-        `system`, or None when a residual vertex is not pendant or its
-        neighbor is residual too."""
-        paths, used = system
-        residual = _mask(p) & _mask(q) & ~used  # the system covers I
-        edge_id = self.edge_id
-        edge_ids = [
-            edge_id[(a, b) if a < b else (b, a)] for path in paths for a, b in zip(path, path[1:])
-        ]
-        for r in _vertices(residual):
-            if len(self.steps[r]) != 1:
-                return None
-            ((w, bit),) = self.steps[r]
-            if residual & bit:
-                return None
-            edge_ids.append(edge_id[(r, w) if r < w else (w, r)])
-        pair = BoundaryPair(p, q)
-        sign = term_sign(PathSystem(paths, _vertices(residual)), pair)
-        return AdmissibleRow(pair, tuple(sorted(edge_ids)), sign)
+        used = p_mask | q_mask | self.interior  # the family covers I and passes P and Q
+        for path in paths:
+            far = before[path[-1]] ^ 1 << path[0] | 1 << path[-1]  # the path past v_(l+1)
+            others, reached = used & ~far & ~(1 << path[0]), 0
+            for l in range(len(path) - 2):
+                far ^= 1 << path[l + 1]
+                frontier = 1 << path[l]
+                while frontier:
+                    step = 0
+                    while frontier:
+                        low = frontier & -frontier
+                        step |= masks[low.bit_length() - 1]
+                        frontier ^= low
+                    if step & far:
+                        return None
+                    hit = step & others
+                    while hit:
+                        low = hit & -hit
+                        frontier |= before[low.bit_length() - 1]
+                        hit ^= low
+                    frontier &= ~reached
+                    reached |= frontier
+        return tuple(paths)
 
 
 def enumerate_path_systems(net: Network, pair: BoundaryPair) -> list[PathSystem]:
@@ -384,59 +358,68 @@ def covering_family_counts(net: Network, max_pair_size: int) -> dict[tuple[int, 
 
 
 def covering_families(net: Network, max_pair_size: int) -> tuple[dict, dict]:
-    """covering_family_counts, and per core its last family (its only
-    one if it has one): (lower end, upper end, vertex bitmask) per path."""
+    """covering_family_counts, and the family of each core that has only
+    one: per path, its vertices in walk order, from its lower end."""
     graph = _SearchGraph(net)
     steps, masks, interior, boundary = graph.steps, graph.masks, graph.interior, graph.boundary
     inner = boundary & ~graph.pendants  # degree 2 or more: no step reaches degree 0
     counts: dict[tuple[int, int], int] = {}
     families: dict[tuple[int, int], tuple] = {}
-    ends: list[tuple[int, int, int]] = []  # (lower end, upper end, vertices) of each finished path
+    ends: list[tuple[int, ...]] = []  # the finished paths, each from its lower end
 
     def record(shared: int) -> None:
         # the first path runs from the lowest endpoint, which puts it in
         # P and so P before Q; every other path runs either way
         cores = [(shared, shared)]
-        for i, (s, t, _) in enumerate(ends):
-            s_bit, t_bit = 1 << s, 1 << t
+        for i, path in enumerate(ends):
+            s_bit, t_bit = 1 << path[0], 1 << path[-1]
             cores = [(p | s_bit, q | t_bit) for p, q in cores] + (
                 [(p | t_bit, q | s_bit) for p, q in cores] if i else []
             )
         family = tuple(ends)
         for core in cores:
-            counts[core] = counts.get(core, 0) + 1
-            families[core] = family
+            counts[core] = n = counts.get(core, 0) + 1
+            if n == 1:
+                families[core] = family
+            elif n == 2:
+                del families[core]
 
     def next_path(first: int, used: int, cost: int, shared: int) -> None:
-        if not interior & ~used:
+        uncovered = interior & ~used
+        if not uncovered:
             record(shared)
         if cost < max_pair_size:
             for s in _vertices(boundary & ~used & ~((2 << first) - 1)):
-                extend(s, s, 1 << s, used | 1 << s, cost + 1, shared)
+                extend([s], 1 << s, used | 1 << s, cost + 1, shared, uncovered)
 
-    def extend(s: int, u: int, path: int, used: int, cost: int, shared: int) -> None:
-        # a later path end lies above s, so a lower unused boundary
-        # vertex can only lie inside a path
+    def extend(walk: list, path: int, used: int, cost: int, shared: int, check: int) -> None:
+        # walk: the path's vertices from its start s, path: their bitmask.
+        # A later path end lies above s, so a lower unused boundary vertex
+        # can only lie inside a path
+        s, u = walk[0], walk[-1]
         usable = (interior | inner | boundary & ~((2 << s) - 1)) & ~used | 1 << u
-        uncovered = interior & ~used
-        while uncovered:
-            low = uncovered & -uncovered
+        while check:
+            low = check & -check
             if (masks[low.bit_length() - 1] & usable).bit_count() < 2:
                 return
-            uncovered ^= low
+            check ^= low
+        # a step leaves u: only u's uncovered neighbors lose a usable neighbor
+        left = masks[u] & interior & ~used
         behind = path & ~(1 << u)  # a step next to these would leave a chord
         for w, bit in steps[u]:
             if used & bit or masks[w] & behind:
                 continue
+            walk.append(w)
             if not boundary & bit:
-                extend(s, w, path | bit, used | bit, cost, shared)
-                continue
-            if w > s:
-                ends.append((s, w, path | bit))
-                next_path(s, used | bit, cost, shared)
-                ends.pop()
-            if inner & bit and cost < max_pair_size:
-                extend(s, w, path | bit, used | bit, cost + 1, shared | bit)
+                extend(walk, path | bit, used | bit, cost, shared, left & ~bit)
+            else:
+                if w > s:
+                    ends.append(tuple(walk))
+                    next_path(s, used | bit, cost, shared)
+                    ends.pop()
+                if inner & bit and cost < max_pair_size:
+                    extend(walk, path | bit, used | bit, cost + 1, shared | bit, left)
+            walk.pop()
 
     try:
         next_path(0, 0, 0, 0)
@@ -456,33 +439,56 @@ def admissible_rows(net: Network, max_pair_size: int) -> Iterator[AdmissibleRow]
     vertices), those vertices added to the residual. An admissible pair's
     unique system covers I, passes through every other shared vertex and
     has no chord, so its core has exactly one chordless covering family
-    (covering_family_counts). Only those cores are checked for a second
-    system, by one augmenting-path search per vertex inside the family's
-    paths (_SearchGraph.sole_system). Each core whose family is its only
-    system gives the candidates of a size by adding shared pendant
-    vertices; candidates are built one size at a time, so the sizes a
-    caller never reaches cost nothing beyond the walk.
+    (covering_families). Only those cores are checked for a second
+    system, by one growing search per path (_SearchGraph.sole_system).
+    Each core whose family is its only system gives its edge ids and
+    sign once, and the candidates of a size by adding shared pendant
+    vertices that are not joined to each other; candidates are built one
+    size at a time, so the sizes a caller never reaches cost nothing
+    beyond the walk.
     """
     graph = _SearchGraph(net)
-    pendants = graph.boundary & graph.pendants
-    counts, families = covering_families(net, max_pair_size)
+    masks, edge_id, pendants = graph.masks, graph.edge_id, graph.boundary & graph.pendants
+    pendant_edge = {r: edge_id[r, w] for r in _vertices(pendants) for w, _ in graph.steps[r]}
+    families = covering_families(net, max_pair_size)[1]
     # checked smallest first, as the sizes are reached
-    cores = sorted((core for core, n in counts.items() if n == 1), key=lambda c: -c[0].bit_count())
-    unique: list[tuple[int, int, tuple]] = []  # (p_mask, q_mask, system) per core found unique
+    cores = sorted(families, key=lambda c: -c[0].bit_count())
+    unique: list[tuple] = []  # (p_mask, q_mask, path edge ids, sign) per core found unique
     for size in range(1, max_pair_size + 1):
         while cores and cores[-1][0].bit_count() <= size:
             p_mask, q_mask = core = cores.pop()
-            system = graph.sole_system(p_mask, q_mask, families[core])
-            if system is not None:
-                unique.append((p_mask, q_mask, system))
+            paths = graph.sole_system(p_mask, q_mask, families.pop(core))
+            if paths is not None:
+                unique.append((p_mask, q_mask, *_core_row(paths, edge_id)))
         candidates = []
-        for p_mask, q_mask, system in unique:
+        for core in unique:
+            p_mask, q_mask = core[:2]
             free = _vertices(pendants & ~(p_mask | q_mask))
             for extra in combinations(free, size - p_mask.bit_count()):
                 shared = _mask(extra)
-                candidates.append((_vertices(p_mask | shared), _vertices(q_mask | shared), system))
+                candidates.append((_vertices(p_mask | shared), _vertices(q_mask | shared), core))
         candidates.sort()
-        for p, q, system in candidates:
-            row = graph.row(p, q, system)
-            if row is not None:
-                yield row
+        for p, q, (p_mask, q_mask, edge_ids, sign) in candidates:
+            shared = _mask(p) & ~p_mask
+            extra = _vertices(shared)
+            if not any(masks[r] & shared for r in extra):
+                for r in extra:  # (-1)^(r's row + column position), I lying above r
+                    sign *= -1 if ((p_mask ^ q_mask) & ((1 << r) - 1)).bit_count() & 1 else 1
+                edges = tuple(sorted(edge_ids + [pendant_edge[r] for r in extra]))
+                yield AdmissibleRow(BoundaryPair(p, q), edges, sign)
+
+
+def _core_row(paths, edge_id) -> tuple[list[int], int]:
+    """The edge ids and the term sign of a core's system, its paths each
+    from P to Q, with no residual: sign(phi) from the inversions of phi
+    over the rows P + I, ascending, times (-1)^(edge count)."""
+    succ, edge_ids = {}, []
+    for path in paths:
+        for a, b in zip(path, path[1:]):
+            succ[a] = b
+            edge_ids.append(edge_id[a, b])
+    placed = inversions = 0  # the columns phi has hit so far
+    for r in sorted(succ):
+        inversions += (placed >> succ[r]).bit_count()
+        placed |= 1 << succ[r]
+    return edge_ids, -1 if (inversions + len(edge_ids)) & 1 else 1

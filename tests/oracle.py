@@ -7,9 +7,11 @@ The brute-force references share no determinant or path-walking code
 with the modules they check; independence is the point. Factorial cost
 is fine, size caps are hard errors. The second-system search walks path
 systems with the package's enumeration walk (itself checked against the
-exhaustive search), which shares no code with the augmenting-path test
-it checks. The Schur check sets two of the package's computations
-against each other: a minor of Lambda and a minor of K.
+exhaustive search), which shares no code with the per-path search it
+checks, and the per-pair test builds its row from the system with
+term_sign, not with the scan's per-core signs. The Schur check sets two
+of the package's computations against each other: a minor of Lambda and
+a minor of K.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from netinv.forward import (
 )
 from netinv.inverse import LogLinearSystem, RecoveryPlan
 from netinv.network import Network, kirchhoff
-from netinv.paths import AdmissibleRow, PathSystem, _mask, _SearchGraph
+from netinv.paths import AdmissibleRow, PathSystem, _mask, _SearchGraph, term_sign
 
 
 def perm_det(m) -> float:
@@ -129,11 +131,22 @@ def is_log_linear_admissible(net: Network, pair: BoundaryPair) -> Optional[Admis
     decided for the pair alone: exactly one path system, whose residual
     holds no interior vertex and only pendant vertices whose neighbors lie
     outside it, so det K(residual, residual) is the product of the pendant
-    conductivities."""
+    conductivities. The row's edges and sign come from the system itself,
+    its sign from term_sign."""
     pair.validate_for(net.n_boundary)
-    graph = _SearchGraph(net)
-    system = second_system_search(graph, _mask(pair.p), _mask(pair.q))
-    return None if system is None else graph.row(pair.p, pair.q, system)
+    system = second_system_search(_SearchGraph(net), _mask(pair.p), _mask(pair.q))
+    if system is None:
+        return None
+    paths, used = system
+    adj = net.adjacency()
+    residual = [v for v in set(pair.p) & set(pair.q) if not used >> v & 1]
+    if any(len(adj[r]) != 1 or adj[r][0] in residual for r in residual):
+        return None
+    edge_id = {e.pair: e.id for e in net.edges}
+    edges = [tuple(sorted(e)) for path in paths for e in zip(path, path[1:])]
+    edges += [tuple(sorted((r, adj[r][0]))) for r in residual]
+    sign = term_sign(PathSystem(paths, tuple(sorted(residual))), pair)
+    return AdmissibleRow(pair, tuple(sorted(edge_id[e] for e in edges)), sign)
 
 
 def schur_identity_check(net: Network, pair: BoundaryPair) -> float:

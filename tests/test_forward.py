@@ -54,6 +54,20 @@ def test_dtn_map_rejects_bad_entries(entries):
         DtNMap(entries)
 
 
+@pytest.mark.parametrize("p, q", [((1.9, 2.5), (3, 4)), ((1.0,), (2,)), ("12", (3, 4)), ((1, 2), "34")])
+def test_boundary_pair_rejects_non_integral_indices(p, q):
+    # int() would truncate 1.9 to 1 and read "12" as (1, 2): a minor the
+    # caller did not ask for
+    with pytest.raises(ValueError, match="integers"):
+        BoundaryPair(p, q)
+
+
+def test_boundary_pair_accepts_integral_indices():
+    pair = BoundaryPair((np.int64(1), np.int32(3)), range(2, 4))
+    assert pair == BoundaryPair((1, 3), (2, 3))
+    assert all(type(i) is int for i in pair.p + pair.q)
+
+
 def test_harmonic_extension_constant(lattice12):
     u = harmonic_extension(lattice12, np.full(8, 2.5))
     assert np.allclose(u, 2.5, atol=1e-12)

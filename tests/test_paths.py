@@ -346,6 +346,17 @@ class TestAdmissibleScan:
         per_pair = (is_log_linear_admissible(lattice_ones, pair) for pair in candidate_pairs(8, 8))
         assert rows == tuple(row for row in per_pair if row is not None)
 
+    @pytest.mark.parametrize("fixture, size, n_rows", [("lattice_ones", 8, 1288), ("grid3", 4, 3360)])
+    def test_signs_are_term_signs(self, request, fixture, size, n_rows):
+        # each row's sign, its core's times one factor per added shared
+        # pendant, is term_sign of the pair's one system
+        net = request.getfixturevalue(fixture)
+        rows = all_rows(net, size)
+        assert len(rows) == n_rows
+        for row in rows:
+            (system,) = enumerate_path_systems(net, row.pair)
+            assert row.sign == term_sign(system, row.pair)
+
     @pytest.mark.parametrize("seed", range(10))
     def test_family_counts_match_oracle(self, seed):
         net = random_network(RandomNetSpec(n_boundary=(3, 6), n_interior=(0, 4), seed=seed))
@@ -418,18 +429,20 @@ class TestAdmissibleScan:
 
 def sole_system_verdicts(net, max_size):
     """The numbers of one-family cores with |P| <= max_size and of those
-    kept, after checking that the augmenting-path test keeps each exactly
-    when the second-system search finds its family to be its only
-    system, and with that system."""
+    kept, after checking that the walk keeps a family for exactly those
+    cores, and that the per-path search keeps each exactly when the
+    second-system search finds its family to be its only system, and
+    with that system."""
     graph = paths._SearchGraph(net)
     counts, families = paths.covering_families(net, max_size)
-    cores = [core for core, n in counts.items() if n == 1]
+    assert set(families) == {core for core, n in counts.items() if n == 1}
     kept = 0
-    for p_mask, q_mask in cores:
-        sole = graph.sole_system(p_mask, q_mask, families[(p_mask, q_mask)])
-        assert sole == second_system_search(graph, p_mask, q_mask)
+    for (p_mask, q_mask), family in families.items():
+        sole = graph.sole_system(p_mask, q_mask, family)
+        system = second_system_search(graph, p_mask, q_mask)
+        assert sole == (None if system is None else system[0])
         kept += sole is not None
-    return len(cores), kept
+    return len(families), kept
 
 
 def two_paths_network(*extra):
@@ -439,10 +452,16 @@ def two_paths_network(*extra):
     return Network(4, 2, tuple(Edge(i, u, v, 1.0) for i, (u, v) in enumerate(pairs, start=1)))
 
 
+def long_path_network(*extra):
+    """The family 1-5-6-7-3, 2-8-9-4 of the core (1,2;3,4), plus the edges
+    `extra`, every conductivity 1."""
+    pairs = [(1, 5), (5, 6), (6, 7), (3, 7), (2, 8), (8, 9), (4, 9), *extra]
+    return Network(4, 5, tuple(Edge(i, u, v, 1.0) for i, (u, v) in enumerate(pairs, start=1)))
+
+
 class TestSoleSystem:
-    """The augmenting-path test agrees with the second-system search on
-    every core it is asked about: those with one chordless covering
-    family."""
+    """The per-path search agrees with the second-system search on every
+    core it is asked about: those with one chordless covering family."""
 
     def test_lattice(self, lattice_ones):
         assert sole_system_verdicts(lattice_ones, 8) == (136, 136)
@@ -479,4 +498,29 @@ class TestSoleSystem:
         net = two_paths_network((1, 6), (2, 3))
         assert covering_family_counts(net, 2)[(0b110, 0b11000)] == 1
         assert sole_system_verdicts(net, 2) == (3, 2)
+        assert scan_rows(net, 2) == oracle_rows(net, 2)
+
+    @pytest.mark.parametrize(
+        "extra, skipped, verdicts",
+        [
+            # 1-9-4, 2-8-6-7-3 skips only 5: the launch from 1 enters 9,
+            # runs back along 2-8-9 to 8 and touches 6, two steps ahead
+            (((1, 9), (6, 8)), (5,), (2, 1)),
+            # 1-5-6-9-4, 2-8-3 skips only 7: only the last launch, from 6,
+            # enters 9, runs back to 8 and touches the sink 3
+            (((6, 9), (3, 8)), (7,), (2, 1)),
+        ],
+    )
+    def test_second_system_skips_one_end_of_a_long_path(self, extra, skipped, verdicts):
+        net = long_path_network(*extra)
+        core = (0b110, 0b11000)
+        assert covering_family_counts(net, 2)[core] == 1
+        residuals = [s.residual for s in enumerate_path_systems(net, BoundaryPair((1, 2), (3, 4)))]
+        assert sorted(residuals) == [(), skipped]
+        graph = paths._SearchGraph(net)
+        assert second_system_search(graph, *core) is None
+        assert graph.sole_system(*core, paths.covering_families(net, 2)[1][core]) is None
+        # (1,4;2,3), the same family with 2-8-9-4 run the other way, has
+        # no second system
+        assert sole_system_verdicts(net, 2) == verdicts
         assert scan_rows(net, 2) == oracle_rows(net, 2)
