@@ -46,7 +46,6 @@ from .paths import (
     PathTerm,
     enumerate_path_systems,
     expand_det,
-    term_sign,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -120,6 +120,8 @@ def cmd_invert(args) -> int:
 
 
 def cmd_roundtrip(args) -> int:
+    if args.trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {args.trials}")
     net = _load_network(args.net_file)
     plan = compile_topology(net, args.max_pair_size)
     rng = random.Random(args.seed)

@@ -7,6 +7,7 @@ map, and its apply solves that system and checks the round trip."""
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from itertools import groupby
@@ -198,8 +199,17 @@ def compile_topology(
 ) -> RecoveryPlan:
     """Scan the pairs with |P| = |Q| <= max_pair_size (default: all) for
     admissibility, ranking their rows exactly as they come; with
-    stop_at_full_rank the scan halts once the rows reach full rank."""
-    size = net.n_boundary if max_pair_size is None else min(max_pair_size, net.n_boundary)
+    stop_at_full_rank the scan halts once the rows reach full rank. A
+    max_pair_size other than None or an integer >= 1 raises ValueError."""
+    size = net.n_boundary
+    if max_pair_size is not None:
+        try:
+            cap = operator.index(max_pair_size)
+        except TypeError:
+            cap = 0
+        if cap < 1:
+            raise ValueError(f"max_pair_size must be an integer >= 1, got {max_pair_size!r}")
+        size = min(cap, size)
     has_logdet = net.n_interior > 0
     n_unknowns = net.n_edges + has_logdet
     space = RowSpace()

@@ -86,9 +86,6 @@ class Network:
             adj[v].sort()
         return adj
 
-    def edge_lookup(self) -> dict[tuple[int, int], Edge]:
-        return {e.pair: e for e in self.edges}
-
     def with_gammas(self, gammas) -> "Network":
         """Same topology with replaced conductivities (by edge id order)."""
         if len(gammas) != self.n_edges:

@@ -42,10 +42,6 @@ class PathSystem:
     paths: tuple[tuple[int, ...], ...]
     residual: tuple[int, ...]
 
-    @property
-    def path_vertices(self) -> frozenset[int]:
-        return frozenset(v for p in self.paths for v in p)
-
 
 @dataclass(frozen=True)
 class PathTerm:
@@ -236,48 +232,6 @@ def enumerate_path_systems(net: Network, pair: BoundaryPair) -> list[PathSystem]
     return systems
 
 
-def _permutation_sign(perm: list[int]) -> int:
-    """Sign of a permutation given as the image list (0-based)."""
-    seen = [False] * len(perm)
-    sign = 1
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j = i
-        length = 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
-def term_sign(system: PathSystem, pair: BoundaryPair) -> int:
-    """Sign of the expansion term for a path system.
-
-    The system induces a bijection phi from rows R = P+I to columns
-    C = Q+I: each path maps every vertex to its successor, and phi is
-    the identity on the residual. The term sign is sign(phi), with R
-    and C both ascending, times (-1)^(total edge count).
-    """
-    p_set, q_set = set(pair.p), set(pair.q)
-    touched = system.path_vertices
-    interior = (set(system.residual) | touched) - p_set - q_set
-    rows = sorted(p_set | interior)
-    cols = sorted(q_set | interior)
-    col_index = {v: i for i, v in enumerate(cols)}
-    phi: dict[int, int] = {v: v for v in system.residual}
-    n_edges = 0
-    for path in system.paths:
-        for a, b in zip(path, path[1:]):
-            phi[a] = b
-            n_edges += 1
-    perm = [col_index[phi[r]] for r in rows]
-    return _permutation_sign(perm) * (-1) ** n_edges
-
-
 def expand_det(net: Network, pair: BoundaryPair) -> tuple[list[PathTerm], float, float]:
     """Evaluate the disjoint-path expansion of det K(P+I, Q+I).
 
@@ -286,18 +240,13 @@ def expand_det(net: Network, pair: BoundaryPair) -> tuple[list[PathTerm], float,
     total and the reference disagree.
     """
     k = kirchhoff(net)
-    edge_by_pair = net.edge_lookup()
+    edge_id = _SearchGraph(net).edge_id
     gamma = {e.id: e.gamma for e in net.edges}
-    systems = enumerate_path_systems(net, pair)
     terms: list[PathTerm] = []
     total = 0.0
     mag = 0.0
-    for system in systems:
-        sign = term_sign(system, pair)
-        edge_ids = []
-        for path in system.paths:
-            for a, b in zip(path, path[1:]):
-                edge_ids.append(edge_by_pair[(a, b) if a < b else (b, a)].id)
+    for system in enumerate_path_systems(net, pair):
+        edge_ids, sign = _system_row(system.paths, edge_id, system.residual)
         residual_det = kirchhoff_subdet(k, system.residual, system.residual)
         term = PathTerm(system, sign, tuple(sorted(edge_ids)), residual_det)
         value = term.value(gamma)
@@ -329,8 +278,8 @@ class AdmissibleRow:
     sign: int
 
 
-def covering_family_counts(net: Network, max_pair_size: int) -> dict[tuple[int, int], int]:
-    """Count, per endpoint core, the chordless path families that cover I.
+def covering_families(graph: _SearchGraph, max_pair_size: int) -> dict[tuple, Optional[tuple]]:
+    """The chordless path families that cover I, per endpoint core.
 
     A family is a set of vertex-disjoint paths, each joining two boundary
     vertices through interior vertices and non-pendant boundary vertices,
@@ -344,27 +293,20 @@ def covering_family_counts(net: Network, max_pair_size: int) -> dict[tuple[int, 
     A family is left out when one of its paths has a chord, an edge
     between two of its vertices that are not consecutive on it: the
     shortcut along the chord is a second system of the same core, so that
-    core has no unique system. Returns the number of chordless families
-    of each core that has one, keyed by the core's (P, Q) vertex bitmasks
-    (bit v is vertex v), with P before Q lexicographically: the mirror
-    (Q, P) has the same systems reversed.
+    core has no unique system. Returns, for each core that has a
+    chordless family, keyed by the core's (P, Q) vertex bitmasks (bit v
+    is vertex v) with P before Q lexicographically (the mirror (Q, P) has
+    the same systems reversed): its family when it has only one, per path
+    its vertices in walk order, from its lower end; else None.
 
     The walk builds each family once, its paths ordered by their lower
     end and each starting there, and gives up a branch as soon as an
     uncovered interior vertex has fewer than two neighbors left that a
     path can still pass through.
     """
-    return covering_families(net, max_pair_size)[0]
-
-
-def covering_families(net: Network, max_pair_size: int) -> tuple[dict, dict]:
-    """covering_family_counts, and the family of each core that has only
-    one: per path, its vertices in walk order, from its lower end."""
-    graph = _SearchGraph(net)
     steps, masks, interior, boundary = graph.steps, graph.masks, graph.interior, graph.boundary
     inner = boundary & ~graph.pendants  # degree 2 or more: no step reaches degree 0
-    counts: dict[tuple[int, int], int] = {}
-    families: dict[tuple[int, int], tuple] = {}
+    families: dict[tuple[int, int], Optional[tuple]] = {}
     ends: list[tuple[int, ...]] = []  # the finished paths, each from its lower end
 
     def record(shared: int) -> None:
@@ -378,11 +320,7 @@ def covering_families(net: Network, max_pair_size: int) -> tuple[dict, dict]:
             )
         family = tuple(ends)
         for core in cores:
-            counts[core] = n = counts.get(core, 0) + 1
-            if n == 1:
-                families[core] = family
-            elif n == 2:
-                del families[core]
+            families[core] = None if core in families else family
 
     def next_path(first: int, used: int, cost: int, shared: int) -> None:
         uncovered = interior & ~used
@@ -425,7 +363,7 @@ def covering_families(net: Network, max_pair_size: int) -> tuple[dict, dict]:
         next_path(0, 0, 0, 0)
     except RecursionError:
         raise TooManySystems(_TOO_DEEP) from None
-    return counts, families
+    return families
 
 
 def admissible_rows(net: Network, max_pair_size: int) -> Iterator[AdmissibleRow]:
@@ -450,16 +388,17 @@ def admissible_rows(net: Network, max_pair_size: int) -> Iterator[AdmissibleRow]
     graph = _SearchGraph(net)
     masks, edge_id, pendants = graph.masks, graph.edge_id, graph.boundary & graph.pendants
     pendant_edge = {r: edge_id[r, w] for r in _vertices(pendants) for w, _ in graph.steps[r]}
-    families = covering_families(net, max_pair_size)[1]
-    # checked smallest first, as the sizes are reached
-    cores = sorted(families, key=lambda c: -c[0].bit_count())
+    families = covering_families(graph, max_pair_size)
+    # the cores with one family, checked smallest first as the sizes are reached
+    cores = [core for core, family in families.items() if family is not None]
+    cores.sort(key=lambda c: -c[0].bit_count())
     unique: list[tuple] = []  # (p_mask, q_mask, path edge ids, sign) per core found unique
     for size in range(1, max_pair_size + 1):
         while cores and cores[-1][0].bit_count() <= size:
             p_mask, q_mask = core = cores.pop()
             paths = graph.sole_system(p_mask, q_mask, families.pop(core))
             if paths is not None:
-                unique.append((p_mask, q_mask, *_core_row(paths, edge_id)))
+                unique.append((p_mask, q_mask, *_system_row(paths, edge_id, ())))
         candidates = []
         for core in unique:
             p_mask, q_mask = core[:2]
@@ -478,17 +417,19 @@ def admissible_rows(net: Network, max_pair_size: int) -> Iterator[AdmissibleRow]
                 yield AdmissibleRow(BoundaryPair(p, q), edges, sign)
 
 
-def _core_row(paths, edge_id) -> tuple[list[int], int]:
-    """The edge ids and the term sign of a core's system, its paths each
-    from P to Q, with no residual: sign(phi) from the inversions of phi
-    over the rows P + I, ascending, times (-1)^(edge count)."""
-    succ, edge_ids = {}, []
+def _system_row(paths, edge_id, residual) -> tuple[list[int], int]:
+    """The edge ids on a path system's paths, each from P to Q, and its
+    expansion term sign. The system induces a bijection phi from the rows
+    P + I to the columns Q + I, both ascending: each path maps every
+    vertex to its successor, and phi is the identity on the residual.
+    The sign is sign(phi), from its inversions, times (-1)^(edge count)."""
+    phi, edge_ids = {r: r for r in residual}, []
     for path in paths:
         for a, b in zip(path, path[1:]):
-            succ[a] = b
+            phi[a] = b
             edge_ids.append(edge_id[a, b])
     placed = inversions = 0  # the columns phi has hit so far
-    for r in sorted(succ):
-        inversions += (placed >> succ[r]).bit_count()
-        placed |= 1 << succ[r]
+    for r in sorted(phi):
+        inversions += (placed >> phi[r]).bit_count()
+        placed |= 1 << phi[r]
     return edge_ids, -1 if (inversions + len(edge_ids)) & 1 else 1

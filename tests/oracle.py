@@ -1,17 +1,19 @@
 """Reference checks for the test suite only: permutation-expansion
-determinants, exhaustive path-system search, the second-system search
-behind the per-pair admissibility test, the Schur-identity check of the
-DtN map, and a plan's system read one minor at a time.
+determinants, exhaustive path-system search, the expansion term sign of
+a path system counted over cycles, the second-system search behind the
+per-pair admissibility test, the Schur-identity check of the DtN map,
+and a plan's system read one minor at a time.
 
 The brute-force references share no determinant or path-walking code
 with the modules they check; independence is the point. Factorial cost
-is fine, size caps are hard errors. The second-system search walks path
-systems with the package's enumeration walk (itself checked against the
-exhaustive search), which shares no code with the per-path search it
-checks, and the per-pair test builds its row from the system with
-term_sign, not with the scan's per-core signs. The Schur check sets two
-of the package's computations against each other: a minor of Lambda and
-a minor of K.
+is fine, size caps are hard errors. term_sign counts the cycles of the
+bijection a system induces, where the package counts its inversions.
+The second-system search walks path systems with the package's
+enumeration walk (itself checked against the exhaustive search), which
+shares no code with the per-path search it checks, and the per-pair
+test builds its row from the system with term_sign, not with the scan's
+per-core signs. The Schur check sets two of the package's computations
+against each other: a minor of Lambda and a minor of K.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from netinv.forward import (
 )
 from netinv.inverse import LogLinearSystem, RecoveryPlan
 from netinv.network import Network, kirchhoff
-from netinv.paths import AdmissibleRow, PathSystem, _mask, _SearchGraph, term_sign
+from netinv.paths import AdmissibleRow, PathSystem, _mask, _SearchGraph
 
 
 def perm_det(m) -> float:
@@ -107,6 +109,48 @@ def exhaustive_path_systems(net: Network, pair) -> list[PathSystem]:
                 systems.append(PathSystem(tuple(combo), residual))
     systems.sort(key=lambda s: s.paths)
     return systems
+
+
+def _permutation_sign(perm: list[int]) -> int:
+    """Sign of a permutation given as the image list (0-based)."""
+    seen = [False] * len(perm)
+    sign = 1
+    for i in range(len(perm)):
+        if seen[i]:
+            continue
+        j = i
+        length = 0
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+            length += 1
+        if length % 2 == 0:
+            sign = -sign
+    return sign
+
+
+def term_sign(system: PathSystem, pair: BoundaryPair) -> int:
+    """Sign of the expansion term for a path system.
+
+    The system induces a bijection phi from rows R = P+I to columns
+    C = Q+I: each path maps every vertex to its successor, and phi is
+    the identity on the residual. The term sign is sign(phi), with R
+    and C both ascending, times (-1)^(total edge count).
+    """
+    p_set, q_set = set(pair.p), set(pair.q)
+    touched = {v for p in system.paths for v in p}
+    interior = (set(system.residual) | touched) - p_set - q_set
+    rows = sorted(p_set | interior)
+    cols = sorted(q_set | interior)
+    col_index = {v: i for i, v in enumerate(cols)}
+    phi: dict[int, int] = {v: v for v in system.residual}
+    n_edges = 0
+    for path in system.paths:
+        for a, b in zip(path, path[1:]):
+            phi[a] = b
+            n_edges += 1
+    perm = [col_index[phi[r]] for r in rows]
+    return _permutation_sign(perm) * (-1) ** n_edges
 
 
 def second_system_search(graph: _SearchGraph, p_mask: int, q_mask: int) -> Optional[tuple]:

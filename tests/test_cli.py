@@ -407,6 +407,34 @@ class TestRoundtrip:
         capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rank", "{net}", "--max-pair-size", "0"],
+        ["rank", "{net}", "--max-pair-size", "-2"],
+        ["invert", "{net}", "{lam}", "--max-pair-size", "-1"],
+        ["roundtrip", "{net}", "--max-pair-size", "-1"],
+        ["roundtrip", "{net}", "--trials", "0"],
+        ["roundtrip", "{net}", "--trials", "-3"],
+    ],
+)
+def test_cap_or_trials_below_one_exit_2(tmp_path, lattice_file, lattice12, argv, capsys):
+    # bad input, not a verdict on the topology
+    lam_file = tmp_path / "lam.txt"
+    lam_file.write_text(format_matrix_text(dtn(lattice12).entries))
+    assert main([a.format(net=lattice_file, lam=lam_file) for a in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_empty_network_default_cap_exit_5(tmp_path, capsys):
+    net = tmp_path / "empty.net"
+    net.write_text("boundary 0\ninterior 0\n")
+    assert main(["rank", str(net)]) == 5
+    assert capsys.readouterr().out == "rows=0 rank=0 unknowns=0 verdict=deficient\n"
+
+
 FAULT_CODES = [
     (OSError("disk gone"), 2),
     (NetworkError("bad network"), 2),

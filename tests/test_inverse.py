@@ -399,6 +399,18 @@ class TestRecoveryPlan:
         # neither plan pins any edge
         assert plan.unresolved_edges == tuple(range(1, net.n_edges + 1))
 
+    @pytest.mark.parametrize("cap", [0, -1, 2.5, "3"])
+    def test_cap_below_one_or_not_an_integer_raises(self, lattice_ones, cap):
+        with pytest.raises(ValueError, match="max_pair_size must be an integer >= 1"):
+            compile_topology(lattice_ones, cap)
+
+    def test_caps_that_compile(self, lattice_ones):
+        # a numpy integer is a cap, a cap above the boundary size is all
+        # of it, and the default compiles a network without boundary
+        assert compile_topology(lattice_ones, np.int64(3)) == compile_topology(lattice_ones, 3)
+        assert compile_topology(lattice_ones, 99) == compile_topology(lattice_ones)
+        assert len(compile_topology(Network(0, 0, ())).rows) == 0
+
     def test_grid3_negated_map_is_the_topology_fault(self, grid3):
         # at |P| <= 3 every grid3 row has size 3 and -Lambda contradicts
         # each one's sign, but rank 12 of 25 is the topology's verdict

@@ -14,12 +14,10 @@ from netinv import (
     enumerate_path_systems,
     expand_det,
     kirchhoff_subdet,
-    term_sign,
 )
 from netinv import paths
 from netinv.network import Edge, Network, RandomNetSpec, kirchhoff, random_network
-from netinv.paths import covering_family_counts
-from oracle import exhaustive_path_systems, is_log_linear_admissible, second_system_search
+from oracle import exhaustive_path_systems, is_log_linear_admissible, second_system_search, term_sign
 
 
 def system_summaries(systems):
@@ -61,7 +59,7 @@ class TestEnumeration:
         assert len(systems) == 2
 
     def test_systems_satisfy_invariants(self, lattice12):
-        lookup = lattice12.edge_lookup()
+        lookup = {e.pair for e in lattice12.edges}
         pair = BoundaryPair((1, 5), (2, 6))
         for system in enumerate_path_systems(lattice12, pair):
             all_vertices = [v for p in system.paths for v in p]
@@ -76,27 +74,49 @@ class TestEnumeration:
             assert starts == sorted(starts)
 
 
+def term_signs(net, pair):
+    """Each expansion term's sign, keyed by its paths, after checking
+    that it is the oracle's term_sign of its system."""
+    terms = expand_det(net, pair)[0]
+    for term in terms:
+        assert term.sign == term_sign(term.system, pair)
+    return {term.system.paths: term.sign for term in terms}
+
+
 class TestTermSign:
     def test_single_edge(self, single_edge):
-        pair = BoundaryPair((1,), (2,))
-        (system,) = enumerate_path_systems(single_edge, pair)
-        assert term_sign(system, pair) == -1  # det Lambda(1;2) = -gamma
+        # det Lambda(1;2) = -gamma
+        assert term_signs(single_edge, BoundaryPair((1,), (2,))) == {((1, 2),): -1}
 
     def test_lattice_unique_system_negative(self, lattice12):
-        pair = BoundaryPair((1, 2), (5, 6))
-        (system,) = enumerate_path_systems(lattice12, pair)
-        assert term_sign(system, pair) == -1
+        signs = term_signs(lattice12, BoundaryPair((1, 2), (5, 6)))
+        assert list(signs.values()) == [-1]
 
     def test_lattice_crossing_pair_opposite_signs(self, lattice12):
         # the two systems of (1,5;2,6) carry opposite signs; under the
         # ascending row/column convention the g1*g2*g3*g4*g5*g6 pairing
         # is the negative one
-        pair = BoundaryPair((1, 5), (2, 6))
-        signs = {}
-        for system in enumerate_path_systems(lattice12, pair):
-            signs[system.paths] = term_sign(system, pair)
+        signs = term_signs(lattice12, BoundaryPair((1, 5), (2, 6)))
         assert sorted(signs.values()) == [-1, 1]
         assert signs[((1, 9, 12, 6), (5, 11, 10, 2))] == -1
+
+    def test_random_expansions(self):
+        # p and q are drawn apart, so they often share vertices, and most
+        # terms leave a residual, where phi is the identity
+        n_terms = n_residual = n_shared = 0
+        for seed in range(300):
+            net = random_network(RandomNetSpec(n_boundary=(3, 6), n_interior=(1, 4), seed=seed))
+            rnd = random.Random(seed)
+            for _ in range(6):
+                size = rnd.randint(1, min(3, net.n_boundary))
+                p = tuple(sorted(rnd.sample(range(1, net.n_boundary + 1), size)))
+                q = tuple(sorted(rnd.sample(range(1, net.n_boundary + 1), size)))
+                for term in expand_det(net, BoundaryPair(p, q))[0]:
+                    assert term.sign == term_sign(term.system, BoundaryPair(p, q))
+                    n_terms += 1
+                    n_residual += bool(term.system.residual)
+                    n_shared += bool(set(term.system.residual) & set(p))
+        assert (n_terms, n_residual, n_shared) == (11462, 9677, 4512)
 
 
 class TestExpandDet:
@@ -281,8 +301,8 @@ def pendant_network(seed):
 
 
 def oracle_family_counts(net, max_size):
-    """covering_family_counts by its definition, from the exhaustive
-    oracle: per pair with P before Q, the empty pair included, its
+    """The number of chordless covering families per core, by its
+    definition, from the exhaustive oracle: per pair with P before Q, the empty pair included, its
     systems that cover I, pass through every shared vertex and have no
     chord."""
     edges = {e.pair for e in net.edges}
@@ -302,6 +322,28 @@ def oracle_family_counts(net, max_size):
         if n:
             counts[(sum(1 << v for v in pair.p), sum(1 << v for v in pair.q))] = n
     return counts
+
+
+def covering_families(net, max_size):
+    return paths.covering_families(paths._SearchGraph(net), max_size)
+
+
+def families_match_oracle(net, max_size):
+    """covering_families, after checking it against oracle_family_counts:
+    a core the oracle counts once holds a family that is one of its path
+    systems, a core counted more often holds None, and no other core
+    appears."""
+    families = covering_families(net, max_size)
+    counts = oracle_family_counts(net, max_size)
+    assert {core: family is None for core, family in families.items()} == {
+        core: n > 1 for core, n in counts.items()
+    }
+    for (p_mask, q_mask), family in families.items():
+        if family is not None:
+            pair = BoundaryPair(paths._vertices(p_mask), paths._vertices(q_mask))
+            oriented = sorted(path if p_mask >> path[0] & 1 else path[::-1] for path in family)
+            assert tuple(oriented) in {s.paths for s in enumerate_path_systems(net, pair)}
+    return families
 
 
 class TestAdmissibleScan:
@@ -361,15 +403,14 @@ class TestAdmissibleScan:
     def test_family_counts_match_oracle(self, seed):
         net = random_network(RandomNetSpec(n_boundary=(3, 6), n_interior=(0, 4), seed=seed))
         for size in (1, 2, 3):
-            assert covering_family_counts(net, size) == oracle_family_counts(net, size)
+            families_match_oracle(net, size)
 
     def test_lattice_family_counts(self, lattice_ones):
-        counts = covering_family_counts(lattice_ones, 2)
-        assert counts == oracle_family_counts(lattice_ones, 2)
+        families = families_match_oracle(lattice_ones, 2)
         # 1-9-12-6 and 2-10-11-5 are the one family of (1,2;5,6); the
         # two systems of (1;5) each leave an interior vertex out
-        assert counts[(0b110, 0b1100000)] == 1
-        assert (0b10, 0b100000) not in counts
+        assert families[(0b110, 0b1100000)] == ((1, 9, 12, 6), (2, 10, 11, 5))
+        assert (0b10, 0b100000) not in families
 
     def test_shared_vertex_inside_a_path(self):
         # shared boundary vertex 2 has degree 2 and carries the path
@@ -429,13 +470,11 @@ class TestAdmissibleScan:
 
 def sole_system_verdicts(net, max_size):
     """The numbers of one-family cores with |P| <= max_size and of those
-    kept, after checking that the walk keeps a family for exactly those
-    cores, and that the per-path search keeps each exactly when the
-    second-system search finds its family to be its only system, and
+    kept, after checking that the per-path search keeps each exactly when
+    the second-system search finds its family to be its only system, and
     with that system."""
     graph = paths._SearchGraph(net)
-    counts, families = paths.covering_families(net, max_size)
-    assert set(families) == {core for core, n in counts.items() if n == 1}
+    families = {core: f for core, f in covering_families(net, max_size).items() if f is not None}
     kept = 0
     for (p_mask, q_mask), family in families.items():
         sole = graph.sole_system(p_mask, q_mask, family)
@@ -487,7 +526,7 @@ class TestSoleSystem:
         # 1-5-3 and vertex 5, the only augmenting path 1-4-6-3 enters the
         # used sink 4 and runs back along 2-6-4 to 6
         net = two_paths_network((1, 4), (3, 6))
-        assert covering_family_counts(net, 2)[(0b110, 0b11000)] == 1
+        assert families_match_oracle(net, 2)[(0b110, 0b11000)] == ((1, 5, 3), (2, 6, 4))
         assert sole_system_verdicts(net, 2) == (3, 2)
         assert scan_rows(net, 2) == oracle_rows(net, 2)
 
@@ -496,7 +535,7 @@ class TestSoleSystem:
         # 1-5-3 and vertex 5, the only augmenting path 1-6-2-3 enters 6,
         # runs back along 2-6-4 to its source 2 and leaves it for sink 3
         net = two_paths_network((1, 6), (2, 3))
-        assert covering_family_counts(net, 2)[(0b110, 0b11000)] == 1
+        assert families_match_oracle(net, 2)[(0b110, 0b11000)] == ((1, 5, 3), (2, 6, 4))
         assert sole_system_verdicts(net, 2) == (3, 2)
         assert scan_rows(net, 2) == oracle_rows(net, 2)
 
@@ -514,12 +553,13 @@ class TestSoleSystem:
     def test_second_system_skips_one_end_of_a_long_path(self, extra, skipped, verdicts):
         net = long_path_network(*extra)
         core = (0b110, 0b11000)
-        assert covering_family_counts(net, 2)[core] == 1
+        family = families_match_oracle(net, 2)[core]
+        assert family == ((1, 5, 6, 7, 3), (2, 8, 9, 4))
         residuals = [s.residual for s in enumerate_path_systems(net, BoundaryPair((1, 2), (3, 4)))]
         assert sorted(residuals) == [(), skipped]
         graph = paths._SearchGraph(net)
         assert second_system_search(graph, *core) is None
-        assert graph.sole_system(*core, paths.covering_families(net, 2)[1][core]) is None
+        assert graph.sole_system(*core, family) is None
         # (1,4;2,3), the same family with 2-8-9-4 run the other way, has
         # no second system
         assert sole_system_verdicts(net, 2) == verdicts
