@@ -111,8 +111,9 @@ class TestTermSign:
                 size = rnd.randint(1, min(3, net.n_boundary))
                 p = tuple(sorted(rnd.sample(range(1, net.n_boundary + 1), size)))
                 q = tuple(sorted(rnd.sample(range(1, net.n_boundary + 1), size)))
-                for term in expand_det(net, BoundaryPair(p, q))[0]:
-                    assert term.sign == term_sign(term.system, BoundaryPair(p, q))
+                pair = BoundaryPair(p, q)
+                for term in expand_det(net, pair)[0]:
+                    assert term.sign == term_sign(term.system, pair)
                     n_terms += 1
                     n_residual += bool(term.system.residual)
                     n_shared += bool(set(term.system.residual) & set(p))
@@ -301,10 +302,10 @@ def pendant_network(seed):
 
 
 def oracle_family_counts(net, max_size):
-    """The number of chordless covering families per core, by its
-    definition, from the exhaustive oracle: per pair with P before Q, the empty pair included, its
-    systems that cover I, pass through every shared vertex and have no
-    chord."""
+    """The number of chordless covering families per core, by their
+    definition, from the exhaustive oracle: per pair with P before Q, the
+    empty pair included, its systems that cover I, pass through every
+    shared vertex and have no chord."""
     edges = {e.pair for e in net.edges}
     counts = {}
     for pair in [BoundaryPair((), ())] + list(candidate_pairs(net.n_boundary, max_size)):
