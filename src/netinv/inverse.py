@@ -47,10 +47,6 @@ class LogLinearSystem:
     provenance: tuple[BoundaryPair, ...]
     dropped: tuple[str, ...] = ()
 
-    @property
-    def n_rows(self) -> int:
-        return len(self.coeffs)
-
 
 @dataclass(frozen=True)
 class RecoveryReport:
@@ -76,17 +72,24 @@ def _check_size(lam: DtNMap, net: Network) -> None:
         )
 
 
-def _check_symmetric(lam: DtNMap, tol: float) -> None:
+def _check_near_dtn(lam: DtNMap, tol: float) -> None:
     """ValueError naming an entry of lam more than 2 tol from its mirror
-    entry: then no symmetric matrix, hence no network's DtN map, lies
-    within tol of lam in every entry."""
+    entry, or a row of its n summing beyond n tol in size: then no DtN
+    map, being symmetric with zero row sums, lies within tol of lam."""
     with np.errstate(over="ignore"):
         gap = np.abs(lam.entries - lam.entries.T)
+        sums = np.abs(lam.entries.sum(axis=1))
     i, j = np.unravel_index(np.argmax(gap), gap.shape)
     if gap[i, j] > 2 * tol:
         raise ValueError(
             f"map is not symmetric: |Lambda[{i + 1},{j + 1}] - Lambda[{j + 1},{i + 1}]| = "
             f"{gap[i, j]:.3e} exceeds 2 x {tol:.3e}"
+        )
+    i = np.argmax(sums > len(sums) * tol)  # the first row beyond, if any
+    if sums[i] > len(sums) * tol:
+        raise ValueError(
+            f"map row {i + 1} does not sum to zero: |sum_j Lambda[{i + 1},j]| = "
+            f"{sums[i]:.3e} exceeds {len(sums)} x {tol:.3e}"
         )
 
 
@@ -151,8 +154,8 @@ class RecoveryPlan:
         read; a full-rank one whose rows this map drops below full rank
         raises AllRowsDegenerate, and a recovered conductivity beyond the
         float range raises ValueError. A map that fails the round trip
-        and lies beyond its threshold of every symmetric matrix raises
-        ValueError instead of RoundTripFailure."""
+        and lies beyond its threshold of every DtN map, by its symmetry or
+        its row sums, raises ValueError instead of RoundTripFailure."""
         net = self.topology
         _check_size(lam, net)
         if not self.full_rank:
@@ -189,7 +192,7 @@ class RecoveryPlan:
         roundtrip_error = float(np.max(np.abs(lam_back.entries - lam.entries)))
         threshold = ROUNDTRIP_RTOL * float(np.max(np.abs(lam.entries)))
         if roundtrip_error > threshold:
-            _check_symmetric(lam, threshold)
+            _check_near_dtn(lam, threshold)
             raise RoundTripFailure(roundtrip_error, threshold)
         return RecoveryReport(gammas, logdet, residual_norm, self.n_unknowns, roundtrip_error)
 

@@ -53,15 +53,11 @@ class Network:
             fault = _edge_fault(e.u, e.v, e.gamma, n, seen_pairs)
             if fault:
                 raise NetworkError(f"edge {e.id}: {fault}")
-        self._check_interior_grounded()
-
-    def _check_interior_grounded(self):
-        # boundary vertices come first, so a component without one has
-        # an interior smallest vertex
-        for component in _components(self.adjacency()):
-            if component[0] > self.n_boundary:
+        grounded = _reach(self.adjacency(), range(1, self.n_boundary + 1))
+        for v in self.interior_vertices:
+            if v not in grounded:
                 raise InteriorNotGrounded(
-                    f"interior vertex {component[0]} lies in a component with no boundary vertex"
+                    f"interior vertex {v} lies in a component with no boundary vertex"
                 )
 
     @property
@@ -158,14 +154,7 @@ LATTICE_EDGE_PAIRS: tuple[tuple[int, int], ...] = (
 def lattice_fixture(gammas) -> Network:
     """The 8-boundary / 4-interior / 12-edge lattice used throughout
     the test fixtures. `gammas` supplies gamma_1..gamma_12 in order."""
-    gammas = [float(g) for g in gammas]
-    if len(gammas) != 12:
-        raise NetworkError(f"lattice fixture needs 12 conductivities, got {len(gammas)}")
-    edges = tuple(
-        Edge(i, u, v, g)
-        for i, ((u, v), g) in enumerate(zip(LATTICE_EDGE_PAIRS, gammas), start=1)
-    )
-    return Network(n_boundary=8, n_interior=4, edges=edges)
+    return _fixture("lattice", 8, 4, LATTICE_EDGE_PAIRS, gammas)
 
 
 def grid_fixture(n: int, gammas) -> Network:
@@ -191,13 +180,17 @@ def grid_fixture(n: int, gammas) -> Network:
     pairs = list(enumerate(sides, start=1))
     pairs += [(cell(r, c), cell(r, c + 1)) for r in range(n) for c in range(n - 1)]
     pairs += [(cell(r, c), cell(r + 1, c)) for r in range(n - 1) for c in range(n)]
+    return _fixture(f"{n}x{n} grid", 4 * n, n * n, pairs, gammas)
+
+
+def _fixture(name: str, n_boundary: int, n_interior: int, pairs, gammas) -> Network:
+    """The network whose edge i joins pairs[i - 1] with conductivity
+    gammas[i - 1]."""
     gammas = [float(g) for g in gammas]
     if len(gammas) != len(pairs):
-        raise NetworkError(
-            f"{n}x{n} grid fixture needs {len(pairs)} conductivities, got {len(gammas)}"
-        )
+        raise NetworkError(f"{name} fixture needs {len(pairs)} conductivities, got {len(gammas)}")
     edges = tuple(Edge(i, u, v, g) for i, ((u, v), g) in enumerate(zip(pairs, gammas), start=1))
-    return Network(4 * n, n * n, edges)
+    return Network(n_boundary, n_interior, edges)
 
 
 def parse_network(text: str) -> Network:
@@ -313,27 +306,18 @@ def random_network(spec: RandomNetSpec) -> Network:
     raise NetworkError(f"no valid network after {MAX_RETRIES} draws for spec {spec}")
 
 
-def _components(adj: dict[int, list[int]]):
-    """Yield the vertex lists of the connected components of an
-    adjacency keyed in ascending vertex order (as Network.adjacency
-    builds it): in ascending order of their smallest vertex, which
-    comes first in its list."""
-    seen = set()
-    for start in adj:
-        if start in seen:
-            continue
-        seen.add(start)
-        stack = [start]
-        component = []
-        while stack:
-            v = stack.pop()
-            component.append(v)
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        yield component
+def _reach(adj: dict[int, list[int]], starts) -> set[int]:
+    """The vertices that a path in adj joins to one of `starts`, the
+    starts included."""
+    seen = set(starts)
+    stack = list(seen)
+    while stack:
+        for w in adj[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen
 
 
 def _is_connected(net: Network) -> bool:
-    return sum(1 for _ in _components(net.adjacency())) <= 1
+    return not net.n_vertices or len(_reach(net.adjacency(), [1])) == net.n_vertices

@@ -66,11 +66,6 @@ class RowSpace:
         return True
 
 
-def integer_rank(m) -> int:
-    """Exact rank over the rationals of an integer matrix."""
-    return RowSpace(m).rank
-
-
 def format_matrix_text(m) -> str:
     """Matrix text format: `rows cols` header, then one row per line,
     17 significant digits."""

@@ -98,13 +98,13 @@ class _SearchGraph:
         self.pendants = _mask(v for v in vertices if len(adj[v]) == 1)
         self.edge_id = {pair: e.id for e in net.edges for pair in (e.pair, e.pair[::-1])}
 
-    def search(self, p_mask: int, q_mask: int, visit) -> bool:
+    def search(self, p_mask: int, q_mask: int, visit) -> None:
         """Walk the path systems of the pair with vertex masks (p_mask,
         q_mask), from the sources P\\Q (ascending) to the sinks Q\\P
         through I + (P&Q), depth first in ascending-neighbor order with
         dead-end pruning, and call visit(paths, used) on each; `used` is
-        the bitmask of the vertices on the paths. Returns True as soon as
-        visit does (the walk stops), else False."""
+        the bitmask of the vertices on the paths. A visit that wants the
+        walk to stop raises, and the exception propagates."""
         steps, masks = self.steps, self.masks
         sources = _vertices(p_mask & ~q_mask)
         sinks = q_mask & ~p_mask
@@ -127,36 +127,28 @@ class _SearchGraph:
                 seen |= frontier
             return False
 
-        def next_system(i: int, used: int) -> bool:
+        def next_system(i: int, used: int) -> None:
             if i == len(sources):
-                return visit(tuple(paths), used)
+                visit(tuple(paths), used)
             # every remaining source must still reach an unused sink
-            for s in sources[i:]:
-                if not reaches(s, used):
-                    return False
-            s = sources[i]
-            return extend(i, [s], used | 1 << s)
+            elif all(reaches(s, used) for s in sources[i:]):
+                extend(i, [sources[i]], used | 1 << sources[i])
 
-        def extend(i: int, path: list[int], used: int) -> bool:
+        def extend(i: int, path: list[int], used: int) -> None:
             for w, bit in steps[path[-1]]:
                 if used & bit:
                     continue
                 if sinks & bit:
                     paths.append((*path, w))
-                    stop = next_system(i + 1, used | bit)
+                    next_system(i + 1, used | bit)
                     paths.pop()
                 elif allowed & bit:
                     path.append(w)
-                    stop = extend(i, path, used | bit)
+                    extend(i, path, used | bit)
                     path.pop()
-                else:
-                    continue
-                if stop:
-                    return True
-            return False
 
         try:
-            return next_system(0, 0)
+            next_system(0, 0)
         except RecursionError:
             raise TooManySystems(_TOO_DEEP) from None
 
@@ -226,7 +218,6 @@ def enumerate_path_systems(net: Network, pair: BoundaryPair) -> list[PathSystem]
                 f"more than {MAX_SYSTEMS} path systems for pair {pair.p}->{pair.q}"
             )
         systems.append(PathSystem(paths, _vertices(allowed & ~used)))
-        return False
 
     graph.search(p_mask, q_mask, visit)
     return systems
@@ -377,31 +368,28 @@ def admissible_rows(net: Network, max_pair_size: int) -> Iterator[AdmissibleRow]
     vertices), those vertices added to the residual. An admissible pair's
     unique system covers I, passes through every other shared vertex and
     has no chord, so its core has exactly one chordless covering family
-    (covering_families). Only those cores are checked for a second
-    system, by one growing search per path (_SearchGraph.sole_system).
-    Each core whose family is its only system gives its edge ids and
-    sign once, and the candidates of a size by adding shared pendant
-    vertices that are not joined to each other; candidates are built one
-    size at a time, so the sizes a caller never reaches cost nothing
-    beyond the walk.
+    (covering_families). Each of those cores is checked once for a
+    second system, by one growing search per path
+    (_SearchGraph.sole_system). Each core whose family is its only system
+    gives its edge ids and sign once, and the candidates of a size by
+    adding shared pendant vertices that are not joined to each other;
+    candidates are built one size at a time, so the sizes a caller never
+    reaches cost nothing beyond the walk and the checks.
     """
     graph = _SearchGraph(net)
     masks, edge_id, pendants = graph.masks, graph.edge_id, graph.boundary & graph.pendants
     pendant_edge = {r: edge_id[r, w] for r in _vertices(pendants) for w, _ in graph.steps[r]}
-    families = covering_families(graph, max_pair_size)
-    # the cores with one family, checked smallest first as the sizes are reached
-    cores = [core for core, family in families.items() if family is not None]
-    cores.sort(key=lambda c: -c[0].bit_count())
     unique: list[tuple] = []  # (p_mask, q_mask, path edge ids, sign) per core found unique
+    for (p_mask, q_mask), family in covering_families(graph, max_pair_size).items():
+        paths = None if family is None else graph.sole_system(p_mask, q_mask, family)
+        if paths is not None:
+            unique.append((p_mask, q_mask, *_system_row(paths, edge_id, ())))
     for size in range(1, max_pair_size + 1):
-        while cores and cores[-1][0].bit_count() <= size:
-            p_mask, q_mask = core = cores.pop()
-            paths = graph.sole_system(p_mask, q_mask, families.pop(core))
-            if paths is not None:
-                unique.append((p_mask, q_mask, *_system_row(paths, edge_id, ())))
         candidates = []
         for core in unique:
             p_mask, q_mask = core[:2]
+            if p_mask.bit_count() > size:
+                continue
             free = _vertices(pendants & ~(p_mask | q_mask))
             for extra in combinations(free, size - p_mask.bit_count()):
                 shared = _mask(extra)

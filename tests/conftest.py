@@ -1,6 +1,6 @@
 import pytest
 
-from netinv import grid_fixture, lattice_fixture
+from netinv import dtn, grid_fixture, lattice_fixture
 from netinv.network import Edge, Network
 
 
@@ -8,6 +8,14 @@ from netinv.network import Edge, Network
 def lattice12():
     """Lattice with gamma_e = e."""
     return lattice_fixture(range(1, 13))
+
+
+@pytest.fixture
+def other_lattice_map(lattice12):
+    """The DtN map of another network on the lattice's boundary: the
+    lattice plus edge (9, 11), gamma = 1. It is symmetric with zero row
+    sums, as every DtN map is, yet fails the lattice's round trip."""
+    return dtn(Network(8, 4, lattice12.edges + (Edge(13, 9, 11, 1.0),)))
 
 
 @pytest.fixture

@@ -153,6 +153,10 @@ def term_sign(system: PathSystem, pair: BoundaryPair) -> int:
     return _permutation_sign(perm) * (-1) ** n_edges
 
 
+class _NoUniqueCoveringSystem(Exception):
+    """Ends second_system_search's walk early."""
+
+
 def second_system_search(graph: _SearchGraph, p_mask: int, q_mask: int) -> Optional[tuple]:
     """(paths, used) of the pair's path system when it is the only one
     and covers every interior vertex, else None. The search stops at the
@@ -163,9 +167,12 @@ def second_system_search(graph: _SearchGraph, p_mask: int, q_mask: int) -> Optio
 
     def visit(paths, used):
         found.append((paths, used))
-        return len(found) > 1 or bool(interior & ~used)
+        if len(found) > 1 or interior & ~used:
+            raise _NoUniqueCoveringSystem
 
-    if graph.search(p_mask, q_mask, visit):
+    try:
+        graph.search(p_mask, q_mask, visit)
+    except _NoUniqueCoveringSystem:
         return None
     return found[0] if found else None
 

@@ -25,7 +25,7 @@ from netinv import (
 )
 from netinv.forward import submatrix
 from netinv.network import RandomNetSpec, kirchhoff, random_network
-from netinv.numerics import integer_rank
+from netinv.numerics import RowSpace
 from oracle import exhaustive_path_systems, perm_det
 
 INTERIOR = (9, 10, 11, 12)
@@ -168,7 +168,7 @@ def test_criterion_7_rank_certification():
     coeffs = [
         [1 if eid in r.edge_ids else 0 for eid in range(1, 13)] + [-1] for r in rows
     ]
-    rank = integer_rank(coeffs)
+    rank = RowSpace(coeffs).rank
     elapsed = time.perf_counter() - t0
     assert rank == plan.rank == 13
     assert elapsed < 10.0

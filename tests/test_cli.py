@@ -293,14 +293,28 @@ class TestInvert:
             "exceeds 2 x 6.860e-06\n",
         )
 
-    def test_wrong_map_exit_6(self, tmp_path, lattice_file, lattice12, capsys, recwarn):
+    def test_wrong_map_exit_6(self, tmp_path, lattice_file, other_lattice_map, capsys, recwarn):
+        lam_file = tmp_path / "lam.txt"
+        lam_file.write_text(format_matrix_text(other_lattice_map.entries))
+        assert main(["invert", lattice_file, str(lam_file)]) == 6
+        capsys.readouterr()
+
+    def test_map_with_nonzero_row_sums_exit_2(
+        self, tmp_path, lattice_file, lattice12, capsys, recwarn
+    ):
+        # Lambda_12 and Lambda_21 raised by half: symmetric still, but
+        # rows 1 and 2 no longer sum to zero, so no DtN map lies near
         lam = dtn(lattice12).entries.copy()
         lam[0, 1] *= 1.5
         lam[1, 0] *= 1.5
         lam_file = tmp_path / "lam.txt"
         lam_file.write_text(format_matrix_text(lam))
-        assert main(["invert", lattice_file, str(lam_file)]) == 6
-        capsys.readouterr()
+        assert main(["invert", lattice_file, str(lam_file)]) == 2
+        assert capsys.readouterr() == (
+            "",
+            "error: map row 1 does not sum to zero: |sum_j Lambda[1,j]| = 4.266e-02 "
+            "exceeds 8 x 6.860e-06\n",
+        )
 
     def test_inconsistent_map_warns_on_one_line(self, tmp_path, lattice_file, lattice12, capsys):
         # Lambda_15 and Lambda_51 raised by 1e-5: within the round-trip
@@ -318,15 +332,14 @@ class TestInvert:
             "data is not an exact DtN map of this topology\n"
         )
 
-    def test_failure_prints_only_its_error(self, tmp_path, lattice_file, lattice12, capsys):
+    def test_failure_prints_only_its_error(
+        self, tmp_path, lattice_file, other_lattice_map, capsys
+    ):
         # the same warning is met, but the error line is the report
-        lam = dtn(lattice12).entries.copy()
-        lam[0, 1] *= 1.5
-        lam[1, 0] *= 1.5
         lam_file = tmp_path / "lam.txt"
-        lam_file.write_text(format_matrix_text(lam))
+        lam_file.write_text(format_matrix_text(other_lattice_map.entries))
         assert main(["invert", lattice_file, str(lam_file)]) == 6
-        assert capsys.readouterr() == ("", "error: roundtrip error 2.091e-01 exceeds 6.860e-06\n")
+        assert capsys.readouterr() == ("", "error: roundtrip error 2.552e+00 exceeds 6.980e-06\n")
 
     def test_negated_map_is_a_data_fault(self, tmp_path, lattice_file, lattice12, capsys):
         # the topology is full rank; -Lambda's odd-size rows are dropped

@@ -23,7 +23,7 @@ from netinv import (
 )
 from netinv.inverse import LogLinearSystem
 from netinv.network import Edge, Network, RandomNetSpec, kirchhoff, random_network
-from netinv.numerics import RowSpace, integer_rank
+from netinv.numerics import RowSpace
 from oracle import per_row_system
 
 
@@ -72,7 +72,7 @@ class TestEnumerateAdmissiblePairs:
         assert len(plan.rows) == 110
         assert (plan.rank, plan.n_unknowns, plan.full_rank) == (13, 13, True)
         assert plan.unresolved_edges == ()
-        assert integer_rank(plan.coeffs) == 13
+        assert RowSpace(plan.coeffs).rank == 13
         # an exact map keeps every row
         assert plan.system(dtn(lattice_ones)).coeffs == plan.coeffs
 
@@ -115,7 +115,7 @@ class TestBuildSystem:
         assert dtn_subdet(tiny, pair) == 0.0
         sys, tiny_sys = plan.system(lam), plan.system(tiny)
         assert sys.dropped == tiny_sys.dropped == ()
-        assert sys.provenance == tiny_sys.provenance and sys.n_rows == len(plan.rows)
+        assert sys.provenance == tiny_sys.provenance and len(sys.coeffs) == len(plan.rows)
         i = row_index(sys, pair.p, pair.q)
         assert plan.rows[i].sign == np.sign(dtn_subdet(lam, pair))
         assert sys.rhs[i] == pytest.approx(math.log(abs(dtn_subdet(lam, pair))), rel=1e-12)
@@ -141,16 +141,16 @@ class TestBuildSystem:
         plan = compile_topology(single_edge, stop_at_full_rank=False)
         assert plan.n_unknowns == 1
         sys = plan.system(dtn(single_edge))
-        assert sys.n_rows == len(plan.rows) > 0
+        assert len(sys.coeffs) == len(plan.rows) > 0
         assert all(row == (1,) for row in sys.coeffs)
 
     def test_duplicate_rows_keep_rank(self, lattice12):
         plan = compile_topology(lattice12, 2, stop_at_full_rank=False)
         sys = plan.system(dtn(lattice12))
         distinct = set(sys.coeffs)
-        assert len(distinct) < sys.n_rows
-        assert integer_rank(sys.coeffs) == integer_rank(list(distinct)) == plan.rank
-        assert integer_rank(sys.coeffs + sys.coeffs) == plan.rank
+        assert len(distinct) < len(sys.coeffs)
+        assert RowSpace(sys.coeffs).rank == RowSpace(list(distinct)).rank == plan.rank
+        assert RowSpace(sys.coeffs + sys.coeffs).rank == plan.rank
 
     def test_all_rows_degenerate(self, single_edge):
         # the system keeps no row and raises nothing; apply's rank check
@@ -177,14 +177,14 @@ class TestSystemRank:
         plan = compile_topology(lattice12, 1)
         sys = plan.system(dtn(lattice12))
         assert plan.coeffs == sys.coeffs == ()
-        assert plan.rank == integer_rank(sys.coeffs) == 0
+        assert plan.rank == RowSpace(sys.coeffs).rank == 0
 
     def test_two_row_subsystem_rank_2(self, lattice12):
         assert two_row_space(lattice12).rank == 2
 
     def test_full_lattice_rank_13(self, lattice12):
         sys = compile_topology(lattice12).system(dtn(lattice12))
-        assert integer_rank(sys.coeffs) == 13
+        assert RowSpace(sys.coeffs).rank == 13
 
 
 class TestSolveSystem:
@@ -270,13 +270,24 @@ class TestRecover:
         with pytest.raises(ValueError, match="boundary"):
             recover(single_edge, dtn(lattice12))
 
-    def test_inconsistent_map_fails_roundtrip(self, lattice12):
+    def test_inconsistent_map_fails_roundtrip(self, lattice12, other_lattice_map):
+        with pytest.raises(RoundTripFailure):
+            with pytest.warns(InconsistentDataWarning):
+                recover(lattice12, other_lattice_map, stop_at_full_rank=False)
+
+    def test_map_with_nonzero_row_sums_is_bad_input(self, lattice12):
+        # Lambda_12 and Lambda_21 raised by half: symmetric still, but no
+        # DtN map lies within the round-trip threshold of rows 1 and 2
         lam = dtn(lattice12).entries.copy()
         lam[0, 1] *= 1.5
         lam[1, 0] *= 1.5
-        with pytest.raises(RoundTripFailure):
-            with pytest.warns():
-                recover(lattice12, DtNMap(lam), stop_at_full_rank=False)
+        with pytest.warns(InconsistentDataWarning):
+            with pytest.raises(ValueError) as exc:
+                recover(lattice12, DtNMap(lam))
+        assert str(exc.value) == (
+            "map row 1 does not sum to zero: |sum_j Lambda[1,j]| = 4.266e-02 "
+            "exceeds 8 x 6.860e-06"
+        )
 
     def test_asymmetric_map_is_bad_input(self, lattice12):
         # Lambda_12 alone raised by 1e-3 max|Lambda|: no symmetric matrix,
@@ -290,12 +301,12 @@ class TestRecover:
             "map is not symmetric: |Lambda[1,2] - Lambda[2,1]| = 6.860e-03 exceeds 2 x 6.860e-06"
         )
 
-    def test_asymmetry_within_twice_the_threshold_fails_roundtrip(self, lattice12):
-        # the symmetric perturbation above, plus an asymmetry that a
-        # symmetric matrix within the threshold could still explain
-        lam = dtn(lattice12).entries.copy()
-        lam[0, 1] *= 1.5
-        lam[1, 0] *= 1.5
+    def test_asymmetry_within_twice_the_threshold_fails_roundtrip(
+        self, lattice12, other_lattice_map
+    ):
+        # another network's map, plus an asymmetry that a symmetric matrix
+        # within the threshold could still explain
+        lam = other_lattice_map.entries.copy()
         lam[0, 1] += 1.9e-6 * np.max(np.abs(lam))
         with pytest.raises(RoundTripFailure):
             with pytest.warns(InconsistentDataWarning):

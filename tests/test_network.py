@@ -99,8 +99,10 @@ def test_grid_fixture_numbering():
 
 
 def test_grid_fixture_rejects_bad_input():
-    with pytest.raises(NetworkError, match="needs 4 conductivities, got 3"):
+    with pytest.raises(NetworkError, match="^1x1 grid fixture needs 4 conductivities, got 3$"):
         grid_fixture(1, [1.0] * 3)
+    with pytest.raises(NetworkError, match="^lattice fixture needs 12 conductivities, got 11$"):
+        lattice_fixture([1.0] * 11)
     with pytest.raises(NetworkError, match="at least 1"):
         grid_fixture(0, [])
 
@@ -118,6 +120,11 @@ def test_network_rejects_parallel_edges():
 def test_network_rejects_ungrounded_interior():
     with pytest.raises(NetworkError, match="no boundary"):
         Network(2, 2, (Edge(1, 1, 2, 1.0), Edge(2, 3, 4, 1.0)))
+    # two ungrounded components, 4-6 and the isolated 5: the smallest
+    # ungrounded vertex is named
+    with pytest.raises(NetworkError) as exc:
+        Network(2, 4, (Edge(1, 1, 3, 1.0), Edge(2, 4, 6, 1.0)))
+    assert str(exc.value) == "interior vertex 4 lies in a component with no boundary vertex"
 
 
 def test_network_rejects_bad_edge_ids():

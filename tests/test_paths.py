@@ -58,6 +58,26 @@ class TestEnumeration:
         systems = enumerate_path_systems(lattice12, BoundaryPair((1,), (5,)))
         assert len(systems) == 2
 
+    def test_visit_that_raises_stops_the_search(self, grid3):
+        # (1;7) has many systems, but a visit that raises on its first
+        # call gets no second one, and its exception reaches the caller
+        class Stop(Exception):
+            pass
+
+        calls = []
+
+        def visit(paths_, used):
+            calls.append(paths_)
+            raise Stop
+
+        graph = paths._SearchGraph(grid3)
+        p_mask, q_mask = paths._mask((1,)), paths._mask((7,))
+        with pytest.raises(Stop):
+            graph.search(p_mask, q_mask, visit)
+        assert len(calls) == 1
+        assert len(enumerate_path_systems(grid3, BoundaryPair((1,), (7,)))) > 1
+        assert graph.search(p_mask, q_mask, lambda paths_, used: None) is None
+
     def test_systems_satisfy_invariants(self, lattice12):
         lookup = {e.pair for e in lattice12.edges}
         pair = BoundaryPair((1, 5), (2, 6))
