@@ -61,14 +61,14 @@ class BoundaryPair:
         if len(self.p) != len(self.q):
             raise ValueError(f"|P| = {len(self.p)} != |Q| = {len(self.q)}")
         for name, idx in (("P", self.p), ("Q", self.q)):
-            if any(a >= b for a, b in zip(idx, idx[1:])):
+            if not all(map(operator.lt, idx, idx[1:])):
                 raise ValueError(f"{name} must be strictly ascending, got {idx}")
-            if any(i < 1 for i in idx):
+            if idx and idx[0] < 1:  # ascending: the first index is the least
                 raise ValueError(f"{name} indices must be >= 1, got {idx}")
 
     def validate_for(self, n_boundary: int):
         for name, idx in (("P", self.p), ("Q", self.q)):
-            if any(i > n_boundary for i in idx):
+            if idx and idx[-1] > n_boundary:
                 raise ValueError(f"{name} index out of boundary range 1..{n_boundary}: {idx}")
 
 

@@ -227,13 +227,8 @@ def compile_topology(
         coeffs.append(distinct[row.edge_ids])
         if stop_at_full_rank and space.rank == n_unknowns:
             break
-    # the row space is the orthogonal complement of the null space, so
-    # e_j meets the null space exactly when it leaves the row space
-    unresolved = tuple(
-        j
-        for j in range(1, net.n_edges + 1)
-        if any(space.reduce([int(c == j) for c in range(1, n_unknowns + 1)]))
-    )
+    pinned = space.pinned_columns()
+    unresolved = tuple(j for j in range(1, net.n_edges + 1) if j - 1 not in pinned)
     return RecoveryPlan(net, tuple(rows), tuple(coeffs), space.rank, n_unknowns, unresolved)
 
 

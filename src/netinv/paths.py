@@ -293,7 +293,13 @@ def covering_families(graph: _SearchGraph, max_pair_size: int) -> dict[tuple, Op
     The walk builds each family once, its paths ordered by their lower
     end and each starting there, and gives up a branch as soon as an
     uncovered interior vertex has fewer than two neighbors left that a
-    path can still pass through.
+    path can still pass through. Once a path brings the cost to
+    max_pair_size it is the last: no path can start and no inner boundary
+    vertex be passed after it, so every uncovered interior vertex lies on
+    its rest. Each step then goes to the tip's one uncovered neighbor (a
+    second would be a chord later), in a loop, and a path that would be
+    the last starts only when the uncovered vertices induce a path,
+    from a boundary vertex next to one of its ends.
     """
     steps, masks, interior, boundary = graph.steps, graph.masks, graph.interior, graph.boundary
     inner = boundary & ~graph.pendants  # degree 2 or more: no step reaches degree 0
@@ -318,13 +324,54 @@ def covering_families(graph: _SearchGraph, max_pair_size: int) -> dict[tuple, Op
         if not uncovered:
             record(shared)
         if cost < max_pair_size:
-            for s in _vertices(boundary & ~used & ~((2 << first) - 1)):
+            starts = boundary & ~used & ~((2 << first) - 1)
+            if uncovered and cost + 1 == max_pair_size:
+                starts &= path_ends(uncovered)
+            for s in _vertices(starts):
                 extend([s], 1 << s, used | 1 << s, cost + 1, shared, uncovered)
+
+    def path_ends(vertices: int) -> int:
+        # the neighbors of the ends of G[vertices] when it can be a path:
+        # no vertex with three neighbors in it, one edge fewer than vertices
+        ends = degrees = 0
+        for v in _vertices(vertices):
+            degree = (masks[v] & vertices).bit_count()
+            if degree > 2:
+                return 0
+            degrees += degree
+            if degree < 2:
+                ends |= masks[v]
+        return ends if degrees == 2 * vertices.bit_count() - 2 else 0
+
+    def last_path(walk: list, path: int, used: int, shared: int) -> None:
+        # the uncovered interior lies on the rest of this path, in order
+        s, u = walk[0], walk[-1]
+        rest = []
+        left = interior & ~used
+        while left:
+            step = masks[u] & left
+            if not step or step & (step - 1):
+                return  # no uncovered neighbor, or a second one left for a chord
+            w = step.bit_length() - 1
+            if masks[w] & path & ~(1 << u):
+                return  # a chord
+            rest.append(w)
+            path |= step
+            left ^= step
+            u = w
+        behind = path & ~(1 << u)
+        for t in _vertices(masks[u] & boundary & ~used & ~((2 << s) - 1)):
+            if not masks[t] & behind:
+                ends.append((*walk, *rest, t))
+                record(shared)
+                ends.pop()
 
     def extend(walk: list, path: int, used: int, cost: int, shared: int, check: int) -> None:
         # walk: the path's vertices from its start s, path: their bitmask.
         # A later path end lies above s, so a lower unused boundary vertex
         # can only lie inside a path
+        if cost == max_pair_size:
+            return last_path(walk, path, used, shared)
         s, u = walk[0], walk[-1]
         usable = (interior | inner | boundary & ~((2 << s) - 1)) & ~used | 1 << u
         while check:
@@ -379,30 +426,29 @@ def admissible_rows(net: Network, max_pair_size: int) -> Iterator[AdmissibleRow]
     graph = _SearchGraph(net)
     masks, edge_id, pendants = graph.masks, graph.edge_id, graph.boundary & graph.pendants
     pendant_edge = {r: edge_id[r, w] for r in _vertices(pendants) for w, _ in graph.steps[r]}
-    unique: list[tuple] = []  # (p_mask, q_mask, path edge ids, sign) per core found unique
+    cores = []  # per core found unique: |P|, P, Q, free pendants, odd ones, edge ids, sign
     for (p_mask, q_mask), family in covering_families(graph, max_pair_size).items():
         paths = None if family is None else graph.sole_system(p_mask, q_mask, family)
         if paths is not None:
-            unique.append((p_mask, q_mask, *_system_row(paths, edge_id, ())))
+            free = _vertices(pendants & ~(p_mask | q_mask))
+            # adding r flips the sign by (-1)^(r's row + column position), I lying above r
+            odd = _mask(r for r in free if ((p_mask ^ q_mask) & ((1 << r) - 1)).bit_count() & 1)
+            p, q = _vertices(p_mask), _vertices(q_mask)
+            cores.append((len(p), p, q, free, odd, *_system_row(paths, edge_id, ())))
     for size in range(1, max_pair_size + 1):
         candidates = []
-        for core in unique:
-            p_mask, q_mask = core[:2]
-            if p_mask.bit_count() > size:
+        for k, p, q, free, odd, edge_ids, sign in cores:
+            if k > size:
                 continue
-            free = _vertices(pendants & ~(p_mask | q_mask))
-            for extra in combinations(free, size - p_mask.bit_count()):
+            for extra in combinations(free, size - k):
                 shared = _mask(extra)
-                candidates.append((_vertices(p_mask | shared), _vertices(q_mask | shared), core))
+                if not any(masks[r] & shared for r in extra):
+                    row_p, row_q = tuple(sorted(p + extra)), tuple(sorted(q + extra))
+                    candidates.append((row_p, row_q, extra, odd & shared, edge_ids, sign))
         candidates.sort()
-        for p, q, (p_mask, q_mask, edge_ids, sign) in candidates:
-            shared = _mask(p) & ~p_mask
-            extra = _vertices(shared)
-            if not any(masks[r] & shared for r in extra):
-                for r in extra:  # (-1)^(r's row + column position), I lying above r
-                    sign *= -1 if ((p_mask ^ q_mask) & ((1 << r) - 1)).bit_count() & 1 else 1
-                edges = tuple(sorted(edge_ids + [pendant_edge[r] for r in extra]))
-                yield AdmissibleRow(BoundaryPair(p, q), edges, sign)
+        for p, q, extra, flips, edge_ids, sign in candidates:
+            edges = tuple(sorted(edge_ids + [pendant_edge[r] for r in extra]))
+            yield AdmissibleRow(BoundaryPair(p, q), edges, -sign if flips.bit_count() & 1 else sign)
 
 
 def _system_row(paths, edge_id, residual) -> tuple[list[int], int]:

@@ -2,7 +2,8 @@
 determinants, exhaustive path-system search, the expansion term sign of
 a path system counted over cycles, the second-system search behind the
 per-pair admissibility test, the Schur-identity check of the DtN map,
-and a plan's system read one minor at a time.
+a plan's system read one minor at a time, and exact rank by echelon
+form.
 
 The brute-force references share no determinant or path-walking code
 with the modules they check; independence is the point. Factorial cost
@@ -13,11 +14,14 @@ enumeration walk (itself checked against the exhaustive search), which
 shares no code with the per-path search it checks, and the per-pair
 test builds its row from the system with term_sign, not with the scan's
 per-core signs. The Schur check sets two of the package's computations
-against each other: a minor of Lambda and a minor of K.
+against each other: a minor of Lambda and a minor of K. The echelon
+row space eliminates rows against each other, where the package's
+RowSpace tests each row against a basis of the rows' null space.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from itertools import permutations, product
 from typing import Optional
@@ -236,3 +240,41 @@ def per_row_system(plan: RecoveryPlan, lam: DtNMap) -> LogLinearSystem:
             rhs.append(float(logabs))
             provenance.append(row.pair)
     return LogLinearSystem(tuple(coeffs), tuple(rhs), tuple(provenance), tuple(dropped))
+
+
+class EchelonRowSpace:
+    """Exact span over the rationals of integer rows, grown one row at
+    a time, in fraction-free echelon form keyed by pivot column: each
+    stored row is zero in the pivot columns of the rows stored before it,
+    and every reduced row is divided by the gcd of its entries."""
+
+    def __init__(self, rows=()):
+        self._basis: dict[int, list[int]] = {}
+        for row in rows:
+            self.add(row)
+
+    @property
+    def rank(self) -> int:
+        return len(self._basis)
+
+    def reduce(self, row) -> list[int]:
+        """An integer multiple of the row minus a combination of basis
+        rows, zero in every pivot column; all zeros exactly when the
+        row lies in the span."""
+        r = [int(x) for x in row]
+        for col, b in self._basis.items():
+            c = r[col]
+            if c:
+                p = b[col]
+                r = [p * x - c * y for x, y in zip(r, b)]
+        g = math.gcd(*r)
+        return [x // g for x in r] if g > 1 else r
+
+    def add(self, row) -> bool:
+        """Add a row to the span; True when the rank rose."""
+        r = self.reduce(row)
+        col = next((j for j, x in enumerate(r) if x), None)
+        if col is None:
+            return False
+        self._basis[col] = r
+        return True

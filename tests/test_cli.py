@@ -1,4 +1,5 @@
 import dataclasses
+import time
 
 import numpy as np
 import pytest
@@ -151,6 +152,15 @@ def test_search_deeper_than_recursion_limit_exit_2(deep_chain, command, capsys):
     net, lam = deep_chain
     assert main([a.format(net=net, lam=lam) for a in command]) == 2
     assert capsys.readouterr() == ("", "error: path search deeper than the recursion limit\n")
+
+
+def test_deep_chain_at_pair_size_1_exit_5(deep_chain, capsys):
+    # at cap 1 the chain's one path is the last, walked in a loop; its one
+    # row leaves a null space of 1,201 dimensions
+    start = time.perf_counter()
+    assert main(["rank", deep_chain[0], "--max-pair-size", "1"]) == 5
+    assert time.perf_counter() - start <= 1.0
+    assert capsys.readouterr() == ("rows=1 rank=1 unknowns=1202 verdict=deficient\n", "")
 
 
 def test_deep_chain_forward_exit_0(deep_chain, capsys):

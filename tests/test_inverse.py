@@ -17,6 +17,7 @@ from netinv import (
     difference_rows,
     dtn,
     dtn_subdet,
+    grid_fixture,
     kirchhoff_subdet,
     lattice_fixture,
     recover,
@@ -24,7 +25,7 @@ from netinv import (
 from netinv.inverse import LogLinearSystem
 from netinv.network import Edge, Network, RandomNetSpec, kirchhoff, random_network
 from netinv.numerics import RowSpace
-from oracle import per_row_system
+from oracle import EchelonRowSpace, per_row_system
 
 
 # boundary 1, 2 joined through interior 3, 4: the boundary sees only
@@ -186,6 +187,23 @@ class TestSystemRank:
         sys = compile_topology(lattice12).system(dtn(lattice12))
         assert RowSpace(sys.coeffs).rank == 13
 
+    @pytest.mark.parametrize(
+        "side, size, n_unresolved",
+        [(0, 2, 12), (0, None, 0), (3, 3, 24), (3, 4, 4), (4, 4, 40), (4, 5, 12)],
+        ids=["lattice-2", "lattice", "grid3-3", "grid3-4", "grid4-4", "grid4-5"],
+    )
+    def test_unresolved_edges_match_echelon_reference(self, side, size, n_unresolved):
+        # an edge is unresolved when its unit vector leaves the span of
+        # the rows, each unit vector reduced against the echelon reference
+        net = grid_fixture(side, [1.0] * 2 * side * (side + 1)) if side else lattice_fixture([1.0] * 12)
+        plan = compile_topology(net, size, stop_at_full_rank=False)
+        reference = EchelonRowSpace(dict.fromkeys(plan.coeffs))
+        assert reference.rank == plan.rank
+        unit = np.eye(plan.n_unknowns, dtype=int)
+        expected = tuple(j + 1 for j in range(net.n_edges) if any(reference.reduce(unit[j])))
+        assert plan.unresolved_edges == expected
+        assert len(expected) == n_unresolved
+
 
 class TestSolveSystem:
     def test_single_edge_recovers_gamma(self, single_edge):
@@ -213,8 +231,8 @@ class TestSolveSystem:
         # the rest are not
         space = two_row_space(lattice12)
         unit = {j: [int(c == j) for c in range(1, 14)] for j in range(7, 13)}
-        assert not any(space.reduce(unit[7]))
-        assert all(any(space.reduce(unit[j])) for j in (8, 9, 10, 11, 12))
+        assert unit[7] in space
+        assert not any(unit[j] in space for j in (8, 9, 10, 11, 12))
 
     @pytest.mark.parametrize("n_edges, columns", [(3, (1, 2, 3)), (0, ())])
     def test_empty_system_is_rank_deficient(self, n_edges, columns):

@@ -23,7 +23,7 @@ from netinv.numerics import (
     parse_matrix_text,
     solve_spd,
 )
-from oracle import perm_det
+from oracle import EchelonRowSpace, perm_det
 
 
 def full_det(m) -> float:
@@ -158,14 +158,72 @@ class TestIntegerRank:
             probes += [rng.integers(-2, 3, size=len(m)) @ m for _ in range(4)]
             for probe in probes:
                 in_span = np_rank(np.vstack([m, probe])) == np_rank(m)
-                assert (not any(space.reduce(probe))) == in_span
+                assert (probe in space) == in_span
             unit_raises = {
                 j + 1
                 for j in range(n)
                 if np_rank(np.vstack([m, np.eye(n, dtype=int)[j]])) > np_rank(m)
             }
             unit = np.eye(n, dtype=int)
-            assert {j + 1 for j in range(n) if any(space.reduce(unit[j]))} == unit_raises
+            assert {j + 1 for j in range(n) if unit[j] not in space} == unit_raises
+
+
+@st.composite
+def integer_rows(draw):
+    """Rows of one length with entries in -1..1 or in -3..3, a few of
+    them moved to about +-2^40."""
+    n = draw(st.integers(1, 6))
+    bound = draw(st.sampled_from([1, 3]))
+    entries = st.lists(st.integers(-bound, bound), min_size=n, max_size=n)
+    rows = draw(st.lists(entries, min_size=1, max_size=8))
+    for _ in range(draw(st.integers(0, 2))):
+        row = draw(st.sampled_from(rows))
+        row[draw(st.integers(0, n - 1))] = draw(st.sampled_from([2**40, -(2**40), 2**40 + 1]))
+    return rows
+
+
+class TestRowSpace:
+    """The null-space row space agrees with the echelon reference."""
+
+    @given(integer_rows(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_echelon_reference(self, rows, data):
+        space, reference = RowSpace(), EchelonRowSpace()
+        for row in rows:
+            assert space.add(row) == reference.add(row)
+            assert space.rank == reference.rank
+        n = len(rows[0])
+        # random rows, and integer combinations of the rows, in the span
+        probes = data.draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n)))
+        combinations = st.lists(st.integers(-2, 2), min_size=len(rows), max_size=len(rows))
+        for coeffs in data.draw(st.lists(combinations)):
+            probes.append([sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(n)])
+        for probe in probes + [[int(j == k) for j in range(n)] for k in range(n)]:
+            assert (probe in space) == (not any(reference.reduce(probe)))
+        unit = np.eye(n, dtype=int)
+        assert space.pinned_columns() == {j for j in range(n) if not any(reference.reduce(unit[j]))}
+
+    def test_fields_widen_for_large_entries(self):
+        # against the span of (1, 1, 1) the probe (0, 2^k, -1) has products
+        # of opposite sign that cancel if packed into fields k bits wide
+        space = RowSpace([[1, 1, 1]])
+        for k in range(1, 80):
+            assert [0, 2**k, -1] not in space
+            assert [2**k, 2**k, 2**k] in space
+
+    def test_untouched_columns(self):
+        # no row touches column 2: its unit vector stays out of the span
+        space = RowSpace([[1, -1, 0], [0, 0, 0]])
+        assert (space.rank, space.pinned_columns()) == (1, set())
+        assert [2, -2, 0] in space and [0, 0, 1] not in space
+        assert space.add([0, 1, 1]) and space.add([1, 0, 0])
+        assert space.pinned_columns() == {0, 1, 2}
+
+    def test_deep_chain_row(self):
+        # one row over 1,202 columns leaves a 1,201-dimensional null space
+        space = RowSpace([[1] * 1201 + [-1]])
+        assert space.rank == 1 and space.pinned_columns() == set()
+        assert [2] * 1201 + [-2] in space and [1] * 1202 not in space
 
 
 class TestMatrixText:

@@ -426,6 +426,29 @@ class TestAdmissibleScan:
         for size in (1, 2, 3):
             families_match_oracle(net, size)
 
+    @pytest.mark.parametrize("seed", range(20, 40))
+    def test_last_path_family_counts_match_oracle(self, seed):
+        # at caps 1 and 2 most paths are the last; inner boundary vertices
+        # let a path pass one and become the last midway
+        net = random_network(RandomNetSpec(n_boundary=(3, 6), n_interior=(1, 6), seed=seed))
+        graph = paths._SearchGraph(net)
+        assert graph.boundary & ~graph.pendants
+        for size in (1, 2):
+            families_match_oracle(net, size)
+
+    def test_path_becomes_last_by_passing_an_inner_boundary_vertex(self):
+        # the path 1-5-2-6-7-8-4 passes inner boundary vertex 2, reaching
+        # cap 2 there; from 7 it must take 8, its one uncovered neighbor,
+        # not end at 3. With edge 4-7 that path has a chord, and no other
+        # family covers 5..8 at cap 2
+        pairs = [(1, 5), (2, 5), (2, 6), (6, 7), (3, 7), (7, 8), (4, 8)]
+        net = Network(4, 4, tuple(Edge(i, u, v, 1.0) for i, (u, v) in enumerate(pairs, start=1)))
+        assert families_match_oracle(net, 1) == {}
+        assert families_match_oracle(net, 2) == {(0b110, 0b10100): ((1, 5, 2, 6, 7, 8, 4),)}
+        families_match_oracle(net, 3)
+        chord = Network(4, 4, net.edges + (Edge(8, 4, 7, 1.0),))
+        assert families_match_oracle(chord, 2) == {}
+
     def test_lattice_family_counts(self, lattice_ones):
         families = families_match_oracle(lattice_ones, 2)
         # 1-9-12-6 and 2-10-11-5 are the one family of (1,2;5,6); the
