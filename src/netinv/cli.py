@@ -4,11 +4,13 @@ Exit codes are a stable contract: 0 ok, 2 bad input (or a path search
 beyond its budget, a recovered conductivity outside the float range,
 conductivities that sum beyond it at a vertex, or a map too far from
 symmetric or from zero row sums for any DtN map to match), 3 model
-error (ungrounded interior), 4 expansion mismatch, 5 rank deficient, 6
-round-trip failure. EXIT_CODES is the one place that maps a fault to its
-code: the commands let faults rise and main reports them. stdout carries
-machine-readable results only; diagnostics go to stderr: one `error:`
-line when a command fails, else a `warning:` line for each warning it met.
+error (an ungrounded interior, or an interior block left numerically
+singular by conductivities spanning more than float precision), 4
+expansion mismatch, 5 rank deficient, 6 round-trip failure. EXIT_CODES
+is the one place that maps a fault to its code: the commands let faults
+rise and main reports them. stdout carries machine-readable results
+only; diagnostics go to stderr: one `error:` line when a command fails,
+else a `warning:` line for each warning it met.
 """
 
 from __future__ import annotations

@@ -15,17 +15,12 @@ class NetworkFormatError(NetworkError):
         self.line_no = line_no
 
 
-class NotPositiveDefinite(ArithmeticError):
-    """A matrix that must be symmetric positive definite has no
-    Cholesky factor."""
-
-
 class InteriorNotGrounded(NetworkError):
-    """Some interior component has no boundary vertex; the interior
-    block is singular and the DtN map is undefined. Network raises it
-    on construction (the CLI's exit 3, not the 2 of other NetworkErrors);
-    dtn and harmonic_extension raise it when the interior block has no
-    Cholesky factor."""
+    """The interior block K(I,I) is singular, so the DtN map is undefined
+    (the CLI's exit 3, not the 2 of other NetworkErrors): Network raises
+    it when some interior component has no boundary vertex, dtn and
+    harmonic_extension when conductivities spanning more than float
+    precision leave the block of a grounded network numerically singular."""
 
 
 class RankDeficient(RuntimeError):

@@ -12,9 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InteriorNotGrounded, NotPositiveDefinite
+from .errors import InteriorNotGrounded
 from .network import Network, kirchhoff
-from .numerics import solve_spd
 
 #: Roundoff level of a computed determinant, relative to the Hadamard
 #: bound (product of row norms) of its matrix.
@@ -76,11 +75,17 @@ def _harmonic_basis(k: np.ndarray, b: int) -> np.ndarray:
     """X = -C^-1 B^T of the Kirchhoff matrix k with b boundary vertices:
     column j holds the interior potentials when boundary vertex j is held
     at 1 and every other at 0, so U = [I; X] is the harmonic-extension
-    basis."""
+    basis. A grounded C = K(I,I) is positive definite, so with no
+    Cholesky factor it is numerically singular."""
+    c = k[b:, b:]
     try:
-        return -solve_spd(k[b:, b:], k[:b, b:].T)
-    except NotPositiveDefinite as exc:
-        raise InteriorNotGrounded(str(exc)) from exc
+        np.linalg.cholesky(c)
+    except np.linalg.LinAlgError:
+        raise InteriorNotGrounded(
+            "interior block K(I,I) is numerically singular (no Cholesky factor): "
+            "its conductivities span more than float precision"
+        ) from None
+    return -np.linalg.solve(c, k[:b, b:].T)
 
 
 def dtn(net: Network) -> DtNMap:

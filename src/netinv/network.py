@@ -271,7 +271,6 @@ class RandomNetSpec:
     edge_prob: float = 0.5
     gamma_range: tuple[float, float] = (0.1, 10.0)
     seed: int = 0
-    require_connected: bool = False
 
     def __post_init__(self):
         if self.gamma_range[0] <= 0:
@@ -297,12 +296,9 @@ def random_network(spec: RandomNetSpec) -> Network:
                     gamma = math.exp(rng.uniform(log_lo, log_hi))
                     edges.append(Edge(len(edges) + 1, u, v, gamma))
         try:
-            net = Network(nb, ni, tuple(edges))
+            return Network(nb, ni, tuple(edges))
         except NetworkError:
-            continue
-        if spec.require_connected and not _is_connected(net):
-            continue
-        return net
+            pass
     raise NetworkError(f"no valid network after {MAX_RETRIES} draws for spec {spec}")
 
 
@@ -317,7 +313,3 @@ def _reach(adj: dict[int, list[int]], starts) -> set[int]:
                 seen.add(w)
                 stack.append(w)
     return seen
-
-
-def _is_connected(net: Network) -> bool:
-    return not net.n_vertices or len(_reach(net.adjacency(), [1])) == net.n_vertices

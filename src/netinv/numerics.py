@@ -1,5 +1,4 @@
-"""Exact integer row space and rank, the matrix text format, and the
-SPD solve behind the DtN map.
+"""Exact integer row space and rank, and the matrix text format.
 
 Exact rank is the audit trail of the inverse problem, so it runs in
 Python integers; dense floating-point work is left to numpy.
@@ -10,18 +9,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-
-from .errors import NotPositiveDefinite
-
-
-def solve_spd(m, b) -> np.ndarray:
-    """Solve M X = B for symmetric positive definite M; raises
-    NotPositiveDefinite when M has no Cholesky factor."""
-    try:
-        np.linalg.cholesky(m)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(str(exc)) from exc
-    return np.linalg.solve(m, b)
 
 
 class RowSpace:
@@ -137,6 +124,8 @@ def parse_matrix_text(text: str) -> np.ndarray:
         values = [float(t) for t in tokens[2:]]
     except ValueError as exc:
         raise ValueError(f"malformed matrix text: {exc}") from None
+    if nrows < 0 or ncols < 0:
+        raise ValueError(f"matrix text dimensions must be non-negative, got {nrows}x{ncols}")
     if len(values) != nrows * ncols:
         raise ValueError(
             f"matrix text declares {nrows}x{ncols} but carries {len(values)} values"

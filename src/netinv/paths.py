@@ -207,7 +207,11 @@ def enumerate_path_systems(net: Network, pair: BoundaryPair) -> list[PathSystem]
     returned. More than MAX_SYSTEMS systems raise TooManySystems.
     """
     pair.validate_for(net.n_boundary)
-    graph = _SearchGraph(net)
+    return _path_systems(_SearchGraph(net), pair)
+
+
+def _path_systems(graph: _SearchGraph, pair: BoundaryPair) -> list[PathSystem]:
+    """enumerate_path_systems on a built search graph and a valid pair."""
     p_mask, q_mask = _mask(pair.p), _mask(pair.q)
     allowed = graph.interior | (p_mask & q_mask)
     systems: list[PathSystem] = []
@@ -231,13 +235,14 @@ def expand_det(net: Network, pair: BoundaryPair) -> tuple[list[PathTerm], float,
     total and the reference disagree.
     """
     k = kirchhoff(net)
-    edge_id = _SearchGraph(net).edge_id
+    pair.validate_for(net.n_boundary)
+    graph = _SearchGraph(net)
     gamma = {e.id: e.gamma for e in net.edges}
     terms: list[PathTerm] = []
     total = 0.0
     mag = 0.0
-    for system in enumerate_path_systems(net, pair):
-        edge_ids, sign = _system_row(system.paths, edge_id, system.residual)
+    for system in _path_systems(graph, pair):
+        edge_ids, sign = _system_row(system.paths, graph.edge_id, system.residual)
         residual_det = kirchhoff_subdet(k, system.residual, system.residual)
         term = PathTerm(system, sign, tuple(sorted(edge_ids)), residual_det)
         value = term.value(gamma)
@@ -245,9 +250,7 @@ def expand_det(net: Network, pair: BoundaryPair) -> tuple[list[PathTerm], float,
         mag += abs(value)
         terms.append(term)
     interior = set(net.interior_vertices)
-    rows = sorted(set(pair.p) | interior)
-    cols = sorted(set(pair.q) | interior)
-    sub = submatrix(k, rows, cols)
+    sub = submatrix(k, set(pair.p) | interior, set(pair.q) | interior)
     ref = float(np.linalg.det(sub))
     tol = EXPANSION_RTOL * max(abs(ref), abs(total), mag) + det_roundoff(sub)
     if abs(total - ref) > tol:

@@ -76,6 +76,17 @@ class TestForward:
         assert main(["forward", "/nonexistent.net"]) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_numerically_singular_interior_exit_3(self, tmp_path, capsys):
+        # grounded, but K(I,I) rounds to singular: 1 + 1e-17 == 1
+        net_file = tmp_path / "singular.net"
+        net_file.write_text("boundary 1\ninterior 2\nedge 1 2 1e-17\nedge 2 3 1\n")
+        assert main(["forward", str(net_file)]) == 3
+        assert capsys.readouterr() == (
+            "",
+            "error: interior block K(I,I) is numerically singular (no Cholesky factor): "
+            "its conductivities span more than float precision\n",
+        )
+
 
 @pytest.mark.parametrize(
     "command", [["forward"], ["rank"], ["invert", "{lam}"]], ids=["forward", "rank", "invert"]

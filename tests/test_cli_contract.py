@@ -11,8 +11,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import netinv
 from netinv import dtn, lattice_fixture, serialize_network
-from netinv.cli import main
+from netinv.cli import EXIT_CODES, main
 from netinv.numerics import format_matrix_text
 
 LATTICE_MAP = dtn(lattice_fixture(range(1, 13))).entries
@@ -37,6 +38,18 @@ def invert_code(workdir, lam) -> int:
     lam_file = workdir / "lam.txt"
     lam_file.write_text(format_matrix_text(lam))
     return run_quietly(["invert", str(workdir / "lattice.net"), str(lam_file)])
+
+
+def test_every_exported_exception_has_an_exit_code():
+    # main reports a fault through the first class of its MRO that
+    # EXIT_CODES names; a fault with none would escape as a traceback
+    exported = [getattr(netinv, name) for name in netinv.__all__]
+    faults = [
+        kind for kind in exported
+        if isinstance(kind, type) and issubclass(kind, Exception) and not issubclass(kind, Warning)
+    ]
+    assert netinv.RoundTripFailure in faults and netinv.InteriorNotGrounded in faults
+    assert [kind.__name__ for kind in faults if not set(kind.__mro__) & EXIT_CODES.keys()] == []
 
 
 @given(st.floats(-300, 308))

@@ -1,3 +1,4 @@
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -6,13 +7,14 @@ from hypothesis import strategies as st
 from netinv import (
     BoundaryPair,
     DtNMap,
+    InteriorNotGrounded,
     dtn,
     dtn_subdet,
     harmonic_extension,
     kirchhoff_subdet,
     lattice_fixture,
 )
-from netinv.network import RandomNetSpec, kirchhoff, random_network
+from netinv.network import Edge, Network, RandomNetSpec, kirchhoff, random_network
 from netinv.paths import enumerate_path_systems
 from oracle import perm_det, schur_identity_check
 
@@ -66,6 +68,17 @@ def test_boundary_pair_accepts_integral_indices():
     pair = BoundaryPair((np.int64(1), np.int32(3)), range(2, 4))
     assert pair == BoundaryPair((1, 3), (2, 3))
     assert all(type(i) is int for i in pair.p + pair.q)
+
+
+def test_numerically_singular_interior_block():
+    # grounded through edge 1-2, but K(I,I) = [[1 + 1e-17, -1], [-1, 1]]
+    # rounds to a singular matrix: 1 + 1e-17 == 1 in floating point
+    net = Network(1, 2, (Edge(1, 1, 2, 1e-17), Edge(2, 2, 3, 1.0)))
+    singular = r"^interior block K\(I,I\) is numerically singular .*float precision$"
+    with pytest.raises(InteriorNotGrounded, match=singular):
+        dtn(net)
+    with pytest.raises(InteriorNotGrounded, match=singular):
+        harmonic_extension(net, [1.0])
 
 
 def test_harmonic_extension_constant(lattice12):
@@ -160,9 +173,7 @@ def test_schur_identity_single_edge(single_edge):
 @given(st.integers(0, 10_000), st.randoms(use_true_random=False))
 @settings(max_examples=100, deadline=None)
 def test_schur_identity_random(seed, rnd):
-    net = random_network(
-        RandomNetSpec(n_boundary=(3, 6), n_interior=(1, 4), seed=seed, require_connected=True)
-    )
+    net = random_network(RandomNetSpec(n_boundary=(3, 6), n_interior=(1, 4), seed=seed))
     size = rnd.randint(1, min(3, net.n_boundary))
     p = tuple(sorted(rnd.sample(range(1, net.n_boundary + 1), size)))
     q = tuple(sorted(rnd.sample(range(1, net.n_boundary + 1), size)))
@@ -171,4 +182,9 @@ def test_schur_identity_random(seed, rnd):
     # determinant is not a structural zero
     assume(len(enumerate_path_systems(net, pair)) > 0 or p == q)
     assert schur_identity_check(net, pair) <= 1e-9
-    check_dtn_invariants(dtn(net))
+    # the invariants' bounds are relative to max|Lambda|, which judges
+    # nothing when a disconnected network's map is zero but for roundoff
+    graph = nx.Graph([e.pair for e in net.edges])
+    graph.add_nodes_from(range(1, net.n_vertices + 1))
+    if nx.is_connected(graph):
+        check_dtn_invariants(dtn(net))

@@ -12,7 +12,7 @@ from netinv import (
     serialize_network,
 )
 from netinv.network import Edge, Network, RandomNetSpec, kirchhoff, random_network
-from netinv.numerics import solve_spd
+from netinv.forward import _harmonic_basis
 
 
 def test_kirchhoff_single_edge():
@@ -65,9 +65,12 @@ def test_kirchhoff_diagonal_overflow_names_vertex(lattice12):
 
 
 def test_interior_block_positive_definite(lattice12):
-    # the SPD solve (Cholesky-checked) must succeed on K(I,I) of the fixtures
-    k = kirchhoff(lattice12)
-    solve_spd(k[8:, 8:], np.ones(4))
+    # the forward solve (Cholesky-checked) must succeed on K(I,I) of the
+    # fixtures, here against B^T = -1, so that X = K(I,I)^-1 1
+    c = kirchhoff(lattice12)[8:, 8:]
+    k = np.block([[np.zeros((1, 1)), -np.ones((1, 4))], [-np.ones((4, 1)), c]])
+    x = _harmonic_basis(k, 1)
+    assert np.allclose(c @ x, 1.0, rtol=0, atol=1e-12)
 
 
 def test_lattice_rejects_nonpositive():

@@ -9,20 +9,16 @@ from netinv import (
     BoundaryPair,
     DtNMap,
     InconsistentDataWarning,
-    NotPositiveDefinite,
+    InteriorNotGrounded,
     RankDeficient,
     RoundTripFailure,
     compile_topology,
     dtn,
     dtn_subdet,
 )
+from netinv.forward import _harmonic_basis
 from netinv.network import Edge, Network, kirchhoff
-from netinv.numerics import (
-    RowSpace,
-    format_matrix_text,
-    parse_matrix_text,
-    solve_spd,
-)
+from netinv.numerics import RowSpace, format_matrix_text, parse_matrix_text
 from oracle import EchelonRowSpace, perm_det
 
 
@@ -61,22 +57,36 @@ class TestLuDet:
         assert abs(got - ref) <= 1e-10 * max(abs(ref), 1.0)
 
 
+def interior_solve(m, y) -> np.ndarray:
+    """X with M X = Y through the forward solve: X = -C^-1 B^T of the
+    Kirchhoff-shaped block matrix whose interior block C is M and whose
+    B^T is -Y."""
+    y = np.asarray(y, dtype=float)
+    cols = y.reshape(len(y), -1)
+    b = cols.shape[1]
+    k = np.block([[np.zeros((b, b)), -cols.T], [-cols, np.asarray(m, dtype=float)]])
+    return _harmonic_basis(k, b).reshape(y.shape)
+
+
 class TestSolveSpd:
+    """The Cholesky-checked SPD solve behind the DtN map, the interior
+    solve of forward._harmonic_basis."""
+
     def test_scaled_identity(self):
-        x = solve_spd(2 * np.eye(3), np.eye(3))
+        x = interior_solve(2 * np.eye(3), np.eye(3))
         assert np.allclose(x, 0.5 * np.eye(3), rtol=0, atol=1e-15)
 
     def test_lattice_interior_solve_residual(self, lattice_ones):
         k = kirchhoff(lattice_ones)
         c, bt = k[8:, 8:], k[:8, 8:].T
-        x = solve_spd(c, bt)
+        x = interior_solve(c, bt)
         resid = np.max(np.abs(c @ x - bt))
         bound = 1e-10 * (np.max(np.abs(c)) * np.max(np.abs(x)) + np.max(np.abs(bt)))
         assert resid <= bound
 
     def test_indefinite_raises(self):
-        with pytest.raises(NotPositiveDefinite):
-            solve_spd([[1, 2], [2, 1]], [1, 1])
+        with pytest.raises(InteriorNotGrounded, match=r"K\(I,I\) is numerically singular"):
+            interior_solve([[1, 2], [2, 1]], [1, 1])
 
     def test_residual_bound_random_spd(self):
         rng = np.random.default_rng(7)
@@ -85,7 +95,7 @@ class TestSolveSpd:
             g = rng.normal(size=(n, n))
             m = g @ g.T + 1e-6 * np.eye(n)
             b = rng.normal(size=n)
-            x = solve_spd(m, b)
+            x = interior_solve(m, b)
             resid = np.max(np.abs(m @ x - b))
             bound = 1e-10 * (
                 np.max(np.abs(m)) * max(np.max(np.abs(x)), 1e-300) + np.max(np.abs(b))
@@ -242,3 +252,8 @@ class TestMatrixText:
     def test_rejects_garbage(self):
         with pytest.raises(ValueError):
             parse_matrix_text("2 x\n1 2\n")
+
+    @pytest.mark.parametrize("text", ["-1 -1\n5\n", "2 -1\n1 2\n", "-2 0\n"])
+    def test_rejects_negative_dimensions(self, text):
+        with pytest.raises(ValueError, match="^matrix text dimensions must be non-negative"):
+            parse_matrix_text(text)
