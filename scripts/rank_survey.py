@@ -7,7 +7,7 @@ import argparse
 from collections import Counter
 
 from netinv import compile_topology
-from netinv.network import RandomNetSpec, random_network
+from netinv.network import random_network
 
 
 def main():
@@ -21,13 +21,7 @@ def main():
 
     verdicts = Counter()
     for trial in range(args.trials):
-        spec = RandomNetSpec(
-            n_boundary=tuple(args.boundary),
-            n_interior=tuple(args.interior),
-            edge_prob=args.edge_prob,
-            seed=args.seed + trial,
-        )
-        net = random_network(spec)
+        net = random_network(args.boundary, args.interior, args.edge_prob, args.seed + trial)
         plan = compile_topology(net, stop_at_full_rank=False)
         verdict = "full" if plan.full_rank else "deficient"
         verdicts[verdict] += 1

@@ -76,7 +76,8 @@ def _harmonic_basis(k: np.ndarray, b: int) -> np.ndarray:
     column j holds the interior potentials when boundary vertex j is held
     at 1 and every other at 0, so U = [I; X] is the harmonic-extension
     basis. A grounded C = K(I,I) is positive definite, so with no
-    Cholesky factor it is numerically singular."""
+    Cholesky factor it is numerically singular; a non-finite X (from
+    subnormal conductivities, say) raises ValueError."""
     c = k[b:, b:]
     try:
         np.linalg.cholesky(c)
@@ -85,7 +86,13 @@ def _harmonic_basis(k: np.ndarray, b: int) -> np.ndarray:
             "interior block K(I,I) is numerically singular (no Cholesky factor): "
             "its conductivities span more than float precision"
         ) from None
-    return -np.linalg.solve(c, k[:b, b:].T)
+    x = -np.linalg.solve(c, k[:b, b:].T)
+    if not np.isfinite(x).all():
+        raise ValueError(
+            "interior solve C^-1 B^T is not finite: the conductivities' scale "
+            "leaves the float range"
+        )
+    return x
 
 
 def dtn(net: Network) -> DtNMap:
@@ -109,11 +116,7 @@ def harmonic_extension(net: Network, u_boundary) -> np.ndarray:
 
 def submatrix(m: np.ndarray, rows, cols) -> np.ndarray:
     """Submatrix on 1-based index sets, rows and columns ascending."""
-    r = sorted(rows)
-    c = sorted(cols)
-    idx_r = [i - 1 for i in r]
-    idx_c = [j - 1 for j in c]
-    return m[np.ix_(idx_r, idx_c)] if idx_r and idx_c else np.zeros((len(idx_r), len(idx_c)))
+    return m[np.ix_([i - 1 for i in sorted(rows)], [j - 1 for j in sorted(cols)])]
 
 
 def dtn_subdet(lam: DtNMap, pair: BoundaryPair) -> float:

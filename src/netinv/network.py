@@ -261,45 +261,35 @@ def serialize_network(net: Network) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class RandomNetSpec:
-    """Parameters for seeded random network generation; gamma is drawn
-    log-uniformly so conditioning varies across trials."""
-
-    n_boundary: tuple[int, int] = (3, 6)
-    n_interior: tuple[int, int] = (1, 4)
-    edge_prob: float = 0.5
-    gamma_range: tuple[float, float] = (0.1, 10.0)
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.gamma_range[0] <= 0:
-            raise ValueError("gamma range must be positive")
-
-
 MAX_RETRIES = 1000
 
 
-def random_network(spec: RandomNetSpec) -> Network:
+def random_network(n_boundary=(3, 6), n_interior=(1, 4), edge_prob=0.5, seed=0) -> Network:
     """Deterministic-for-seed random network satisfying all Network
-    invariants (resampled on violation, bounded retries)."""
-    rng = random.Random(spec.seed)
-    log_lo, log_hi = math.log(spec.gamma_range[0]), math.log(spec.gamma_range[1])
+    invariants (resampled on violation, bounded retries): vertex counts
+    drawn from the inclusive ranges n_boundary and n_interior, each edge
+    present with probability edge_prob, and gamma log-uniform in
+    [0.1, 10] so conditioning varies across trials."""
+    rng = random.Random(seed)
+    log_lo, log_hi = math.log(0.1), math.log(10.0)
     for _ in range(MAX_RETRIES):
-        nb = rng.randint(*spec.n_boundary)
-        ni = rng.randint(*spec.n_interior)
+        nb = rng.randint(*n_boundary)
+        ni = rng.randint(*n_interior)
         n = nb + ni
         edges = []
         for u in range(1, n + 1):
             for v in range(u + 1, n + 1):
-                if rng.random() < spec.edge_prob:
+                if rng.random() < edge_prob:
                     gamma = math.exp(rng.uniform(log_lo, log_hi))
                     edges.append(Edge(len(edges) + 1, u, v, gamma))
         try:
             return Network(nb, ni, tuple(edges))
         except NetworkError:
             pass
-    raise NetworkError(f"no valid network after {MAX_RETRIES} draws for spec {spec}")
+    raise NetworkError(
+        f"no valid network after {MAX_RETRIES} draws: "
+        f"{n_boundary=} {n_interior=} {edge_prob=} {seed=}"
+    )
 
 
 def _reach(adj: dict[int, list[int]], starts) -> set[int]:

@@ -11,9 +11,10 @@ to det K(P+I, Q+I).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator, Mapping, Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -52,14 +53,6 @@ class PathTerm:
     sign: int
     monomial: tuple[int, ...]  # edge ids on the paths, ascending
     residual_det: float
-
-    def value(self, gamma: Mapping[int, float]) -> float:
-        """The term's value, given the conductivity gamma[id] of each
-        edge id."""
-        prod = 1.0
-        for eid in self.monomial:
-            prod *= gamma[eid]
-        return self.sign * prod * self.residual_det
 
 
 def _mask(vertices) -> int:
@@ -244,11 +237,11 @@ def expand_det(net: Network, pair: BoundaryPair) -> tuple[list[PathTerm], float,
     for system in _path_systems(graph, pair):
         edge_ids, sign = _system_row(system.paths, graph.edge_id, system.residual)
         residual_det = kirchhoff_subdet(k, system.residual, system.residual)
-        term = PathTerm(system, sign, tuple(sorted(edge_ids)), residual_det)
-        value = term.value(gamma)
+        monomial = tuple(sorted(edge_ids))
+        value = sign * math.prod((gamma[eid] for eid in monomial), start=1.0) * residual_det
         total += value
         mag += abs(value)
-        terms.append(term)
+        terms.append(PathTerm(system, sign, monomial, residual_det))
     interior = set(net.interior_vertices)
     sub = submatrix(k, set(pair.p) | interior, set(pair.q) | interior)
     ref = float(np.linalg.det(sub))
@@ -396,7 +389,7 @@ def covering_families(graph: _SearchGraph, max_pair_size: int) -> dict[tuple, Op
                     ends.append(tuple(walk))
                     next_path(s, used | bit, cost, shared)
                     ends.pop()
-                if inner & bit and cost < max_pair_size:
+                if inner & bit:
                     extend(walk, path | bit, used | bit, cost + 1, shared | bit, left)
             walk.pop()
 

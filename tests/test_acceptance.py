@@ -24,7 +24,7 @@ from netinv import (
     lattice_fixture,
 )
 from netinv.forward import submatrix
-from netinv.network import RandomNetSpec, kirchhoff, random_network
+from netinv.network import kirchhoff, random_network
 from netinv.numerics import RowSpace
 from oracle import exhaustive_path_systems, perm_det
 
@@ -47,13 +47,7 @@ def subdet_product(net, p, q):
 
 def seeded_random_family():
     """The 100-network family shared by criteria 6 and 9."""
-    nets = []
-    for seed in range(100):
-        spec = RandomNetSpec(
-            n_boundary=(3, 6), n_interior=(1, 4), gamma_range=(0.1, 10.0), seed=seed
-        )
-        nets.append(random_network(spec))
-    return nets
+    return [random_network(seed=seed) for seed in range(100)]
 
 
 def random_pairs(net, rng, count=5):

@@ -25,6 +25,13 @@ from netinv.cli import main
 from netinv.network import Edge, Network
 from netinv.numerics import format_matrix_text, parse_matrix_text
 
+#: The one stderr line of a command whose interior solve leaves the
+#: float range.
+SUBNORMAL_ERROR = (
+    "error: interior solve C^-1 B^T is not finite: the conductivities' scale "
+    "leaves the float range\n"
+)
+
 
 @pytest.fixture
 def lattice_file(tmp_path, lattice12):
@@ -86,6 +93,14 @@ class TestForward:
             "error: interior block K(I,I) is numerically singular (no Cholesky factor): "
             "its conductivities span more than float precision\n",
         )
+
+    def test_subnormal_conductivities_exit_2(self, tmp_path, capsys):
+        # K(I,I) = [[2e-318]] has a Cholesky factor, yet np.linalg.solve
+        # returns a non-finite C^-1 B^T
+        net_file = tmp_path / "subnormal.net"
+        net_file.write_text("boundary 2\ninterior 1\nedge 1 3 1e-318\nedge 3 2 1e-318\n")
+        assert main(["forward", str(net_file)]) == 2
+        assert capsys.readouterr() == ("", SUBNORMAL_ERROR)
 
 
 @pytest.mark.parametrize(
@@ -287,6 +302,15 @@ class TestInvert:
         assert out == ""
         assert err.startswith("error: recovered conductivity of edge 12, exp(")
         assert err.endswith("), is beyond the float range\n") and err.count("\n") == 1
+
+    def test_subnormal_roundtrip_exit_2(self, tmp_path, lattice_file, lattice12, capsys):
+        # the map is finite; the round trip's interior solve on the
+        # recovered subnormal conductivities is not, and its error is
+        # the one line on stderr
+        lam_file = tmp_path / "lam.txt"
+        lam_file.write_text(format_matrix_text(dtn(lattice12).entries * 1e-318))
+        assert main(["invert", lattice_file, str(lam_file)]) == 2
+        assert capsys.readouterr() == ("", SUBNORMAL_ERROR)
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_roundtrip_kirchhoff_exit_2(

@@ -23,7 +23,7 @@ from netinv import (
     recover,
 )
 from netinv.inverse import LogLinearSystem
-from netinv.network import Edge, Network, RandomNetSpec, kirchhoff, random_network
+from netinv.network import Edge, Network, kirchhoff, random_network
 from netinv.numerics import RowSpace
 from oracle import EchelonRowSpace, per_row_system
 
@@ -129,7 +129,7 @@ class TestBuildSystem:
         # sizes, and many hold pairs that share a pendant boundary vertex
         mixed = shared = 0
         for seed in range(30):
-            net = random_network(RandomNetSpec((4, 7), (0, 3), edge_prob=0.3, seed=seed))
+            net = random_network((4, 7), (0, 3), 0.3, seed)
             plan = compile_topology(net, stop_at_full_rank=False)
             mixed += len({len(row.pair.p) for row in plan.rows}) > 1
             shared += any(set(row.pair.p) & set(row.pair.q) for row in plan.rows)

@@ -11,7 +11,7 @@ from netinv import (
     parse_network,
     serialize_network,
 )
-from netinv.network import Edge, Network, RandomNetSpec, kirchhoff, random_network
+from netinv.network import Edge, Network, kirchhoff, random_network
 from netinv.forward import _harmonic_basis
 
 
@@ -49,7 +49,7 @@ def test_kirchhoff_symmetric_zero_row_sums(lattice12):
 @given(st.integers(0, 10_000))
 @settings(max_examples=40, deadline=None)
 def test_kirchhoff_zero_row_sums_random(seed):
-    net = random_network(RandomNetSpec(seed=seed))
+    net = random_network(seed=seed)
     k = kirchhoff(net)
     assert np.array_equal(k, k.T)
     assert np.max(np.abs(k.sum(axis=1))) <= 1e-12 * max(np.max(np.abs(k)), 1.0)
@@ -153,7 +153,7 @@ def test_parse_serialize_roundtrip_lattice(lattice12):
 @given(st.integers(0, 10_000))
 @settings(max_examples=40, deadline=None)
 def test_parse_serialize_roundtrip_random(seed):
-    net = random_network(RandomNetSpec(seed=seed))
+    net = random_network(seed=seed)
     assert parse_network(serialize_network(net)) == net
 
 

@@ -16,7 +16,7 @@ from netinv import (
     kirchhoff_subdet,
 )
 from netinv import paths
-from netinv.network import Edge, Network, RandomNetSpec, kirchhoff, random_network
+from netinv.network import Edge, Network, kirchhoff, random_network
 from oracle import exhaustive_path_systems, is_log_linear_admissible, second_system_search, term_sign
 
 
@@ -125,7 +125,7 @@ class TestTermSign:
         # terms leave a residual, where phi is the identity
         n_terms = n_residual = n_shared = 0
         for seed in range(300):
-            net = random_network(RandomNetSpec(n_boundary=(3, 6), n_interior=(1, 4), seed=seed))
+            net = random_network(seed=seed)
             rnd = random.Random(seed)
             for _ in range(6):
                 size = rnd.randint(1, min(3, net.n_boundary))
@@ -159,7 +159,7 @@ class TestExpandDet:
     @given(st.integers(0, 10_000), st.randoms(use_true_random=False))
     @settings(max_examples=100, deadline=None)
     def test_master_identity_random(self, seed, rnd):
-        net = random_network(RandomNetSpec(n_boundary=(3, 6), n_interior=(1, 4), seed=seed))
+        net = random_network(seed=seed)
         size = rnd.randint(1, min(3, net.n_boundary))
         p = tuple(sorted(rnd.sample(range(1, net.n_boundary + 1), size)))
         q = tuple(sorted(rnd.sample(range(1, net.n_boundary + 1), size)))
@@ -176,7 +176,7 @@ class TestExpandDet:
     @given(st.integers(0, 10_000), st.randoms(use_true_random=False))
     @settings(max_examples=100, deadline=None)
     def test_enumeration_matches_exhaustive_oracle(self, seed, rnd):
-        net = random_network(RandomNetSpec(n_boundary=(3, 6), n_interior=(1, 4), seed=seed))
+        net = random_network(seed=seed)
         size = rnd.randint(1, min(3, net.n_boundary))
         p = tuple(sorted(rnd.sample(range(1, net.n_boundary + 1), size)))
         q = tuple(sorted(rnd.sample(range(1, net.n_boundary + 1), size)))
@@ -232,11 +232,7 @@ class TestAdmissibility:
 
     @pytest.mark.parametrize(
         "net",
-        [lattice_fixture([1.0] * 12)]
-        + [
-            random_network(RandomNetSpec(n_boundary=(3, 6), n_interior=(1, 4), seed=seed))
-            for seed in range(8)
-        ],
+        [lattice_fixture([1.0] * 12)] + [random_network(seed=seed) for seed in range(8)],
     )
     def test_several_systems_never_admissible(self, net):
         several = 0
@@ -383,7 +379,7 @@ class TestAdmissibleScan:
 
     @pytest.mark.parametrize("seed", range(20))
     def test_random_network_matches_oracle(self, seed):
-        net = random_network(RandomNetSpec(n_boundary=(3, 6), n_interior=(1, 4), seed=seed))
+        net = random_network(seed=seed)
         assert scan_rows(net, 3) == oracle_rows(net, 3)
 
     @pytest.mark.parametrize("seed", range(20))
@@ -395,7 +391,7 @@ class TestAdmissibleScan:
     def test_boundary_only_network_matches_oracle(self, seed):
         # no interior vertex: only the empty family and paths between
         # boundary vertices exist
-        net = random_network(RandomNetSpec(n_boundary=(3, 6), n_interior=(0, 0), seed=seed))
+        net = random_network(n_interior=(0, 0), seed=seed)
         assert scan_rows(net, 3) == oracle_rows(net, 3)
 
     def test_single_edge_matches_oracle(self, single_edge):
@@ -422,7 +418,7 @@ class TestAdmissibleScan:
 
     @pytest.mark.parametrize("seed", range(10))
     def test_family_counts_match_oracle(self, seed):
-        net = random_network(RandomNetSpec(n_boundary=(3, 6), n_interior=(0, 4), seed=seed))
+        net = random_network(n_interior=(0, 4), seed=seed)
         for size in (1, 2, 3):
             families_match_oracle(net, size)
 
@@ -430,7 +426,7 @@ class TestAdmissibleScan:
     def test_last_path_family_counts_match_oracle(self, seed):
         # at caps 1 and 2 most paths are the last; inner boundary vertices
         # let a path pass one and become the last midway
-        net = random_network(RandomNetSpec(n_boundary=(3, 6), n_interior=(1, 6), seed=seed))
+        net = random_network(n_interior=(1, 6), seed=seed)
         graph = paths._SearchGraph(net)
         assert graph.boundary & ~graph.pendants
         for size in (1, 2):
@@ -559,8 +555,7 @@ class TestSoleSystem:
     def test_random_networks(self, edge_prob, verdicts):
         totals = [0, 0]
         for seed in range(300):
-            spec = RandomNetSpec(n_boundary=(3, 7), n_interior=(0, 5), edge_prob=edge_prob, seed=seed)
-            net = random_network(spec)
+            net = random_network((3, 7), (0, 5), edge_prob, seed)
             for i, n in enumerate(sole_system_verdicts(net, net.n_boundary)):
                 totals[i] += n
         assert tuple(totals) == verdicts
