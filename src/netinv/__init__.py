@@ -9,7 +9,6 @@ from .errors import (
     InteriorNotGrounded,
     NetworkError,
     NetworkFormatError,
-    NotSparseDifference,
     RankDeficient,
     RoundTripFailure,
     TooManySystems,

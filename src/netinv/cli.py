@@ -17,7 +17,6 @@ met.
 from __future__ import annotations
 
 import argparse
-import math
 import random
 import sys
 import warnings
@@ -32,7 +31,7 @@ from .errors import (
 )
 from .forward import BoundaryPair, DtNMap, dtn
 from .inverse import compile_topology, recover
-from .network import Network, parse_network
+from .network import Network, parse_network, random_gamma
 from .numerics import format_matrix_text, parse_matrix_text
 from .paths import expand_det
 
@@ -130,10 +129,7 @@ def cmd_roundtrip(args) -> int:
     rng = random.Random(args.seed)
     worst = 0.0
     for trial in range(1, args.trials + 1):
-        gammas = [
-            math.exp(rng.uniform(math.log(0.1), math.log(10.0)))
-            for _ in range(net.n_edges)
-        ]
+        gammas = [random_gamma(rng) for _ in range(net.n_edges)]
         try:
             report = plan.apply(dtn(net.with_gammas(gammas)))
         except _FAULTS as exc:

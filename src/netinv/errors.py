@@ -55,10 +55,6 @@ class AllRowsDegenerate(RuntimeError):
     message lists the reasons."""
 
 
-class NotSparseDifference(ValueError):
-    """Row difference left the {-1, 0, 1} coefficient alphabet."""
-
-
 class RoundTripFailure(RuntimeError):
     """Recovered conductivities do not reproduce the given DtN map."""
 

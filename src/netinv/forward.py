@@ -107,10 +107,13 @@ def dtn(net: Network) -> DtNMap:
 def harmonic_extension(net: Network, u_boundary) -> np.ndarray:
     """Extend boundary potentials to the unique harmonic vector [u; X u]:
     every interior vertex takes the conductivity-weighted average of its
-    neighbors."""
+    neighbors. Every boundary potential must be finite."""
     u_b = np.asarray(u_boundary, dtype=float)
     if u_b.shape != (net.n_boundary,):
         raise ValueError(f"expected {net.n_boundary} boundary values, got {u_b.shape}")
+    bad = np.flatnonzero(~np.isfinite(u_b))
+    if bad.size:
+        raise ValueError(f"boundary potential {bad[0] + 1} is not finite: {u_b[bad[0]]}")
     return np.concatenate([u_b, _harmonic_basis(kirchhoff(net), net.n_boundary) @ u_b])
 
 

@@ -18,7 +18,6 @@ import numpy as np
 from .errors import (
     AllRowsDegenerate,
     InconsistentDataWarning,
-    NotSparseDifference,
     RankDeficient,
     RoundTripFailure,
 )
@@ -247,9 +246,9 @@ def recover(
 
 def difference_rows(sys: LogLinearSystem, i: int, j: int) -> tuple[tuple[int, ...], float]:
     """Coefficient-wise difference of rows i and j with rhs difference;
-    the log-det columns cancel. Raises NotSparseDifference if any
-    coefficient leaves {-1, 0, 1}."""
+    the log-det columns cancel. Raises ValueError if any coefficient
+    leaves {-1, 0, 1}."""
     row = tuple(a - b for a, b in zip(sys.coeffs[i], sys.coeffs[j]))
     if any(c not in (-1, 0, 1) for c in row):
-        raise NotSparseDifference(f"difference of rows {i} and {j} leaves {{-1,0,1}}: {row}")
+        raise ValueError(f"difference of rows {i} and {j} leaves {{-1,0,1}}: {row}")
     return row, sys.rhs[i] - sys.rhs[j]

@@ -117,13 +117,12 @@ def kirchhoff(net: Network) -> np.ndarray:
     ValueError if a vertex's conductivities sum beyond the float range."""
     n = net.n_vertices
     k = np.zeros((n, n))
+    ends = np.array([(e.u - 1, e.v - 1) for e in net.edges], dtype=int).reshape(-1, 2)
+    gamma = np.array([e.gamma for e in net.edges])
+    k[ends[:, 0], ends[:, 1]] = k[ends[:, 1], ends[:, 0]] = -gamma
+    # the endpoints interleaved (u1, v1, u2, v2, ...) add in edge order
     with np.errstate(over="ignore"):
-        for e in net.edges:
-            i, j = e.u - 1, e.v - 1
-            k[i, j] -= e.gamma
-            k[j, i] -= e.gamma
-            k[i, i] += e.gamma
-            k[j, j] += e.gamma
+        np.add.at(k, (ends.ravel(), ends.ravel()), np.repeat(gamma, 2))
     overflowed = np.flatnonzero(~np.isfinite(k.diagonal()))
     if overflowed.size:
         raise ValueError(
@@ -264,14 +263,18 @@ def serialize_network(net: Network) -> str:
 MAX_RETRIES = 1000
 
 
+def random_gamma(rng: random.Random) -> float:
+    """A conductivity log-uniform in [0.1, 10], from one rng.uniform draw."""
+    return math.exp(rng.uniform(math.log(0.1), math.log(10.0)))
+
+
 def random_network(n_boundary=(3, 6), n_interior=(1, 4), edge_prob=0.5, seed=0) -> Network:
     """Deterministic-for-seed random network satisfying all Network
     invariants (resampled on violation, bounded retries): vertex counts
     drawn from the inclusive ranges n_boundary and n_interior, each edge
-    present with probability edge_prob, and gamma log-uniform in
-    [0.1, 10] so conditioning varies across trials."""
+    present with probability edge_prob, and its gamma drawn by
+    random_gamma so conditioning varies across trials."""
     rng = random.Random(seed)
-    log_lo, log_hi = math.log(0.1), math.log(10.0)
     for _ in range(MAX_RETRIES):
         nb = rng.randint(*n_boundary)
         ni = rng.randint(*n_interior)
@@ -280,8 +283,7 @@ def random_network(n_boundary=(3, 6), n_interior=(1, 4), edge_prob=0.5, seed=0) 
         for u in range(1, n + 1):
             for v in range(u + 1, n + 1):
                 if rng.random() < edge_prob:
-                    gamma = math.exp(rng.uniform(log_lo, log_hi))
-                    edges.append(Edge(len(edges) + 1, u, v, gamma))
+                    edges.append(Edge(len(edges) + 1, u, v, random_gamma(rng)))
         try:
             return Network(nb, ni, tuple(edges))
         except NetworkError:

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import time
 
 import numpy as np
@@ -140,8 +141,27 @@ class TestPaths:
         assert "error" in capsys.readouterr().err
 
     def test_out_of_range_exit_2(self, lattice_file, capsys):
-        assert main(["paths", lattice_file, "--from", "9", "--to", "1"]) == 2
-        capsys.readouterr()
+        for source, error in (
+            ("9", "P index out of boundary range 1..8: (9,)"),
+            ("0", "P indices must be >= 1, got (0,)"),
+        ):
+            assert main(["paths", lattice_file, "--from", source, "--to", "1"]) == 2
+            assert capsys.readouterr() == ("", f"error: {error}\n")
+
+    def test_expansion_mismatch_exit_4(self, lattice_file, monkeypatch, capsys):
+        # doubled residual determinants double the expansion's total but
+        # not the determinant it is checked against
+        subdet = netinv.paths.kirchhoff_subdet
+        monkeypatch.setattr(
+            netinv.paths, "kirchhoff_subdet", lambda k, rows, cols: 2 * subdet(k, rows, cols)
+        )
+        assert main(["paths", lattice_file, "--from", "1", "--to", "5"]) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        found = re.fullmatch(
+            r"error: pair \(1,\)->\(5,\): expansion total (\S+) vs determinant (\S+)\n", err
+        )
+        assert found and float(found[1]) == pytest.approx(2 * float(found[2]), rel=1e-12)
 
 
 def test_search_cap_exit_2(lattice_file, monkeypatch, capsys):

@@ -115,6 +115,19 @@ def test_numerically_singular_interior_block():
         harmonic_extension(net, [1.0])
 
 
+@pytest.mark.parametrize(
+    "u_boundary, message",
+    [
+        ([np.nan] + [0.0] * 7, r"^boundary potential 1 is not finite: nan$"),
+        ([0.0] * 3 + [-np.inf] + [0.0] * 4, r"^boundary potential 4 is not finite: -inf$"),
+        ([0.0] * 7, r"^expected 8 boundary values, got \(7,\)$"),
+    ],
+)
+def test_harmonic_extension_rejects_bad_potentials(lattice12, u_boundary, message):
+    with pytest.raises(ValueError, match=message):
+        harmonic_extension(lattice12, u_boundary)
+
+
 def test_harmonic_extension_constant(lattice12):
     u = harmonic_extension(lattice12, np.full(8, 2.5))
     assert np.allclose(u, 2.5, atol=1e-12)
@@ -199,6 +212,8 @@ def test_kirchhoff_subdet_empty(lattice12):
     assert submatrix(k, (1, 2, 3), ()).shape == (3, 0)
     assert np.array_equal(submatrix(k, {10, 2}, {12, 9}), k[np.ix_([1, 9], [8, 11])])
     assert kirchhoff_subdet(k, {10, 9}, {9, 10}) == kirchhoff_subdet(k, (9, 10), (9, 10))
+    with pytest.raises(ValueError, match=r"^\|rows\| = 1 != \|cols\| = 0$"):
+        kirchhoff_subdet(k, (1,), ())
 
 
 def test_schur_identity_lattice(lattice12):

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -53,6 +55,28 @@ def test_kirchhoff_zero_row_sums_random(seed):
     k = kirchhoff(net)
     assert np.array_equal(k, k.T)
     assert np.max(np.abs(k.sum(axis=1))) <= 1e-12 * max(np.max(np.abs(k)), 1.0)
+
+
+def kirchhoff_by_edge_loop(net):
+    """The Kirchhoff matrix summed one edge at a time, in edge order."""
+    k = np.zeros((net.n_vertices, net.n_vertices))
+    for e in net.edges:
+        i, j = e.u - 1, e.v - 1
+        k[i, j] -= e.gamma
+        k[j, i] -= e.gamma
+        k[i, i] += e.gamma
+        k[j, j] += e.gamma
+    return k
+
+
+@given(st.integers(0, 10_000), st.integers(1, 7))
+@settings(max_examples=40, deadline=None)
+def test_kirchhoff_matches_edge_loop(seed, side):
+    # the same float additions in the same order: equal bit for bit
+    gammas = random.Random(seed).choices([0.1, 1 / 3, 2.0, 7.5, 1e5], k=2 * side * (side + 1))
+    lattice = lattice_fixture(range(1, 13))
+    for net in (random_network(seed=seed), grid_fixture(side, gammas), lattice):
+        assert kirchhoff(net).tobytes() == kirchhoff_by_edge_loop(net).tobytes()
 
 
 @pytest.mark.filterwarnings("error")
@@ -130,6 +154,11 @@ def test_network_rejects_ungrounded_interior():
     assert str(exc.value) == "interior vertex 4 lies in a component with no boundary vertex"
 
 
+def test_network_rejects_negative_vertex_count():
+    with pytest.raises(NetworkError, match="^vertex counts must be non-negative$"):
+        Network(2, -1, ())
+
+
 def test_network_rejects_bad_edge_ids():
     with pytest.raises(NetworkError, match="edge ids"):
         Network(2, 0, (Edge(2, 1, 2, 1.0),))
@@ -175,6 +204,21 @@ def test_parse_parallel_edge_names_line():
 def test_parse_rejects_missing_header():
     with pytest.raises(NetworkFormatError, match="header"):
         parse_network("edge 1 2 1.0\n")
+    with pytest.raises(NetworkFormatError, match="^missing 'boundary'/'interior' header$"):
+        parse_network("# comments only\n\n# no header\n")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("boundary 2\ninterior 0\nedge 1 2 x\n", r"^line 3: cannot parse edge fields \['1', '2', 'x'\]$"),
+        ("boundary 2 3\ninterior 0\n", r"^line 1: expected 'boundary <n>'$"),
+        ("boundary 2\ninterior -1\n", r"^line 2: count must be non-negative$"),
+    ],
+)
+def test_parse_rejects_malformed_fields(text, message):
+    with pytest.raises(NetworkFormatError, match=message):
+        parse_network(text)
 
 
 def test_parse_rejects_duplicate_header():
@@ -201,3 +245,5 @@ def test_with_gammas_keeps_topology(lattice12):
     net = lattice12.with_gammas([2.0] * 12)
     assert [e.pair for e in net.edges] == [e.pair for e in lattice12.edges]
     assert all(e.gamma == 2.0 for e in net.edges)
+    with pytest.raises(NetworkError, match="^expected 12 conductivities, got 11$"):
+        lattice12.with_gammas([2.0] * 11)

@@ -252,6 +252,9 @@ class TestMatrixText:
     def test_rejects_garbage(self):
         with pytest.raises(ValueError):
             parse_matrix_text("2 x\n1 2\n")
+        for text in ("", "3\n"):
+            with pytest.raises(ValueError, match="^matrix text needs a 'rows cols' header$"):
+                parse_matrix_text(text)
 
     @pytest.mark.parametrize("text", ["-1 -1\n5\n", "2 -1\n1 2\n", "-2 0\n"])
     def test_rejects_negative_dimensions(self, text):

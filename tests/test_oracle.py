@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from netinv import BoundaryPair, DtNMap, dtn, dtn_subdet, enumerate_path_systems
+from netinv import BoundaryPair, DtNMap, NetworkError, dtn, dtn_subdet, enumerate_path_systems
 from netinv.network import Edge, Network, kirchhoff, random_network
 from oracle import exhaustive_path_systems, perm_det
 
@@ -74,6 +74,11 @@ class TestRandomNetwork:
     def test_gamma_range_respected(self):
         nets = [random_network(seed=seed) for seed in range(100)]
         assert all(0.1 <= e.gamma <= 10.0 for net in nets for e in net.edges)
+
+    def test_gives_up_when_no_draw_is_grounded(self):
+        # a lone interior vertex with no boundary to join is never grounded
+        with pytest.raises(NetworkError, match="^no valid network after 1000 draws: "):
+            random_network(n_boundary=(0, 0), n_interior=(1, 1))
 
     def test_no_interior_dtn_equals_kirchhoff(self):
         net = random_network(n_interior=(0, 0), seed=5)
