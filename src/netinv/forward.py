@@ -136,7 +136,18 @@ def det_roundoff(m: np.ndarray) -> float:
 
 
 def kirchhoff_subdet(k: np.ndarray, rows, cols) -> float:
-    """Signed det K(rows, cols); the empty submatrix has determinant 1."""
+    """Signed det K(rows, cols); the empty submatrix has determinant 1.
+    An index that is not an integer in 1..n, or is given twice, raises
+    ValueError."""
     if len(rows) != len(cols):
         raise ValueError(f"|rows| = {len(rows)} != |cols| = {len(cols)}")
+    n = len(k)
+    for name, indices in (("row", rows), ("column", cols)):
+        seen = set()
+        for i in indices:
+            if not (isinstance(i, (int, np.integer)) and 1 <= i <= n):
+                raise ValueError(f"{name} index {i!r} is not in 1..{n}")
+            if i in seen:
+                raise ValueError(f"{name} index {i} is repeated")
+            seen.add(i)
     return float(np.linalg.det(submatrix(k, rows, cols)))

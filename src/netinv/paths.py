@@ -145,11 +145,106 @@ class _SearchGraph:
         except RecursionError:
             raise TooManySystems(_TOO_DEEP) from None
 
-    def sole_system(self, p_mask: int, q_mask: int, family) -> Optional[tuple]:
+    def rungs(self, family) -> Optional[tuple]:
+        """The rung table (starts, same, opposite) of a chordless covering
+        family (per path, its vertices from its lower end), or None when
+        its rungs, the edges between two of its paths (path ends
+        included), join the paths in a cycle. Two rungs x1-y1 and x2-y2 of
+        a pair of paths cross when, with the paths run as a core runs
+        them, x1 comes before x2 on one path and y2 before y1 on the other;
+        so whether a pair has crossing rungs depends only on whether its
+        paths run the same way. `starts` is the bitmask of the paths' lower
+        ends; `same` and `opposite` hold the bitmask of the two lower ends
+        of each pair whose rungs cross when its paths run the same way, or
+        opposite ways."""
+        masks, n = self.masks, len(family)
+        ladders = [(0, 1)] if n == 2 else []  # the pairs of paths that rungs may join
+        if n > 2:  # two paths close no cycle
+            spans, arounds = [], []
+            for path in family:
+                span = around = 0
+                for u in path:
+                    span |= 1 << u
+                    around |= masks[u]
+                spans.append(span)
+                arounds.append(around)
+            tree = list(range(n))  # per path, one path of its tree
+            for b in range(1, n):
+                for a in range(b):
+                    if arounds[a] & spans[b]:
+                        if tree[a] == tree[b]:
+                            return None
+                        joined = tree[b]
+                        tree = [tree[a] if t == joined else t for t in tree]
+                        ladders.append((a, b))
+        before, spans, starts = {}, [0], 0  # before[u]: the vertices before u on its path
+        for path in family:
+            starts |= 1 << path[0]
+        for path in family[1:]:
+            prefix = 0
+            for u in path:
+                before[u] = prefix
+                prefix |= 1 << u
+            spans.append(prefix)
+        same, opposite = [], []
+        for a, b in ladders:
+            # along path a, `seen` gathers the ends on path b of the rungs so
+            # far: a rung that meets path b before one of them crosses it
+            # when the paths run the same way (bit 1 of `crossed`), one that
+            # meets path b after it when they run opposite ways (bit 2)
+            span, seen, crossed = spans[b], 0, 0
+            for u in family[a]:
+                hit = masks[u] & span
+                if hit:
+                    rest = hit
+                    while rest:
+                        low = rest & -rest
+                        rest ^= low
+                        behind = before[low.bit_length() - 1]
+                        if seen & ~behind & ~low:
+                            crossed |= 1
+                        if seen & behind:
+                            crossed |= 2
+                    seen |= hit
+            ends = 1 << family[a][0] | 1 << family[b][0]
+            if crossed & 1:
+                same.append(ends)
+            if crossed & 2:
+                opposite.append(ends)
+        return starts, same, opposite
+
+    def sole_system(self, p_mask: int, q_mask: int, family, rungs) -> Optional[tuple]:
         """The paths of the core (p_mask, q_mask), each from P to Q and
         ordered by source, when `family`, its one chordless covering family
         (per path, its vertices from its lower end), is its only path
-        system, else None. Any other system leaves a vertex of
+        system, else None; `rungs` is the family's rung table.
+
+        Crossing rungs x1-y1 and x2-y2 give a second system: the first
+        path up to x1, the rung and the second path on from y1; the second
+        path up to y2, the rung and the first path on from x2. With no
+        crossing and the paths joined by rungs a forest, the family is the
+        only system: a second one gives a cycle in the family's residual
+        graph, which in a forest steps to a neighboring path and straight
+        back, and between paths whose rungs do not cross that step cuts
+        out, until nothing is left. So a few bit tests decide the core
+        when the family's rungs form a forest; when they close a cycle of
+        paths, the search of _no_second_system does."""
+        if rungs is not None:
+            starts, same, opposite = rungs
+            forward = p_mask & starts  # the lower ends of the paths that run from them
+            for ends in same:
+                if (forward & ends).bit_count() != 1:
+                    return None
+            for ends in opposite:
+                if (forward & ends).bit_count() == 1:
+                    return None
+        paths = tuple(sorted(path if p_mask >> path[0] & 1 else path[::-1] for path in family))
+        return paths if rungs is not None or self._no_second_system(paths, p_mask | q_mask) else None
+
+    def _no_second_system(self, paths, pq_mask: int) -> bool:
+        """Whether `paths`, a chordless covering family run from P to Q
+        and ordered by source, is the only path system of its core, whose
+        P + Q has bitmask `pq_mask`. Any other system leaves a vertex of
         A = I + (P&Q) out, or has a chord whose shortcut does; so, by
         Menger's theorem, there is one iff some path s = v_0, ..., v_m, t
         has an augmenting path from s to t around one of v_1..v_m in the
@@ -160,14 +255,13 @@ class _SearchGraph:
         launch l = 0..m-1 adds v_l to one growing search that never walks
         along the path, and touching a v_i with i >= l + 2 finds one."""
         masks = self.masks
-        paths = sorted(path if p_mask >> path[0] & 1 else path[::-1] for path in family)
         before = {}  # before[u]: the vertices preceding u on its path
         for path in paths:
             prefix = 0
             for u in path:
                 before[u] = prefix
                 prefix |= 1 << u
-        used = p_mask | q_mask | self.interior  # the family covers I and passes P and Q
+        used = pq_mask | self.interior  # the family covers I and passes P and Q
         for path in paths:
             far = before[path[-1]] ^ 1 << path[0] | 1 << path[-1]  # the path past v_(l+1)
             others, reached = used & ~far & ~(1 << path[0]), 0
@@ -181,7 +275,7 @@ class _SearchGraph:
                         step |= masks[low.bit_length() - 1]
                         frontier ^= low
                     if step & far:
-                        return None
+                        return False
                     hit = step & others
                     while hit:
                         low = hit & -hit
@@ -189,7 +283,7 @@ class _SearchGraph:
                         hit ^= low
                     frontier &= ~reached
                     reached |= frontier
-        return tuple(paths)
+        return True
 
 
 def enumerate_path_systems(net: Network, pair: BoundaryPair) -> list[PathSystem]:
@@ -412,19 +506,29 @@ def admissible_rows(net: Network, max_pair_size: int) -> Iterator[AdmissibleRow]
     unique system covers I, passes through every other shared vertex and
     has no chord, so its core has exactly one chordless covering family
     (covering_families). Each of those cores is checked once for a
-    second system, by one growing search per path
-    (_SearchGraph.sole_system). Each core whose family is its only system
-    gives its edge ids and sign once, and the candidates of a size by
-    adding shared pendant vertices that are not joined to each other;
-    candidates are built one size at a time, so the sizes a caller never
-    reaches cost nothing beyond the walk and the checks.
+    second system (_SearchGraph.sole_system). The cores of one family
+    differ only in which way each path runs, so the family's rungs, the
+    edges between two of its paths, are read once into a table: when the
+    paths joined by rungs form a forest, a few bit tests per core drop it
+    on a crossing pair of rungs or keep it, and only the cores of a family
+    whose rungs close a cycle of paths go to the growing search. Each
+    core whose family is its only system gives its edge ids and sign
+    once, and the candidates of a size by adding shared pendant vertices
+    that are not joined to each other; candidates are built one size at a
+    time, so the sizes a caller never reaches cost nothing beyond the
+    walk and the checks.
     """
     graph = _SearchGraph(net)
     masks, edge_id, pendants = graph.masks, graph.edge_id, graph.boundary & graph.pendants
     pendant_edge = {r: edge_id[r, w] for r in _vertices(pendants) for w, _ in graph.steps[r]}
     cores = []  # per core found unique: |P|, P, Q, free pendants, odd ones, edge ids, sign
+    last = None  # covering_families lists the cores of one family in a run
     for (p_mask, q_mask), family in covering_families(graph, max_pair_size).items():
-        paths = None if family is None else graph.sole_system(p_mask, q_mask, family)
+        if family is None:
+            continue
+        if family is not last:
+            last, rungs = family, graph.rungs(family)
+        paths = graph.sole_system(p_mask, q_mask, family, rungs)
         if paths is not None:
             free = _vertices(pendants & ~(p_mask | q_mask))
             # adding r flips the sign by (-1)^(r's row + column position), I lying above r

@@ -216,6 +216,24 @@ def test_kirchhoff_subdet_empty(lattice12):
         kirchhoff_subdet(k, (1,), ())
 
 
+@pytest.mark.parametrize(
+    "rows, cols, message",
+    [
+        # 0 would become index -1 and read vertex 12's diagonal
+        ((0,), (0,), r"^row index 0 is not in 1\.\.12$"),
+        ((13,), (13,), r"^row index 13 is not in 1\.\.12$"),
+        ((1, 2), (3, -1), r"^column index -1 is not in 1\.\.12$"),
+        ((1.5,), (2,), r"^row index 1\.5 is not in 1\.\.12$"),
+        # a repeated index would give the determinant of a singular matrix
+        ((1, 1), (2, 3), r"^row index 1 is repeated$"),
+        ((2, 3), (4, 4), r"^column index 4 is repeated$"),
+    ],
+)
+def test_kirchhoff_subdet_rejects_bad_indices(lattice12, rows, cols, message):
+    with pytest.raises(ValueError, match=message):
+        kirchhoff_subdet(kirchhoff(lattice12), rows, cols)
+
+
 def test_schur_identity_lattice(lattice12):
     assert schur_identity_check(lattice12, BoundaryPair((1, 2), (5, 6))) <= 1e-10
 

@@ -510,18 +510,34 @@ class TestAdmissibleScan:
 
 def sole_system_verdicts(net, max_size):
     """The numbers of one-family cores with |P| <= max_size and of those
-    kept, after checking that the per-path search keeps each exactly when
-    the second-system search finds its family to be its only system, and
+    kept, after checking that sole_system keeps each exactly when the
+    second-system search finds its family to be its only system, and
     with that system."""
     graph = paths._SearchGraph(net)
     families = {core: f for core, f in covering_families(net, max_size).items() if f is not None}
     kept = 0
     for (p_mask, q_mask), family in families.items():
-        sole = graph.sole_system(p_mask, q_mask, family)
+        sole = graph.sole_system(p_mask, q_mask, family, graph.rungs(family))
         system = second_system_search(graph, p_mask, q_mask)
         assert sole == (None if system is None else system[0])
         kept += sole is not None
     return len(families), kept
+
+
+def decided_by_rule_and_search(net, max_size, monkeypatch):
+    """The numbers of one-family cores with |P| <= max_size that
+    sole_system decides from the rung table alone and by the search,
+    after checking every verdict with sole_system_verdicts."""
+    searched = []
+    search = paths._SearchGraph._no_second_system
+
+    def counted(graph, *args):
+        searched.append(args)
+        return search(graph, *args)
+
+    monkeypatch.setattr(paths._SearchGraph, "_no_second_system", counted)
+    n_cores = sole_system_verdicts(net, max_size)[0]
+    return n_cores - len(searched), len(searched)
 
 
 def two_paths_network(*extra):
@@ -539,8 +555,9 @@ def long_path_network(*extra):
 
 
 class TestSoleSystem:
-    """The per-path search agrees with the second-system search on every
-    core it is asked about: those with one chordless covering family."""
+    """sole_system, by its rung table or by its search, agrees with the
+    second-system search on every core it is asked about: those with one
+    chordless covering family."""
 
     def test_lattice(self, lattice_ones):
         assert sole_system_verdicts(lattice_ones, 8) == (136, 136)
@@ -598,8 +615,69 @@ class TestSoleSystem:
         assert sorted(residuals) == [(), skipped]
         graph = paths._SearchGraph(net)
         assert second_system_search(graph, *core) is None
-        assert graph.sole_system(*core, family) is None
+        assert graph.sole_system(*core, family, graph.rungs(family)) is None
         # (1,4;2,3), the same family with 2-8-9-4 run the other way, has
         # no second system
         assert sole_system_verdicts(net, 2) == verdicts
         assert scan_rows(net, 2) == oracle_rows(net, 2)
+
+    @pytest.mark.parametrize(
+        "rungs, same, opposite, kept, rejected",
+        [
+            # 5-9 and 7-8 cross when both paths run from their lower ends:
+            # 1-5-9-4, 2-8-7-3 is a second system that leaves 6 out
+            (((5, 9), (7, 8)), [0b110], [], (0b10010, 0b1100), (0b110, 0b11000)),
+            # 5-8 and 7-9 cross when 2-8-9-4 runs from 4: 1-5-8-2,
+            # 4-9-7-3 is a second system that leaves 6 out
+            (((5, 8), (7, 9)), [], [0b110], (0b110, 0b11000), (0b10010, 0b1100)),
+        ],
+    )
+    def test_two_crossing_rungs(self, monkeypatch, rungs, same, opposite, kept, rejected):
+        net = long_path_network(*rungs)
+        families = families_match_oracle(net, 2)
+        family = families[kept]
+        assert family == ((1, 5, 6, 7, 3), (2, 8, 9, 4))
+        assert families[rejected] is family
+        graph = paths._SearchGraph(net)
+        assert graph.rungs(family) == (0b110, same, opposite)
+        assert graph.sole_system(*kept, family, graph.rungs(family)) is not None
+        assert graph.sole_system(*rejected, family, graph.rungs(family)) is None
+        assert decided_by_rule_and_search(net, 2, monkeypatch) == (2, 0)
+        assert scan_rows(net, 2) == oracle_rows(net, 2)
+
+    def test_triangle_of_rungs_goes_to_the_search(self, monkeypatch):
+        # paths 1-7-4, 2-8-5 and 3-9-6, each pair joined by one rung
+        pairs = [(1, 7), (4, 7), (2, 8), (5, 8), (3, 9), (6, 9), (7, 8), (8, 9), (7, 9)]
+        net = Network(6, 3, tuple(Edge(i, u, v, 1.0) for i, (u, v) in enumerate(pairs, start=1)))
+        family = families_match_oracle(net, 3)[(0b1110, 0b1110000)]
+        assert family == ((1, 7, 4), (2, 8, 5), (3, 9, 6))
+        graph = paths._SearchGraph(net)
+        assert graph.rungs(family) is None
+        # the table decides the 24 cores of one- and two-path families; the
+        # search the four ways to run this family from path 1's lower end
+        assert decided_by_rule_and_search(net, 3, monkeypatch) == (24, 4)
+        assert scan_rows(net, 3) == oracle_rows(net, 3)
+
+    def test_one_path_is_kept_with_no_search(self, monkeypatch):
+        net = Network(2, 2, (Edge(1, 1, 3, 1.0), Edge(2, 3, 4, 1.0), Edge(3, 2, 4, 1.0)))
+        family = families_match_oracle(net, 1)[(0b10, 0b100)]
+        assert family == ((1, 3, 4, 2),)
+        graph = paths._SearchGraph(net)
+        assert graph.rungs(family) == (0b10, [], [])
+        assert graph.sole_system(0b10, 0b100, family, graph.rungs(family)) == family
+        assert decided_by_rule_and_search(net, 1, monkeypatch) == (1, 0)
+
+    @pytest.mark.parametrize(
+        "fixture, size, split",
+        [
+            # the lattice's 3- and 4-path families close cycles of rungs
+            ("lattice_ones", 8, (64, 72)),
+            # the grid's 3-path families are forests; at |P| <= 4 each
+            # 4-path family closes a cycle
+            ("grid3", 3, (928, 0)),
+            ("grid3", 4, (928, 1408)),
+        ],
+    )
+    def test_rule_and_search_split(self, request, monkeypatch, fixture, size, split):
+        net = request.getfixturevalue(fixture)
+        assert decided_by_rule_and_search(net, size, monkeypatch) == split
