@@ -246,8 +246,11 @@ def recover(
 
 def difference_rows(sys: LogLinearSystem, i: int, j: int) -> tuple[tuple[int, ...], float]:
     """Coefficient-wise difference of rows i and j with rhs difference;
-    the log-det columns cancel. Raises ValueError if any coefficient
-    leaves {-1, 0, 1}."""
+    the log-det columns cancel. Raises ValueError if an index is not an
+    integer in 0..len - 1 or any coefficient leaves {-1, 0, 1}."""
+    for k in (i, j):
+        if not (isinstance(k, (int, np.integer)) and 0 <= k < len(sys.coeffs)):
+            raise ValueError(f"row index {k!r} is not in 0..{len(sys.coeffs) - 1}")
     row = tuple(a - b for a, b in zip(sys.coeffs[i], sys.coeffs[j]))
     if any(c not in (-1, 0, 1) for c in row):
         raise ValueError(f"difference of rows {i} and {j} leaves {{-1,0,1}}: {row}")

@@ -177,9 +177,8 @@ class _SearchGraph:
                         joined = tree[b]
                         tree = [tree[a] if t == joined else t for t in tree]
                         ladders.append((a, b))
-        before, spans, starts = {}, [0], 0  # before[u]: the vertices before u on its path
-        for path in family:
-            starts |= 1 << path[0]
+        before, spans = {}, [0]  # before[u]: the vertices before u on its path
+        starts = _mask(path[0] for path in family)
         for path in family[1:]:
             prefix = 0
             for u in path:
@@ -213,11 +212,10 @@ class _SearchGraph:
                 opposite.append(ends)
         return starts, same, opposite
 
-    def sole_system(self, p_mask: int, q_mask: int, family, rungs) -> Optional[tuple]:
-        """The paths of the core (p_mask, q_mask), each from P to Q and
-        ordered by source, when `family`, its one chordless covering family
-        (per path, its vertices from its lower end), is its only path
-        system, else None; `rungs` is the family's rung table.
+    def sole_system(self, p_mask: int, q_mask: int, family, rungs) -> bool:
+        """Whether `family`, the one chordless covering family of the core
+        (p_mask, q_mask) (per path, its vertices from its lower end), is
+        its only path system; `rungs` is the family's rung table.
 
         Crossing rungs x1-y1 and x2-y2 give a second system: the first
         path up to x1, the rung and the second path on from y1; the second
@@ -229,31 +227,28 @@ class _SearchGraph:
         out, until nothing is left. So a few bit tests decide the core
         when the family's rungs form a forest; when they close a cycle of
         paths, the search of _no_second_system does."""
-        if rungs is not None:
-            starts, same, opposite = rungs
-            forward = p_mask & starts  # the lower ends of the paths that run from them
-            for ends in same:
-                if (forward & ends).bit_count() != 1:
-                    return None
-            for ends in opposite:
-                if (forward & ends).bit_count() == 1:
-                    return None
-        paths = tuple(sorted(path if p_mask >> path[0] & 1 else path[::-1] for path in family))
-        return paths if rungs is not None or self._no_second_system(paths, p_mask | q_mask) else None
+        if rungs is None:
+            paths = [path if p_mask >> path[0] & 1 else path[::-1] for path in family]
+            return self._no_second_system(paths, p_mask | q_mask)
+        starts, same, opposite = rungs
+        forward = p_mask & starts  # the lower ends of the paths that run from them
+        return all((forward & ends).bit_count() == 1 for ends in same) and not any(
+            (forward & ends).bit_count() == 1 for ends in opposite
+        )
 
     def _no_second_system(self, paths, pq_mask: int) -> bool:
-        """Whether `paths`, a chordless covering family run from P to Q
-        and ordered by source, is the only path system of its core, whose
-        P + Q has bitmask `pq_mask`. Any other system leaves a vertex of
-        A = I + (P&Q) out, or has a chord whose shortcut does; so, by
-        Menger's theorem, there is one iff some path s = v_0, ..., v_m, t
-        has an augmenting path from s to t around one of v_1..v_m in the
-        split-vertex residual graph of the other paths, where entering a
-        used vertex (a sink too) leads back to the out-side of every vertex
-        before it on its path, its source included. With no chord, such a
-        route leaves the path at some v_l and comes back past v_(l+1): so
-        launch l = 0..m-1 adds v_l to one growing search that never walks
-        along the path, and touching a v_i with i >= l + 2 finds one."""
+        """Whether `paths`, a chordless covering family run from P to Q,
+        is the only path system of its core, whose P + Q has bitmask
+        `pq_mask`. Any other system leaves a vertex of A = I + (P&Q) out,
+        or has a chord whose shortcut does; so, by Menger's theorem, there
+        is one iff some path s = v_0, ..., v_m, t has an augmenting path
+        from s to t around one of v_1..v_m in the split-vertex residual
+        graph of the other paths, where entering a used vertex (a sink too)
+        leads back to the out-side of every vertex before it on its path,
+        its source included. With no chord, such a route leaves the path
+        at some v_l and comes back past v_(l+1): so launch l = 0..m-1 adds
+        v_l to one growing search that never walks along the path, and
+        touching a v_i with i >= l + 2 finds one."""
         masks = self.masks
         before = {}  # before[u]: the vertices preceding u on its path
         for path in paths:
@@ -314,6 +309,26 @@ def _path_systems(graph: _SearchGraph, pair: BoundaryPair) -> list[PathSystem]:
     return systems
 
 
+def _term_sign(p_mask: int, q_mask: int, ends) -> int:
+    """The sign of an expansion term of the pair with vertex masks
+    (p_mask, q_mask) whose paths join the (source, sink) pairs `ends`:
+    (-1)^(number of paths), times the sign of the sinks in source order,
+    times (-1)^|{u in P^Q : u < v}| per shared vertex v in P&Q. This holds
+    because every interior vertex is numbered above every boundary
+    vertex: the rows P + I and the columns Q + I both end in I, and moving
+    each shared vertex behind the sources and the sinks gives its factor.
+    Then, with each sink standing in for the source of its rank, a cycle
+    of the sinks' permutation is one cycle of the term's bijection, and
+    K's -gamma on each of its edges leaves -1. A path's route and length
+    drop out, and so does whether a shared vertex lies on a path."""
+    moved, odd, placed = p_mask ^ q_mask, len(ends), 0
+    for _, t in sorted(ends):
+        odd += (placed >> t).bit_count()  # the sinks above t placed before it
+        placed |= 1 << t
+    odd += sum((moved & ((1 << v) - 1)).bit_count() for v in _vertices(p_mask & q_mask))
+    return -1 if odd & 1 else 1
+
+
 def expand_det(net: Network, pair: BoundaryPair) -> tuple[list[PathTerm], float, float]:
     """Evaluate the disjoint-path expansion of det K(P+I, Q+I).
 
@@ -324,14 +339,15 @@ def expand_det(net: Network, pair: BoundaryPair) -> tuple[list[PathTerm], float,
     k = kirchhoff(net)
     pair.validate_for(net.n_boundary)
     graph = _SearchGraph(net)
+    p_mask, q_mask = _mask(pair.p), _mask(pair.q)
     gamma = {e.id: e.gamma for e in net.edges}
     terms: list[PathTerm] = []
-    total = 0.0
-    mag = 0.0
+    total = mag = 0.0
     for system in _path_systems(graph, pair):
-        edge_ids, sign = _system_row(system.paths, graph.edge_id, system.residual)
+        sign = _term_sign(p_mask, q_mask, [(path[0], path[-1]) for path in system.paths])
         residual_det = kirchhoff_subdet(k, system.residual, system.residual)
-        monomial = tuple(sorted(edge_ids))
+        steps = (e for path in system.paths for e in zip(path, path[1:]))
+        monomial = tuple(sorted(graph.edge_id[e] for e in steps))
         value = sign * math.prod((gamma[eid] for eid in monomial), start=1.0) * residual_det
         total += value
         mag += abs(value)
@@ -507,63 +523,44 @@ def admissible_rows(net: Network, max_pair_size: int) -> Iterator[AdmissibleRow]
     has no chord, so its core has exactly one chordless covering family
     (covering_families). Each of those cores is checked once for a
     second system (_SearchGraph.sole_system). The cores of one family
-    differ only in which way each path runs, so the family's rungs, the
-    edges between two of its paths, are read once into a table: when the
+    differ only in which way each path runs, so the family's edge ids and
+    rungs, the edges between two of its paths, are read once: when the
     paths joined by rungs form a forest, a few bit tests per core drop it
     on a crossing pair of rungs or keep it, and only the cores of a family
-    whose rungs close a cycle of paths go to the growing search. Each
-    core whose family is its only system gives its edge ids and sign
-    once, and the candidates of a size by adding shared pendant vertices
-    that are not joined to each other; candidates are built one size at a
-    time, so the sizes a caller never reaches cost nothing beyond the
-    walk and the checks.
+    whose rungs close a cycle of paths go to the growing search. A core
+    whose family is its only system gives the candidates of a size by
+    adding shared pendant vertices not joined to each other, each signed
+    by _term_sign from its own pair and its paths' ends. Candidates are
+    built one size at a time, so the sizes a caller never reaches cost
+    nothing beyond the walk and the checks.
     """
     graph = _SearchGraph(net)
     masks, edge_id, pendants = graph.masks, graph.edge_id, graph.boundary & graph.pendants
     pendant_edge = {r: edge_id[r, w] for r in _vertices(pendants) for w, _ in graph.steps[r]}
-    cores = []  # per core found unique: |P|, P, Q, free pendants, odd ones, edge ids, sign
+    cores = []  # per core found unique: |P|, P, Q, free pendants, path ends, edge ids
     last = None  # covering_families lists the cores of one family in a run
     for (p_mask, q_mask), family in covering_families(graph, max_pair_size).items():
         if family is None:
             continue
         if family is not last:
             last, rungs = family, graph.rungs(family)
-        paths = graph.sole_system(p_mask, q_mask, family, rungs)
-        if paths is not None:
-            free = _vertices(pendants & ~(p_mask | q_mask))
-            # adding r flips the sign by (-1)^(r's row + column position), I lying above r
-            odd = _mask(r for r in free if ((p_mask ^ q_mask) & ((1 << r) - 1)).bit_count() & 1)
+            edge_ids = [edge_id[e] for path in family for e in zip(path, path[1:])]
+            tips = [(path[0], path[-1]) for path in family]
+        if graph.sole_system(p_mask, q_mask, family, rungs):
+            ends = [(s, t) if p_mask >> s & 1 else (t, s) for s, t in tips]
             p, q = _vertices(p_mask), _vertices(q_mask)
-            cores.append((len(p), p, q, free, odd, *_system_row(paths, edge_id, ())))
+            cores.append((len(p), p, q, _vertices(pendants & ~(p_mask | q_mask)), ends, edge_ids))
     for size in range(1, max_pair_size + 1):
         candidates = []
-        for k, p, q, free, odd, edge_ids, sign in cores:
+        for k, p, q, free, ends, edge_ids in cores:
             if k > size:
                 continue
             for extra in combinations(free, size - k):
                 shared = _mask(extra)
                 if not any(masks[r] & shared for r in extra):
                     row_p, row_q = tuple(sorted(p + extra)), tuple(sorted(q + extra))
-                    candidates.append((row_p, row_q, extra, odd & shared, edge_ids, sign))
+                    candidates.append((row_p, row_q, extra, ends, edge_ids))
         candidates.sort()
-        for p, q, extra, flips, edge_ids, sign in candidates:
+        for p, q, extra, ends, edge_ids in candidates:
             edges = tuple(sorted(edge_ids + [pendant_edge[r] for r in extra]))
-            yield AdmissibleRow(BoundaryPair(p, q), edges, -sign if flips.bit_count() & 1 else sign)
-
-
-def _system_row(paths, edge_id, residual) -> tuple[list[int], int]:
-    """The edge ids on a path system's paths, each from P to Q, and its
-    expansion term sign. The system induces a bijection phi from the rows
-    P + I to the columns Q + I, both ascending: each path maps every
-    vertex to its successor, and phi is the identity on the residual.
-    The sign is sign(phi), from its inversions, times (-1)^(edge count)."""
-    phi, edge_ids = {r: r for r in residual}, []
-    for path in paths:
-        for a, b in zip(path, path[1:]):
-            phi[a] = b
-            edge_ids.append(edge_id[a, b])
-    placed = inversions = 0  # the columns phi has hit so far
-    for r in sorted(phi):
-        inversions += (placed >> phi[r]).bit_count()
-        placed |= 1 << phi[r]
-    return edge_ids, -1 if (inversions + len(edge_ids)) & 1 else 1
+            yield AdmissibleRow(BoundaryPair(p, q), edges, _term_sign(_mask(p), _mask(q), ends))

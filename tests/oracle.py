@@ -8,7 +8,8 @@ form.
 The brute-force references share no determinant or path-walking code
 with the modules they check; independence is the point. Factorial cost
 is fine, size caps are hard errors. term_sign counts the cycles of the
-bijection a system induces, where the package counts its inversions.
+bijection a system induces, where the package reads the sign from the
+paths' endpoints.
 The second-system search walks path systems with the package's
 enumeration walk (itself checked against the exhaustive search), which
 shares no code with the per-path search it checks, and the per-pair

@@ -388,6 +388,20 @@ class TestDifferenceRows:
         with pytest.raises(ValueError, match=r"difference of rows 0 and 1 leaves \{-1,0,1\}: \(2, -1\)"):
             difference_rows(sys, 0, 1)
 
+    @pytest.mark.parametrize(
+        "i, j, message",
+        [
+            # -1 would wrap around to the last row
+            (-1, 0, r"^row index -1 is not in 0\.\.1$"),
+            (0, 2, r"^row index 2 is not in 0\.\.1$"),
+            (1.0, 0, r"^row index 1\.0 is not in 0\.\.1$"),
+        ],
+    )
+    def test_rejects_bad_indices(self, i, j, message):
+        sys = LogLinearSystem(((1, 0), (0, 1)), (0.0, 0.0), (None, None))
+        with pytest.raises(ValueError, match=message):
+            difference_rows(sys, i, j)
+
     def test_appending_difference_preserves_solution(self, lattice12):
         # a difference row lies in the rows' span, so apply's solution
         # satisfies it as it satisfies the rows themselves

@@ -120,6 +120,17 @@ class TestTermSign:
         assert sorted(signs.values()) == [-1, 1]
         assert signs[((1, 9, 12, 6), (5, 11, 10, 2))] == -1
 
+    def test_sign_reads_only_the_ends(self):
+        # (1,3;2,3) has two systems joining 1 to 2: 1-3-2, two edges with
+        # the shared vertex 3 on the path, and 1-4-5-2, three edges with 3
+        # in the residual; both terms have the same sign
+        pairs = [(1, 3), (2, 3), (1, 4), (4, 5), (5, 2)]
+        net = Network(3, 2, tuple(Edge(i, u, v, 1.0) for i, (u, v) in enumerate(pairs, start=1)))
+        pair = BoundaryPair((1, 3), (2, 3))
+        systems = {(s.paths, s.residual) for s in enumerate_path_systems(net, pair)}
+        assert systems == {(((1, 3, 2),), (4, 5)), (((1, 4, 5, 2),), (3,))}
+        assert term_signs(net, pair) == {((1, 3, 2),): -1, ((1, 4, 5, 2),): -1}
+
     def test_random_expansions(self):
         # p and q are drawn apart, so they often share vertices, and most
         # terms leave a residual, where phi is the identity
@@ -511,16 +522,14 @@ class TestAdmissibleScan:
 def sole_system_verdicts(net, max_size):
     """The numbers of one-family cores with |P| <= max_size and of those
     kept, after checking that sole_system keeps each exactly when the
-    second-system search finds its family to be its only system, and
-    with that system."""
+    second-system search finds its family to be its only system."""
     graph = paths._SearchGraph(net)
     families = {core: f for core, f in covering_families(net, max_size).items() if f is not None}
     kept = 0
     for (p_mask, q_mask), family in families.items():
         sole = graph.sole_system(p_mask, q_mask, family, graph.rungs(family))
-        system = second_system_search(graph, p_mask, q_mask)
-        assert sole == (None if system is None else system[0])
-        kept += sole is not None
+        assert sole is (second_system_search(graph, p_mask, q_mask) is not None)
+        kept += sole
     return len(families), kept
 
 
@@ -615,7 +624,7 @@ class TestSoleSystem:
         assert sorted(residuals) == [(), skipped]
         graph = paths._SearchGraph(net)
         assert second_system_search(graph, *core) is None
-        assert graph.sole_system(*core, family, graph.rungs(family)) is None
+        assert graph.sole_system(*core, family, graph.rungs(family)) is False
         # (1,4;2,3), the same family with 2-8-9-4 run the other way, has
         # no second system
         assert sole_system_verdicts(net, 2) == verdicts
@@ -640,8 +649,8 @@ class TestSoleSystem:
         assert families[rejected] is family
         graph = paths._SearchGraph(net)
         assert graph.rungs(family) == (0b110, same, opposite)
-        assert graph.sole_system(*kept, family, graph.rungs(family)) is not None
-        assert graph.sole_system(*rejected, family, graph.rungs(family)) is None
+        assert graph.sole_system(*kept, family, graph.rungs(family)) is True
+        assert graph.sole_system(*rejected, family, graph.rungs(family)) is False
         assert decided_by_rule_and_search(net, 2, monkeypatch) == (2, 0)
         assert scan_rows(net, 2) == oracle_rows(net, 2)
 
@@ -664,7 +673,7 @@ class TestSoleSystem:
         assert family == ((1, 3, 4, 2),)
         graph = paths._SearchGraph(net)
         assert graph.rungs(family) == (0b10, [], [])
-        assert graph.sole_system(0b10, 0b100, family, graph.rungs(family)) == family
+        assert graph.sole_system(0b10, 0b100, family, graph.rungs(family)) is True
         assert decided_by_rule_and_search(net, 1, monkeypatch) == (1, 0)
 
     @pytest.mark.parametrize(
