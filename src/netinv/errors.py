@@ -51,7 +51,9 @@ class AllRowsDegenerate(RuntimeError):
     """A fault of the data, not the topology: the topology's rows reach
     full rank, but RecoveryPlan.system dropped rows for the map's minors
     (zero determinant, or a sign against the path system's) until the
-    rest fell short of it. RecoveryPlan.apply alone raises it, and the
+    rest fell short of it, and the map is within the round trip's
+    threshold of symmetric with zero row sums (else a ValueError says
+    which rule it breaks). RecoveryPlan.apply alone raises it, and the
     message lists the reasons."""
 
 

@@ -151,17 +151,20 @@ class RecoveryPlan:
         that they reproduce it (else RoundTripFailure). A topology short
         of full rank raises RankDeficient before any minor of lam is
         read; a full-rank one whose rows this map drops below full rank
-        raises AllRowsDegenerate, and a recovered conductivity beyond the
-        float range raises ValueError. A map that fails the round trip
-        and lies beyond its threshold of every DtN map, by its symmetry or
-        its row sums, raises ValueError instead of RoundTripFailure."""
+        raises AllRowsDegenerate, and a recovered conductivity whose exp
+        overflows or underflows to 0 raises ValueError. A map that fails
+        any of these or the round trip and lies beyond the round trip's
+        threshold of every DtN map, by its symmetry or its row sums,
+        raises ValueError for that instead."""
         net = self.topology
         _check_size(lam, net)
         if not self.full_rank:
             raise RankDeficient(self.rank, self.unresolved_edges)
+        threshold = ROUNDTRIP_RTOL * float(np.max(np.abs(lam.entries)))
         sys = self.system(lam)
         rank = RowSpace(sys.coeffs).rank if sys.dropped else self.rank
         if rank < self.n_unknowns:
+            _check_near_dtn(lam, threshold)
             raise AllRowsDegenerate(
                 f"rows kept by this map have rank {rank} of {self.n_unknowns}: "
                 + "; ".join(sys.dropped)
@@ -180,16 +183,18 @@ class RecoveryPlan:
             )
         try:
             gammas = tuple(math.exp(g) for g in x[: net.n_edges])
+            beyond = gammas.index(0.0) if 0.0 in gammas else None  # an underflow
         except OverflowError:
-            eid = int(np.argmax(x[: net.n_edges])) + 1
+            beyond = int(np.argmax(x[: net.n_edges]))
+        if beyond is not None:
+            _check_near_dtn(lam, threshold)
             raise ValueError(
-                f"recovered conductivity of edge {eid}, exp({x[eid - 1]:.17g}), "
+                f"recovered conductivity of edge {beyond + 1}, exp({x[beyond]:.17g}), "
                 "is beyond the float range"
-            ) from None
+            )
         logdet = float(x[net.n_edges]) if net.n_interior else 0.0
         lam_back = dtn(net.with_gammas(gammas))
         roundtrip_error = float(np.max(np.abs(lam_back.entries - lam.entries)))
-        threshold = ROUNDTRIP_RTOL * float(np.max(np.abs(lam.entries)))
         if roundtrip_error > threshold:
             _check_near_dtn(lam, threshold)
             raise RoundTripFailure(roundtrip_error, threshold)

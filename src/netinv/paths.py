@@ -94,37 +94,20 @@ class _SearchGraph:
     def search(self, p_mask: int, q_mask: int, visit) -> None:
         """Walk the path systems of the pair with vertex masks (p_mask,
         q_mask), from the sources P\\Q (ascending) to the sinks Q\\P
-        through I + (P&Q), depth first in ascending-neighbor order with
-        dead-end pruning, and call visit(paths, used) on each; `used` is
-        the bitmask of the vertices on the paths. A visit that wants the
-        walk to stop raises, and the exception propagates."""
-        steps, masks = self.steps, self.masks
+        through I + (P&Q), depth first in ascending-neighbor order, and
+        call visit(paths, used) on each; `used` is the bitmask of the
+        vertices on the paths. A visit that wants the walk to stop raises,
+        and the exception propagates."""
+        steps = self.steps
         sources = _vertices(p_mask & ~q_mask)
         sinks = q_mask & ~p_mask
         allowed = self.interior | (p_mask & q_mask)
         paths: list[tuple[int, ...]] = []
 
-        def reaches(s: int, used: int) -> bool:
-            # flood fill from s through unused allowed vertices
-            targets, open_ = sinks & ~used, allowed & ~used
-            seen = frontier = 1 << s
-            while frontier:
-                reach = 0
-                while frontier:
-                    low = frontier & -frontier
-                    reach |= masks[low.bit_length() - 1]
-                    frontier ^= low
-                if reach & targets:
-                    return True
-                frontier = reach & open_ & ~seen
-                seen |= frontier
-            return False
-
         def next_system(i: int, used: int) -> None:
             if i == len(sources):
                 visit(tuple(paths), used)
-            # every remaining source must still reach an unused sink
-            elif all(reaches(s, used) for s in sources[i:]):
+            else:
                 extend(i, [sources[i]], used | 1 << sources[i])
 
         def extend(i: int, path: list[int], used: int) -> None:
@@ -283,17 +266,13 @@ class _SearchGraph:
 
 def enumerate_path_systems(net: Network, pair: BoundaryPair) -> list[PathSystem]:
     """All vertex-disjoint path systems connecting P\\Q to Q\\P through
-    I + (P&Q), by DFS in ascending-neighbor order with dead-end pruning.
+    I + (P&Q), by DFS in ascending-neighbor order.
 
     When P = Q the single empty system (everything residual) is
     returned. More than MAX_SYSTEMS systems raise TooManySystems.
     """
     pair.validate_for(net.n_boundary)
-    return _path_systems(_SearchGraph(net), pair)
-
-
-def _path_systems(graph: _SearchGraph, pair: BoundaryPair) -> list[PathSystem]:
-    """enumerate_path_systems on a built search graph and a valid pair."""
+    graph = _SearchGraph(net)
     p_mask, q_mask = _mask(pair.p), _mask(pair.q)
     allowed = graph.interior | (p_mask & q_mask)
     systems: list[PathSystem] = []
@@ -337,17 +316,16 @@ def expand_det(net: Network, pair: BoundaryPair) -> tuple[list[PathTerm], float,
     total and the reference disagree.
     """
     k = kirchhoff(net)
-    pair.validate_for(net.n_boundary)
-    graph = _SearchGraph(net)
     p_mask, q_mask = _mask(pair.p), _mask(pair.q)
     gamma = {e.id: e.gamma for e in net.edges}
+    edge_id = {e.pair: e.id for e in net.edges}
     terms: list[PathTerm] = []
     total = mag = 0.0
-    for system in _path_systems(graph, pair):
+    for system in enumerate_path_systems(net, pair):
         sign = _term_sign(p_mask, q_mask, [(path[0], path[-1]) for path in system.paths])
         residual_det = kirchhoff_subdet(k, system.residual, system.residual)
-        steps = (e for path in system.paths for e in zip(path, path[1:]))
-        monomial = tuple(sorted(graph.edge_id[e] for e in steps))
+        steps = (tuple(sorted(e)) for path in system.paths for e in zip(path, path[1:]))
+        monomial = tuple(sorted(edge_id[e] for e in steps))
         value = sign * math.prod((gamma[eid] for eid in monomial), start=1.0) * residual_det
         total += value
         mag += abs(value)

@@ -323,6 +323,35 @@ class TestInvert:
         assert err.startswith("error: recovered conductivity of edge 12, exp(")
         assert err.endswith("), is beyond the float range\n") and err.count("\n") == 1
 
+    def test_underflowing_conductivity_is_a_data_fault(self, tmp_path, lattice_ones, capsys):
+        # row and column 1 scaled by 1e-200: the solve gives log gamma_1
+        # near -921, whose exp is 0.0; the map's row sums are the report
+        net_file, lam_file = tmp_path / "lattice.net", tmp_path / "lam.txt"
+        net_file.write_text(serialize_network(lattice_ones))
+        lam = dtn(lattice_ones).entries.copy()
+        lam[0, :] *= 1e-200
+        lam[:, 0] *= 1e-200
+        lam_file.write_text(format_matrix_text(lam))
+        assert main(["invert", str(net_file), str(lam_file)]) == 2
+        assert capsys.readouterr() == (
+            "",
+            "error: map row 2 does not sum to zero: |sum_j Lambda[2,j]| = 8.333e-02 "
+            "exceeds 8 x 7.083e-07\n",
+        )
+
+    def test_map_that_drops_every_row_and_is_no_dtn_map_exit_2(self, tmp_path, capsys):
+        # the identity's off-diagonal minors are all zero, so every row of
+        # the star is dropped; its row sums say why before the rank does
+        star, lam_file = tmp_path / "star.net", tmp_path / "lam.txt"
+        star.write_text("boundary 3\ninterior 1\nedge 1 4 1.0\nedge 2 4 1.0\nedge 3 4 1.0\n")
+        lam_file.write_text(format_matrix_text(np.eye(3)))
+        assert main(["invert", str(star), str(lam_file)]) == 2
+        assert capsys.readouterr() == (
+            "",
+            "error: map row 1 does not sum to zero: |sum_j Lambda[1,j]| = 1.000e+00 "
+            "exceeds 3 x 1.000e-06\n",
+        )
+
     def test_subnormal_roundtrip_exit_2(self, tmp_path, lattice_file, lattice12, capsys):
         # the map is finite; the round trip's interior solve on the
         # recovered subnormal conductivities is not, and its error is

@@ -214,6 +214,9 @@ def test_parse_rejects_missing_header():
         ("boundary 2\ninterior 0\nedge 1 2 x\n", r"^line 3: cannot parse edge fields \['1', '2', 'x'\]$"),
         ("boundary 2 3\ninterior 0\n", r"^line 1: expected 'boundary <n>'$"),
         ("boundary 2\ninterior -1\n", r"^line 2: count must be non-negative$"),
+        ("interior 0\nboundary 2\n", r"^line 1: 'interior' before 'boundary'$"),
+        ("boundary 2\ninterior 0\ninterior 1\n", r"^line 3: duplicate 'interior' line$"),
+        ("boundary two\n", r"^line 1: cannot parse count 'two'$"),
     ],
 )
 def test_parse_rejects_malformed_fields(text, message):
