@@ -53,8 +53,9 @@ class AllRowsDegenerate(RuntimeError):
     (zero determinant, or a sign against the path system's) until the
     rest fell short of it, and the map is within the round trip's
     threshold of symmetric with zero row sums (else a ValueError says
-    which rule it breaks). RecoveryPlan.apply alone raises it, and the
-    message lists the reasons."""
+    which rule it breaks, as for any fault of apply's solve or round
+    trip). RecoveryPlan.apply alone raises it, and the message lists
+    the reasons."""
 
 
 class RoundTripFailure(RuntimeError):

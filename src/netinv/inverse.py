@@ -153,7 +153,8 @@ class RecoveryPlan:
         read; a full-rank one whose rows this map drops below full rank
         raises AllRowsDegenerate, and a recovered conductivity whose exp
         overflows or underflows to 0 raises ValueError. A map that fails
-        any of these or the round trip and lies beyond the round trip's
+        any step of the solve or the round trip (the forward solve of the
+        recovered network included) and lies beyond the round trip's
         threshold of every DtN map, by its symmetry or its row sums,
         raises ValueError for that instead."""
         net = self.topology
@@ -161,43 +162,44 @@ class RecoveryPlan:
         if not self.full_rank:
             raise RankDeficient(self.rank, self.unresolved_edges)
         threshold = ROUNDTRIP_RTOL * float(np.max(np.abs(lam.entries)))
-        sys = self.system(lam)
-        rank = RowSpace(sys.coeffs).rank if sys.dropped else self.rank
-        if rank < self.n_unknowns:
-            _check_near_dtn(lam, threshold)
-            raise AllRowsDegenerate(
-                f"rows kept by this map have rank {rank} of {self.n_unknowns}: "
-                + "; ".join(sys.dropped)
-            )
-        a = np.array(sys.coeffs, dtype=float)
-        b = np.array(sys.rhs)
-        x = np.linalg.lstsq(a, b, rcond=None)[0]
-        residual_norm = float(np.linalg.norm(a @ x - b))
-        rhs_norm = float(np.linalg.norm(b))
-        if residual_norm > INCONSISTENT_RTOL * max(rhs_norm, 1.0):
-            warnings.warn(
-                f"least-squares residual {residual_norm:.3e} vs ||rhs|| {rhs_norm:.3e}: "
-                "data is not an exact DtN map of this topology",
-                InconsistentDataWarning,
-                stacklevel=2,
-            )
         try:
-            gammas = tuple(math.exp(g) for g in x[: net.n_edges])
-            beyond = gammas.index(0.0) if 0.0 in gammas else None  # an underflow
-        except OverflowError:
-            beyond = int(np.argmax(x[: net.n_edges]))
-        if beyond is not None:
+            sys = self.system(lam)
+            rank = RowSpace(sys.coeffs).rank if sys.dropped else self.rank
+            if rank < self.n_unknowns:
+                raise AllRowsDegenerate(
+                    f"rows kept by this map have rank {rank} of {self.n_unknowns}: "
+                    + "; ".join(sys.dropped)
+                )
+            a = np.array(sys.coeffs, dtype=float)
+            b = np.array(sys.rhs)
+            x = np.linalg.lstsq(a, b, rcond=None)[0]
+            residual_norm = float(np.linalg.norm(a @ x - b))
+            rhs_norm = float(np.linalg.norm(b))
+            if residual_norm > INCONSISTENT_RTOL * max(rhs_norm, 1.0):
+                warnings.warn(
+                    f"least-squares residual {residual_norm:.3e} vs ||rhs|| {rhs_norm:.3e}: "
+                    "data is not an exact DtN map of this topology",
+                    InconsistentDataWarning,
+                    stacklevel=2,
+                )
+            try:
+                gammas = tuple(math.exp(g) for g in x[: net.n_edges])
+                beyond = gammas.index(0.0) if 0.0 in gammas else None  # an underflow
+            except OverflowError:
+                beyond = int(np.argmax(x[: net.n_edges]))
+            if beyond is not None:
+                raise ValueError(
+                    f"recovered conductivity of edge {beyond + 1}, exp({x[beyond]:.17g}), "
+                    "is beyond the float range"
+                )
+            logdet = float(x[net.n_edges]) if net.n_interior else 0.0
+            lam_back = dtn(net.with_gammas(gammas))
+            roundtrip_error = float(np.max(np.abs(lam_back.entries - lam.entries)))
+            if roundtrip_error > threshold:
+                raise RoundTripFailure(roundtrip_error, threshold)
+        except (AllRowsDegenerate, RoundTripFailure, ValueError):
             _check_near_dtn(lam, threshold)
-            raise ValueError(
-                f"recovered conductivity of edge {beyond + 1}, exp({x[beyond]:.17g}), "
-                "is beyond the float range"
-            )
-        logdet = float(x[net.n_edges]) if net.n_interior else 0.0
-        lam_back = dtn(net.with_gammas(gammas))
-        roundtrip_error = float(np.max(np.abs(lam_back.entries - lam.entries)))
-        if roundtrip_error > threshold:
-            _check_near_dtn(lam, threshold)
-            raise RoundTripFailure(roundtrip_error, threshold)
+            raise
         return RecoveryReport(gammas, logdet, residual_norm, self.n_unknowns, roundtrip_error)
 
 

@@ -26,8 +26,8 @@ from .network import Network, kirchhoff
 #: beyond desk scale and the caller gets TooManySystems.
 MAX_SYSTEMS = 10**6
 
-#: The search recurses once per path vertex; past the recursion limit it
-#: has run out of budget too.
+#: Both walks, enumerate_path_systems and covering_families, recurse once
+#: per path vertex; past the recursion limit they have run out of budget.
 _TOO_DEEP = "path search deeper than the recursion limit"
 
 #: Internal assertion tolerance for the expansion-vs-determinant identity.
@@ -73,8 +73,8 @@ def _vertices(mask: int) -> tuple[int, ...]:
 
 
 class _SearchGraph:
-    """The topology data the path search reads, built once per network:
-    per vertex its ascending (neighbor, bit) steps and its neighbor
+    """The topology data the admissibility scan reads, built once per
+    network: per vertex its ascending (neighbor, bit) steps and its neighbor
     bitmask, plus the boundary, interior and degree-1 vertex bitmasks and
     the edge id of each ordered vertex pair. Vertex sets are int bitmasks
     (bit v is vertex v)."""
@@ -90,43 +90,6 @@ class _SearchGraph:
         self.interior = _mask(net.interior_vertices)
         self.pendants = _mask(v for v in vertices if len(adj[v]) == 1)
         self.edge_id = {pair: e.id for e in net.edges for pair in (e.pair, e.pair[::-1])}
-
-    def search(self, p_mask: int, q_mask: int, visit) -> None:
-        """Walk the path systems of the pair with vertex masks (p_mask,
-        q_mask), from the sources P\\Q (ascending) to the sinks Q\\P
-        through I + (P&Q), depth first in ascending-neighbor order, and
-        call visit(paths, used) on each; `used` is the bitmask of the
-        vertices on the paths. A visit that wants the walk to stop raises,
-        and the exception propagates."""
-        steps = self.steps
-        sources = _vertices(p_mask & ~q_mask)
-        sinks = q_mask & ~p_mask
-        allowed = self.interior | (p_mask & q_mask)
-        paths: list[tuple[int, ...]] = []
-
-        def next_system(i: int, used: int) -> None:
-            if i == len(sources):
-                visit(tuple(paths), used)
-            else:
-                extend(i, [sources[i]], used | 1 << sources[i])
-
-        def extend(i: int, path: list[int], used: int) -> None:
-            for w, bit in steps[path[-1]]:
-                if used & bit:
-                    continue
-                if sinks & bit:
-                    paths.append((*path, w))
-                    next_system(i + 1, used | bit)
-                    paths.pop()
-                elif allowed & bit:
-                    path.append(w)
-                    extend(i, path, used | bit)
-                    path.pop()
-
-        try:
-            next_system(0, 0)
-        except RecursionError:
-            raise TooManySystems(_TOO_DEEP) from None
 
     def rungs(self, family) -> Optional[tuple]:
         """The rung table (starts, same, opposite) of a chordless covering
@@ -266,25 +229,47 @@ class _SearchGraph:
 
 def enumerate_path_systems(net: Network, pair: BoundaryPair) -> list[PathSystem]:
     """All vertex-disjoint path systems connecting P\\Q to Q\\P through
-    I + (P&Q), by DFS in ascending-neighbor order.
+    I + (P&Q), by DFS in ascending-neighbor order, sources ascending.
 
     When P = Q the single empty system (everything residual) is
-    returned. More than MAX_SYSTEMS systems raise TooManySystems.
+    returned. More than MAX_SYSTEMS systems, or a path deeper than the
+    recursion limit allows, raise TooManySystems.
     """
     pair.validate_for(net.n_boundary)
-    graph = _SearchGraph(net)
+    steps = {v: tuple((w, 1 << w) for w in ws) for v, ws in net.adjacency().items()}
     p_mask, q_mask = _mask(pair.p), _mask(pair.q)
-    allowed = graph.interior | (p_mask & q_mask)
+    sources = _vertices(p_mask & ~q_mask)
+    sinks = q_mask & ~p_mask
+    allowed = _mask(net.interior_vertices) | (p_mask & q_mask)
     systems: list[PathSystem] = []
+    paths: list[tuple[int, ...]] = []
 
-    def visit(paths, used):
+    def next_system(i: int, used: int) -> None:
+        if i < len(sources):
+            return extend(i, [sources[i]], used | 1 << sources[i])
         if len(systems) == MAX_SYSTEMS:
             raise TooManySystems(
                 f"more than {MAX_SYSTEMS} path systems for pair {pair.p}->{pair.q}"
             )
-        systems.append(PathSystem(paths, _vertices(allowed & ~used)))
+        systems.append(PathSystem(tuple(paths), _vertices(allowed & ~used)))
 
-    graph.search(p_mask, q_mask, visit)
+    def extend(i: int, path: list[int], used: int) -> None:
+        for w, bit in steps[path[-1]]:
+            if used & bit:
+                continue
+            if sinks & bit:
+                paths.append((*path, w))
+                next_system(i + 1, used | bit)
+                paths.pop()
+            elif allowed & bit:
+                path.append(w)
+                extend(i, path, used | bit)
+                path.pop()
+
+    try:
+        next_system(0, 0)
+    except RecursionError:
+        raise TooManySystems(_TOO_DEEP) from None
     return systems
 
 

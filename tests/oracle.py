@@ -10,9 +10,9 @@ with the modules they check; independence is the point. Factorial cost
 is fine, size caps are hard errors. term_sign counts the cycles of the
 bijection a system induces, where the package reads the sign from the
 paths' endpoints.
-The second-system search walks path systems with the package's
-enumeration walk (itself checked against the exhaustive search), which
-shares no code with the per-path search it checks, and the per-pair
+The second-system search reads the package's enumerate_path_systems
+(itself checked against the exhaustive search), which shares no code
+with the per-path search and the covering walk it checks, and the per-pair
 test builds its row from the system with term_sign, not with the scan's
 per-core signs. The Schur check sets two of the package's computations
 against each other: a minor of Lambda and a minor of K. The echelon
@@ -41,7 +41,7 @@ from netinv.forward import (
 )
 from netinv.inverse import LogLinearSystem, RecoveryPlan
 from netinv.network import Network, kirchhoff
-from netinv.paths import AdmissibleRow, PathSystem, _mask, _SearchGraph
+from netinv.paths import AdmissibleRow, PathSystem, enumerate_path_systems
 
 
 def perm_det(m) -> float:
@@ -158,28 +158,13 @@ def term_sign(system: PathSystem, pair: BoundaryPair) -> int:
     return _permutation_sign(perm) * (-1) ** n_edges
 
 
-class _NoUniqueCoveringSystem(Exception):
-    """Ends second_system_search's walk early."""
-
-
-def second_system_search(graph: _SearchGraph, p_mask: int, q_mask: int) -> Optional[tuple]:
-    """(paths, used) of the pair's path system when it is the only one
-    and covers every interior vertex, else None. The search stops at the
-    second system, or at the first that leaves an interior vertex out:
-    either way the pair has no unique covering system."""
-    interior = graph.interior
-    found = []
-
-    def visit(paths, used):
-        found.append((paths, used))
-        if len(found) > 1 or interior & ~used:
-            raise _NoUniqueCoveringSystem
-
-    try:
-        graph.search(p_mask, q_mask, visit)
-    except _NoUniqueCoveringSystem:
+def second_system_search(net: Network, pair: BoundaryPair) -> Optional[PathSystem]:
+    """The pair's path system when it is the only one and covers every
+    interior vertex, else None, read from the full enumeration."""
+    systems = enumerate_path_systems(net, pair)
+    if len(systems) != 1 or set(net.interior_vertices) & set(systems[0].residual):
         return None
-    return found[0] if found else None
+    return systems[0]
 
 
 def is_log_linear_admissible(net: Network, pair: BoundaryPair) -> Optional[AdmissibleRow]:
@@ -189,19 +174,17 @@ def is_log_linear_admissible(net: Network, pair: BoundaryPair) -> Optional[Admis
     outside it, so det K(residual, residual) is the product of the pendant
     conductivities. The row's edges and sign come from the system itself,
     its sign from term_sign."""
-    pair.validate_for(net.n_boundary)
-    system = second_system_search(_SearchGraph(net), _mask(pair.p), _mask(pair.q))
+    system = second_system_search(net, pair)
     if system is None:
         return None
-    paths, used = system
     adj = net.adjacency()
-    residual = [v for v in set(pair.p) & set(pair.q) if not used >> v & 1]
+    residual = system.residual  # shared vertices alone, as the system covers I
     if any(len(adj[r]) != 1 or adj[r][0] in residual for r in residual):
         return None
     edge_id = {e.pair: e.id for e in net.edges}
-    edges = [tuple(sorted(e)) for path in paths for e in zip(path, path[1:])]
+    edges = [tuple(sorted(e)) for path in system.paths for e in zip(path, path[1:])]
     edges += [tuple(sorted((r, adj[r][0]))) for r in residual]
-    sign = term_sign(PathSystem(paths, tuple(sorted(residual))), pair)
+    sign = term_sign(system, pair)
     return AdmissibleRow(pair, tuple(sorted(edge_id[e] for e in edges)), sign)
 
 

@@ -387,6 +387,31 @@ class TestInvert:
             "exceeds 2 x 6.860e-06\n",
         )
 
+    @pytest.mark.parametrize(
+        "scale, gap",
+        [
+            # the round trip's Kirchhoff matrix overflows
+            (10**307.1, "8.636e+304 exceeds 2 x 8.636e+301"),
+            # the round trip's interior solve is not finite
+            (1e-318, "6.858e-321 exceeds 2 x 4.941e-324"),
+        ],
+        ids=["huge", "subnormal"],
+    )
+    def test_asymmetric_map_failing_the_roundtrip_solve_exit_2(
+        self, tmp_path, lattice_file, lattice12, capsys, recwarn, scale, gap
+    ):
+        # the fault the round trip's forward solve meets is the map's:
+        # it is far from symmetric
+        lam = dtn(lattice12).entries.copy()
+        lam[0, 1] += 1e-3 * np.max(np.abs(lam))
+        lam_file = tmp_path / "lam.txt"
+        lam_file.write_text(format_matrix_text(lam * scale))
+        assert main(["invert", lattice_file, str(lam_file)]) == 2
+        assert capsys.readouterr() == (
+            "",
+            f"error: map is not symmetric: |Lambda[1,2] - Lambda[2,1]| = {gap}\n",
+        )
+
     def test_wrong_map_exit_6(self, tmp_path, lattice_file, other_lattice_map, capsys, recwarn):
         lam_file = tmp_path / "lam.txt"
         lam_file.write_text(format_matrix_text(other_lattice_map.entries))

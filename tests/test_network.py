@@ -217,6 +217,7 @@ def test_parse_rejects_missing_header():
         ("interior 0\nboundary 2\n", r"^line 1: 'interior' before 'boundary'$"),
         ("boundary 2\ninterior 0\ninterior 1\n", r"^line 3: duplicate 'interior' line$"),
         ("boundary two\n", r"^line 1: cannot parse count 'two'$"),
+        ("boundary 2\ninterior 0\nedge 1 2\n", r"^line 3: expected 'edge <u> <v> <gamma>'$"),
     ],
 )
 def test_parse_rejects_malformed_fields(text, message):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from netinv import (
     BoundaryPair,
+    grid_fixture,
     lattice_fixture,
     TooManySystems,
     compile_topology,
@@ -58,25 +59,12 @@ class TestEnumeration:
         systems = enumerate_path_systems(lattice12, BoundaryPair((1,), (5,)))
         assert len(systems) == 2
 
-    def test_visit_that_raises_stops_the_search(self, grid3):
-        # (1;7) has many systems, but a visit that raises on its first
-        # call gets no second one, and its exception reaches the caller
-        class Stop(Exception):
-            pass
-
-        calls = []
-
-        def visit(paths_, used):
-            calls.append(paths_)
-            raise Stop
-
-        graph = paths._SearchGraph(grid3)
-        p_mask, q_mask = paths._mask((1,)), paths._mask((7,))
-        with pytest.raises(Stop):
-            graph.search(p_mask, q_mask, visit)
-        assert len(calls) == 1
-        assert len(enumerate_path_systems(grid3, BoundaryPair((1,), (7,)))) > 1
-        assert graph.search(p_mask, q_mask, lambda paths_, used: None) is None
+    @pytest.mark.parametrize("n, count", [(3, 12), (4, 184)])
+    def test_corner_to_corner_systems_are_self_avoiding_walks(self, n, count):
+        # the systems of (1;2n) are the self-avoiding walks between opposite
+        # corner cells of the n x n grid, OEIS A007764: 1, 2, 12, 184, 8512
+        net = grid_fixture(n, [1.0] * (2 * n * (n + 1)))
+        assert len(enumerate_path_systems(net, BoundaryPair((1,), (2 * n,)))) == count
 
     def test_systems_satisfy_invariants(self, lattice12):
         lookup = {e.pair for e in lattice12.edges}
@@ -482,8 +470,8 @@ class TestAdmissibleScan:
         assert rows == oracle_rows(net, 3)
 
     def test_first_system_leaves_interior_out(self):
-        # the search meets 1-3-2 first, which leaves interior 4 out, and
-        # stops there: the later 1-3-4-2 makes the system not unique
+        # the walk meets 1-3-2 first, which leaves interior 4 out, and
+        # the later 1-3-4-2 makes the system not unique
         net = Network(
             2,
             2,
@@ -528,7 +516,8 @@ def sole_system_verdicts(net, max_size):
     kept = 0
     for (p_mask, q_mask), family in families.items():
         sole = graph.sole_system(p_mask, q_mask, family, graph.rungs(family))
-        assert sole is (second_system_search(graph, p_mask, q_mask) is not None)
+        pair = BoundaryPair(paths._vertices(p_mask), paths._vertices(q_mask))
+        assert sole is (second_system_search(net, pair) is not None)
         kept += sole
     return len(families), kept
 
@@ -622,8 +611,8 @@ class TestSoleSystem:
         assert family == ((1, 5, 6, 7, 3), (2, 8, 9, 4))
         residuals = [s.residual for s in enumerate_path_systems(net, BoundaryPair((1, 2), (3, 4)))]
         assert sorted(residuals) == [(), skipped]
+        assert second_system_search(net, BoundaryPair((1, 2), (3, 4))) is None
         graph = paths._SearchGraph(net)
-        assert second_system_search(graph, *core) is None
         assert graph.sole_system(*core, family, graph.rungs(family)) is False
         # (1,4;2,3), the same family with 2-8-9-4 run the other way, has
         # no second system
