@@ -26,7 +26,8 @@ class RowSpace:
     size; W keeps that below 2^(W-1), so the sum is zero exactly when
     every product is. An independent row (one per rank step) removes one
     vector of N by a fraction-free pivot, each changed vector divided by
-    the gcd of its entries, and N is packed again.
+    the gcd of its entries, and N is packed again. Rows come dense (add,
+    `in`) or as their nonzero entries (add_sparse).
     """
 
     def __init__(self, rows=()):
@@ -45,11 +46,16 @@ class RowSpace:
 
     def __contains__(self, row) -> bool:
         """Whether the row lies in the span."""
-        return self._orthogonal(self._entries(row))
+        return self._orthogonal(self._widen(_nonzero(row)))
 
     def add(self, row) -> bool:
         """Add a row to the span; True when the rank rose."""
-        entries = self._entries(row)
+        return self.add_sparse(_nonzero(row))
+
+    def add_sparse(self, entries) -> bool:
+        """add for the row whose nonzero (column, integer entry) pairs,
+        columns ascending, are `entries`."""
+        entries = self._widen(entries)
         if self._orthogonal(entries):
             return False
         r = dict(entries)
@@ -73,10 +79,9 @@ class RowSpace:
         the rows fix: those touched where every vector of N is zero."""
         return {j for j, (_, packed) in self._packed.items() if not packed}
 
-    def _entries(self, row) -> list[tuple[int, int]]:
-        """The row's nonzero (column, entry) pairs, W widened first when
-        the row's size would overflow a field."""
-        entries = [(j, int(x)) for j, x in enumerate(row) if x]
+    def _widen(self, entries):
+        """The entries, W widened first when the row's size would overflow
+        a field."""
         norm = sum(abs(x) for _, x in entries)
         if norm > self._norm:
             self._norm = norm
@@ -102,6 +107,11 @@ class RowSpace:
                 first, p = packed[j]
                 packed[j] = (i, x) if not p else (first, p + (x << width * (i - first)))
         self._packed = packed
+
+
+def _nonzero(row) -> list[tuple[int, int]]:
+    """A dense row's nonzero (column, entry) pairs."""
+    return [(j, int(x)) for j, x in enumerate(row) if x]
 
 
 def format_matrix_text(m) -> str:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 from typing import Iterator, Optional
 
 import numpy as np
@@ -74,12 +74,14 @@ def _vertices(mask: int) -> tuple[int, ...]:
 
 class _SearchGraph:
     """The topology data the admissibility scan reads, built once per
-    network: per vertex its ascending (neighbor, bit) steps and its neighbor
-    bitmask, plus the boundary, interior and degree-1 vertex bitmasks and
+    network: per vertex its ascending (neighbor, bit) steps, its neighbor
+    bitmask and its twin class, the pendant boundary vertices hung on it,
+    ascending; plus the boundary, interior and degree-1 vertex bitmasks and
     the edge id of each ordered vertex pair. Vertex sets are int bitmasks
-    (bit v is vertex v)."""
+    (bit v is vertex v). Two vertices of one twin class swap by an
+    automorphism of the network that fixes every other vertex."""
 
-    __slots__ = ("steps", "masks", "boundary", "interior", "pendants", "edge_id")
+    __slots__ = ("steps", "masks", "twins", "boundary", "interior", "pendants", "edge_id")
 
     def __init__(self, net: Network):
         adj = net.adjacency()
@@ -89,6 +91,8 @@ class _SearchGraph:
         self.boundary = _mask(range(1, net.n_boundary + 1))
         self.interior = _mask(net.interior_vertices)
         self.pendants = _mask(v for v in vertices if len(adj[v]) == 1)
+        hung = self.boundary & self.pendants
+        self.twins = [()] + [tuple(w for w in adj[v] if hung >> w & 1) for v in vertices]
         self.edge_id = {pair: e.id for e in net.edges for pair in (e.pair, e.pair[::-1])}
 
     def rungs(self, family) -> Optional[tuple]:
@@ -232,14 +236,21 @@ def enumerate_path_systems(net: Network, pair: BoundaryPair) -> list[PathSystem]
     I + (P&Q), by DFS in ascending-neighbor order, sources ascending.
 
     When P = Q the single empty system (everything residual) is
-    returned. More than MAX_SYSTEMS systems, or a path deeper than the
-    recursion limit allows, raise TooManySystems.
+    returned. When two sources, or two sinks, are pendant vertices hung on
+    one vertex, both paths would need that vertex, so no system is
+    returned at once. More than MAX_SYSTEMS systems, or a path deeper than
+    the recursion limit allows, raise TooManySystems.
     """
     pair.validate_for(net.n_boundary)
-    steps = {v: tuple((w, 1 << w) for w in ws) for v, ws in net.adjacency().items()}
+    adj = net.adjacency()
+    steps = {v: tuple((w, 1 << w) for w in ws) for v, ws in adj.items()}
     p_mask, q_mask = _mask(pair.p), _mask(pair.q)
     sources = _vertices(p_mask & ~q_mask)
     sinks = q_mask & ~p_mask
+    for ends in (sources, _vertices(sinks)):
+        hubs = [adj[v][0] for v in ends if len(adj[v]) == 1]
+        if len(set(hubs)) < len(hubs):
+            return []
     allowed = _mask(net.interior_vertices) | (p_mask & q_mask)
     systems: list[PathSystem] = []
     paths: list[tuple[int, ...]] = []
@@ -270,6 +281,8 @@ def enumerate_path_systems(net: Network, pair: BoundaryPair) -> list[PathSystem]
         next_system(0, 0)
     except RecursionError:
         raise TooManySystems(_TOO_DEEP) from None
+    finally:
+        del next_system, extend  # as in _covering_orbits: break the closures' cycles
     return systems
 
 
@@ -357,12 +370,33 @@ def covering_families(graph: _SearchGraph, max_pair_size: int) -> dict[tuple, Op
     chordless family, keyed by the core's (P, Q) vertex bitmasks (bit v
     is vertex v) with P before Q lexicographically (the mirror (Q, P) has
     the same systems reversed): its family when it has only one, per path
-    its vertices in walk order, from its lower end; else None.
+    its vertices in walk order, from its lower end, the paths ordered by
+    their lower end; else None.
 
-    The walk builds each family once, its paths ordered by their lower
-    end and each starting there, and gives up a branch as soon as an
-    uncovered interior vertex has fewer than two neighbors left that a
-    path can still pass through. Once a path brings the cost to
+    Two pendant boundary vertices hung on one vertex v, twins, swap by an
+    automorphism of the network. So the walk (_covering_orbits) builds one
+    family per orbit of such swaps: only the lowest twin of v ends a path,
+    except on the path a-v-b through v between its two lowest twins. Each
+    walked family is then relabeled into every family of its orbit: any
+    twin of v in place of the lowest, and any two on a-v-b. A network
+    without twins walks every family.
+    """
+    return _covering_orbits(graph, max_pair_size)[0]
+
+
+def _covering_orbits(graph: _SearchGraph, max_pair_size: int) -> tuple[dict, list]:
+    """covering_families' dict, and the orbits behind it: one list per
+    walked family of (family, keys) pairs, one pair per family of its
+    orbit, the walked one first, where keys are the dict keys of that
+    family's cores. The walked family's cores run its first path from its
+    lower end and the others either way. Every other family's keys follow
+    them in order, each the image of its walked core, or of that core's
+    mirror, under a product of twin swaps.
+
+    The walk builds each walked family once, its paths ordered by their
+    lower end and each starting there, and gives up a branch as soon as
+    an uncovered interior vertex has fewer than two neighbors left that a
+    path can still pass through or end at. Once a path brings the cost to
     max_pair_size it is the last: no path can start and no inner boundary
     vertex be passed after it, so every uncovered interior vertex lies on
     its rest. Each step then goes to the tip's one uncovered neighbor (a
@@ -370,23 +404,56 @@ def covering_families(graph: _SearchGraph, max_pair_size: int) -> dict[tuple, Op
     the last starts only when the uncovered vertices induce a path,
     from a boundary vertex next to one of its ends.
     """
-    steps, masks, interior, boundary = graph.steps, graph.masks, graph.interior, graph.boundary
+    steps, masks, twins = graph.steps, graph.masks, graph.twins
+    interior, boundary = graph.interior, graph.boundary
     inner = boundary & ~graph.pendants  # degree 2 or more: no step reaches degree 0
+    # the twins no path starts or ends at, other than the second end of a-v-b
+    spare = _mask(w for hung in twins for w in hung[1:])
+    hub = {hung[0]: v for v, hung in enumerate(twins) if len(hung) > 1}  # lowest twin: v
     families: dict[tuple[int, int], Optional[tuple]] = {}
+    orbits: list[list] = []
     ends: list[tuple[int, ...]] = []  # the finished paths, each from its lower end
 
+    def variants(path: tuple) -> list:
+        # the path in each family of the walked one's orbit, from its lower
+        # end, with the bits of its start and end in walk order: each member
+        # of a class in place of its lowest, and each two on a path a-v-b
+        hung = twins[path[1]]
+        starts = path[:1]
+        if len(hung) > 1 and hung[0] == path[0]:
+            if len(path) == 3 and path[2] == hung[1]:
+                return [((a, path[1], b), 1 << a, 1 << b) for a, b in combinations(hung, 2)]
+            starts = hung
+        hung = twins[path[-2]]
+        finishes = hung if len(hung) > 1 and hung[0] == path[-1] else path[-1:]
+        middle, back = path[1:-1], path[-2:0:-1]
+        return [
+            ((s, *middle, t) if s < t else (t, *back, s), 1 << s, 1 << t)
+            for s in starts
+            for t in finishes
+        ]
+
     def record(shared: int) -> None:
-        # the first path runs from the lowest endpoint, which puts it in
-        # P and so P before Q; every other path runs either way
-        cores = [(shared, shared)]
-        for i, path in enumerate(ends):
-            s_bit, t_bit = 1 << path[0], 1 << path[-1]
-            cores = [(p | s_bit, q | t_bit) for p, q in cores] + (
-                [(p | t_bit, q | s_bit) for p, q in cores] if i else []
-            )
-        family = tuple(ends)
-        for core in cores:
-            families[core] = None if core in families else family
+        # the walked family's cores: the first path runs from the lowest
+        # endpoint, which puts it in P and so P before Q; every other path
+        # runs either way. A relabeling's cores follow them in order, each
+        # turned to put the relabeled family's lowest endpoint in P. The
+        # walked family itself is the first relabeling
+        orbit = []
+        for choice in product(*map(variants, ends)):
+            family = tuple(sorted(path for path, _, _ in choice))
+            cores = [(shared, shared)]
+            for i, (_, s_bit, t_bit) in enumerate(choice):
+                cores = [(p | s_bit, q | t_bit) for p, q in cores] + (
+                    [(p | t_bit, q | s_bit) for p, q in cores] if i else []
+                )
+            if orbit:
+                low = 1 << family[0][0]
+                cores = [(p, q) if p & low else (q, p) for p, q in cores]
+            for core in cores:
+                families[core] = None if core in families else family
+            orbit.append((family, cores))
+        orbits.append(orbit)
 
     def next_path(first: int, used: int, cost: int, shared: int) -> None:
         uncovered = interior & ~used
@@ -398,6 +465,14 @@ def covering_families(graph: _SearchGraph, max_pair_size: int) -> dict[tuple, Op
                 starts &= path_ends(uncovered)
             for s in _vertices(starts):
                 extend([s], 1 << s, used | 1 << s, cost + 1, shared, uncovered)
+                v = hub.get(s)  # the path a-v-b from s, when s is a lowest twin
+                if v and not used >> v & 1:
+                    bit = boundary & 1 << v
+                    total = cost + 1 + (bit > 0)  # a boundary v inside it costs one more
+                    if total <= max_pair_size:
+                        ends.append((s, v, twins[v][1]))
+                        next_path(s, used | 1 << s | 1 << v, total, shared | bit)
+                        ends.pop()
 
     def path_ends(vertices: int) -> int:
         # the neighbors of the ends of G[vertices] when it can be a path:
@@ -438,11 +513,12 @@ def covering_families(graph: _SearchGraph, max_pair_size: int) -> dict[tuple, Op
     def extend(walk: list, path: int, used: int, cost: int, shared: int, check: int) -> None:
         # walk: the path's vertices from its start s, path: their bitmask.
         # A later path end lies above s, so a lower unused boundary vertex
-        # can only lie inside a path
+        # can only lie inside a path; a spare twin above s counts as usable,
+        # as the second end of a-v-b
         if cost == max_pair_size:
             return last_path(walk, path, used, shared)
         s, u = walk[0], walk[-1]
-        usable = (interior | inner | boundary & ~((2 << s) - 1)) & ~used | 1 << u
+        usable = (interior | inner | boundary & ~((2 << s) - 1)) & (~used | spare) | 1 << u
         while check:
             low = check & -check
             if (masks[low.bit_length() - 1] & usable).bit_count() < 2:
@@ -467,10 +543,56 @@ def covering_families(graph: _SearchGraph, max_pair_size: int) -> dict[tuple, Op
             walk.pop()
 
     try:
-        next_path(0, 0, 0, 0)
+        next_path(0, spare, 0, 0)
     except RecursionError:
         raise TooManySystems(_TOO_DEEP) from None
-    return families
+    finally:
+        # next_path and extend call themselves and each other through their
+        # closures; emptying both breaks those cycles, so the walk's data is
+        # freed when the caller drops it, not at the next full collection
+        del next_path, extend
+    return families, orbits
+
+
+def _sole_cores(graph: _SearchGraph, max_pair_size: int) -> list[tuple]:
+    """The cores with |P| <= max_pair_size whose one chordless covering
+    family is their only path system, each as (|P|, P, Q, the pendant
+    boundary vertices outside P + Q, sign, flips, edge ids): `flips` has
+    bit r set when an odd number of vertices of P^Q lie below r, and the
+    edge ids, ascending, are those of the family's paths."""
+    edge_id, pendants = graph.edge_id, graph.boundary & graph.pendants
+    families, orbits = _covering_orbits(graph, max_pair_size)
+    cores = []
+    for orbit in orbits:
+        walked, walked_cores = orbit[0]
+        kept = [
+            (family, i, core)
+            for family, keys in orbit
+            for i, core in enumerate(keys)
+            if families[core] is family
+        ]
+        if not kept:
+            continue
+        rungs, verdicts, last = graph.rungs(walked), {}, None
+        for family, i, (p_mask, q_mask) in kept:
+            if i not in verdicts:
+                verdicts[i] = graph.sole_system(*walked_cores[i], walked, rungs)
+            if not verdicts[i]:
+                continue
+            if family is not last:
+                last = family
+                edge_ids = tuple(sorted(edge_id[e] for path in family for e in zip(path, path[1:])))
+                tips = [(path[0], path[-1]) for path in family]
+            ends = [(s, t) if p_mask >> s & 1 else (t, s) for s, t in tips]
+            p, q = _vertices(p_mask), _vertices(q_mask)
+            free, flips = (), 0
+            if len(p) < max_pair_size:
+                free, moved = _vertices(pendants & ~(p_mask | q_mask)), _vertices(p_mask ^ q_mask)
+                # the vertices above an odd number of P^Q: above its 1st and up
+                # to its 2nd, above its 3rd and up to its 4th, ...
+                flips = sum((2 << b) - (2 << a) for a, b in zip(moved[::2], moved[1::2]))
+            cores.append((len(p), p, q, free, _term_sign(p_mask, q_mask, ends), flips, edge_ids))
+    return cores
 
 
 def admissible_rows(net: Network, max_pair_size: int) -> Iterator[AdmissibleRow]:
@@ -484,46 +606,45 @@ def admissible_rows(net: Network, max_pair_size: int) -> Iterator[AdmissibleRow]
     vertices), those vertices added to the residual. An admissible pair's
     unique system covers I, passes through every other shared vertex and
     has no chord, so its core has exactly one chordless covering family
-    (covering_families). Each of those cores is checked once for a
-    second system (_SearchGraph.sole_system). The cores of one family
-    differ only in which way each path runs, so the family's edge ids and
-    rungs, the edges between two of its paths, are read once: when the
-    paths joined by rungs form a forest, a few bit tests per core drop it
-    on a crossing pair of rungs or keep it, and only the cores of a family
-    whose rungs close a cycle of paths go to the growing search. A core
-    whose family is its only system gives the candidates of a size by
-    adding shared pendant vertices not joined to each other, each signed
-    by _term_sign from its own pair and its paths' ends. Candidates are
-    built one size at a time, so the sizes a caller never reaches cost
-    nothing beyond the walk and the checks.
+    (covering_families). Each of those cores is checked for a second
+    system (_SearchGraph.sole_system) once per orbit of twin swaps: the
+    check runs on the walked family's core and holds for every relabeling
+    of it. The cores of one family differ only in which way each path
+    runs, and a pendant end carries no rung, its one neighbor being on
+    its own path; so the walked family's rungs, the edges between two of
+    its paths, are read once for its whole orbit. When the paths joined
+    by rungs form a forest, a few bit tests per core drop it on a
+    crossing pair of rungs or keep it, and only the cores of a family
+    whose rungs close a cycle of paths go to the growing search.
+
+    A core whose family is its only system gives the candidates of a
+    size by adding shared pendant vertices not joined to each other. Its
+    sign is _term_sign of the core; each added pendant r flips it when an
+    odd number of vertices of P^Q lie below r, since a shared vertex
+    changes neither P^Q nor the order of the sinks. Candidates are built
+    one size at a time, so the sizes a caller never reaches cost nothing
+    beyond the walk and the checks.
     """
     graph = _SearchGraph(net)
     masks, edge_id, pendants = graph.masks, graph.edge_id, graph.boundary & graph.pendants
     pendant_edge = {r: edge_id[r, w] for r in _vertices(pendants) for w, _ in graph.steps[r]}
-    cores = []  # per core found unique: |P|, P, Q, free pendants, path ends, edge ids
-    last = None  # covering_families lists the cores of one family in a run
-    for (p_mask, q_mask), family in covering_families(graph, max_pair_size).items():
-        if family is None:
-            continue
-        if family is not last:
-            last, rungs = family, graph.rungs(family)
-            edge_ids = [edge_id[e] for path in family for e in zip(path, path[1:])]
-            tips = [(path[0], path[-1]) for path in family]
-        if graph.sole_system(p_mask, q_mask, family, rungs):
-            ends = [(s, t) if p_mask >> s & 1 else (t, s) for s, t in tips]
-            p, q = _vertices(p_mask), _vertices(q_mask)
-            cores.append((len(p), p, q, _vertices(pendants & ~(p_mask | q_mask)), ends, edge_ids))
+    cores = _sole_cores(graph, max_pair_size)
     for size in range(1, max_pair_size + 1):
         candidates = []
-        for k, p, q, free, ends, edge_ids in cores:
+        for k, p, q, free, sign, flips, edge_ids in cores:
             if k > size:
+                continue
+            if k == size:
+                candidates.append((p, q, (), sign, edge_ids))
                 continue
             for extra in combinations(free, size - k):
                 shared = _mask(extra)
                 if not any(masks[r] & shared for r in extra):
+                    row_sign = -sign if (flips & shared).bit_count() & 1 else sign
                     row_p, row_q = tuple(sorted(p + extra)), tuple(sorted(q + extra))
-                    candidates.append((row_p, row_q, extra, ends, edge_ids))
+                    candidates.append((row_p, row_q, extra, row_sign, edge_ids))
         candidates.sort()
-        for p, q, extra, ends, edge_ids in candidates:
-            edges = tuple(sorted(edge_ids + [pendant_edge[r] for r in extra]))
-            yield AdmissibleRow(BoundaryPair(p, q), edges, _term_sign(_mask(p), _mask(q), ends))
+        for p, q, extra, sign, edge_ids in candidates:
+            if extra:
+                edge_ids = tuple(sorted(edge_ids + tuple(pendant_edge[r] for r in extra)))
+            yield AdmissibleRow(BoundaryPair(p, q), edge_ids, sign)

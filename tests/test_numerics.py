@@ -221,6 +221,24 @@ class TestRowSpace:
             assert [0, 2**k, -1] not in space
             assert [2**k, 2**k, 2**k] in space
 
+    @given(integer_rows())
+    @settings(max_examples=200, deadline=None)
+    def test_sparse_rows_match_dense_rows(self, rows):
+        # add_sparse takes a row's nonzero entries, as compile_topology
+        # passes them, and grows the same span as add
+        dense, sparse = RowSpace(), RowSpace()
+        for row in rows:
+            assert sparse.add_sparse([(j, x) for j, x in enumerate(row) if x]) == dense.add(row)
+        assert (sparse.rank, sparse.pinned_columns()) == (dense.rank, dense.pinned_columns())
+        for row in rows:
+            assert row in sparse
+
+    def test_sparse_fields_widen_for_large_entries(self):
+        # test_fields_widen_for_large_entries through add_sparse
+        for k in range(1, 80):
+            assert RowSpace([[1, 1, 1]]).add_sparse([(1, 2**k), (2, -1)])
+            assert not RowSpace([[1, 1, 1]]).add_sparse([(0, 2**k), (1, 2**k), (2, 2**k)])
+
     def test_untouched_columns(self):
         # no row touches column 2: its unit vector stays out of the span
         space = RowSpace([[1, -1, 0], [0, 0, 0]])

@@ -1,4 +1,6 @@
+import gc
 import random
+import time
 from itertools import combinations
 
 import numpy as np
@@ -65,6 +67,22 @@ class TestEnumeration:
         # corner cells of the n x n grid, OEIS A007764: 1, 2, 12, 184, 8512
         net = grid_fixture(n, [1.0] * (2 * n * (n + 1)))
         assert len(enumerate_path_systems(net, BoundaryPair((1,), (2 * n,)))) == count
+
+    @pytest.mark.parametrize("p, q", [((1, 24), (2, 23)), ((2, 3), (1, 24))])
+    def test_twin_ends_have_no_system(self, p, q):
+        # 1 and 24 hang on cell (0,0) of the 6x6 grid: as two sources, or
+        # two sinks, both paths would need that cell. The search used to
+        # walk for 15-25 s before it printed total = 0
+        net = grid_fixture(6, [1.0] * 84)
+        start = time.perf_counter()
+        assert enumerate_path_systems(net, BoundaryPair(p, q)) == []
+        assert time.perf_counter() - start < 2.0
+
+    def test_twin_source_and_sink_keep_their_system(self, grid3):
+        # 1 and 12 hang on cell (0,0) of the 3x3 grid: a source and a sink
+        # there are joined through it
+        (system,) = enumerate_path_systems(grid3, BoundaryPair((1,), (12,)))
+        assert system.paths == ((1, 13, 12),)
 
     def test_systems_satisfy_invariants(self, lattice12):
         lookup = {e.pair for e in lattice12.edges}
@@ -679,3 +697,139 @@ class TestSoleSystem:
     def test_rule_and_search_split(self, request, monkeypatch, fixture, size, split):
         net = request.getfixturevalue(fixture)
         assert decided_by_rule_and_search(net, size, monkeypatch) == split
+
+
+def star_network(k):
+    """k pendant boundary vertices hung on interior vertex k + 1: one twin
+    class of k."""
+    return Network(k, 1, tuple(Edge(i, i, k + 1, 1.0) for i in range(1, k + 1)))
+
+
+def network_of(n_boundary, n_interior, pairs):
+    return Network(
+        n_boundary, n_interior, tuple(Edge(i, u, v, 1.0) for i, (u, v) in enumerate(pairs, start=1))
+    )
+
+
+#: Two twin classes of three on adjacent interior vertices, their labels
+#: interleaved: 1, 3, 5 hang on 7 and 2, 4, 6 on 8.
+TWO_CLASSES = network_of(6, 2, [(1, 7), (3, 7), (5, 7), (2, 8), (4, 8), (6, 8), (7, 8)])
+
+#: Pendants 2, 3, 4 hung on boundary vertex 1, which a path passes or ends
+#: at; 1, 6 and 5 join the interior path 7-8.
+BOUNDARY_HUB = network_of(6, 2, [(2, 1), (3, 1), (4, 1), (1, 7), (7, 8), (5, 8), (1, 8), (6, 7)])
+
+
+def twins(net):
+    """The first two pendant boundary vertices hung on one vertex, or None."""
+    adj, hung = net.adjacency(), {}
+    for b in range(1, net.n_boundary + 1):
+        if len(adj[b]) == 1:
+            hung.setdefault(adj[b][0], []).append(b)
+    return next((pair[:2] for pair in hung.values() if len(pair) > 1), None)
+
+
+TWIN_NETWORKS = [star_network(4), star_network(5), TWO_CLASSES, BOUNDARY_HUB] + [
+    net for net in map(pendant_network, range(100)) if twins(net)
+][:6]
+
+
+def mapped_families(families, perm):
+    """A covering_families dict with every vertex v renamed perm[v]: each
+    core keyed with its lowest endpoint in P, each family's paths run from
+    their lower end and ordered by it."""
+    out = {}
+    for (p_mask, q_mask), family in families.items():
+        p, q = (paths._mask(perm[v] for v in paths._vertices(m)) for m in (p_mask, q_mask))
+        if family is not None:
+            renamed = (tuple(perm[v] for v in path) for path in family)
+            family = tuple(sorted(path if path[0] < path[-1] else path[::-1] for path in renamed))
+        low = (p ^ q) & -(p ^ q)
+        out[(p, q) if p & low else (q, p)] = family
+    return out
+
+
+class TestTwins:
+    """Pendant boundary vertices hung on one vertex swap by an automorphism,
+    so the walk builds one family per orbit and relabels it; every family,
+    core and verdict is still the one the oracle finds."""
+
+    @pytest.mark.parametrize("net", TWIN_NETWORKS)
+    def test_every_cap_matches_oracle(self, net):
+        for size in range(1, net.n_boundary + 1):
+            families_match_oracle(net, size)
+            sole_system_verdicts(net, size)
+            assert scan_rows(net, size) == oracle_rows(net, size)
+
+    @pytest.mark.parametrize("net", TWIN_NETWORKS + [lattice_fixture([1.0] * 12)])
+    def test_swapping_twins_maps_the_families(self, net):
+        # the network with two twins' labels swapped is the network itself,
+        # so its dict is the dict mapped through the swap; so is the dict of
+        # a network relabeled at random
+        a, b = twins(net)
+        swap = list(range(net.n_vertices + 1))
+        swap[a], swap[b] = b, a
+        edges = tuple(Edge(e.id, swap[e.u], swap[e.v], 1.0) for e in net.edges)
+        swapped = Network(net.n_boundary, net.n_interior, edges)
+        other, perm = relabeled(net, 3)
+        for size in range(1, net.n_boundary + 1):
+            families = covering_families(net, size)
+            assert covering_families(swapped, size) == mapped_families(families, swap) == families
+            assert covering_families(other, size) == mapped_families(families, perm)
+
+    def test_path_between_two_twins(self):
+        # a-v-b is the one path through v between two of its twins: the
+        # star's families at |P| <= 1 are its six
+        families = families_match_oracle(star_network(4), 1)
+        assert sorted(families.values()) == [((a, 5, b),) for a, b in combinations(range(1, 5), 2)]
+
+    @pytest.mark.parametrize(
+        "fixture, size, walked, families, sole, rows",
+        [
+            ("grid3", 3, 30, 288, 106, 352),
+            ("grid3", 4, 86, 640, 378, 3360),
+            ("lattice_ones", 8, 11, 65, 34, 1288),
+        ],
+    )
+    def test_checks_run_once_per_orbit(
+        self, request, monkeypatch, fixture, size, walked, families, sole, rows
+    ):
+        # the walk builds `walked` families, which relabel into `families`;
+        # the scan reads one rung table per walked family and decides each
+        # walked core once, not each of the one-family cores (928 of the
+        # grid's at |P| <= 3)
+        net = request.getfixturevalue(fixture)
+        orbits = paths._covering_orbits(paths._SearchGraph(net), size)[1]
+        assert (len(orbits), sum(map(len, orbits))) == (walked, families)
+        calls = {"rungs": 0, "sole_system": 0}
+        for name in calls:
+            method = getattr(paths._SearchGraph, name)
+
+            def counted(graph, *args, name=name, method=method):
+                calls[name] += 1
+                return method(graph, *args)
+
+            monkeypatch.setattr(paths._SearchGraph, name, counted)
+        assert len(all_rows(net, size)) == rows
+        assert calls == {"rungs": walked, "sole_system": sole}
+
+
+@pytest.mark.parametrize("walk", ["enumerate_path_systems", "compile_topology"])
+def test_walks_leave_no_cyclic_garbage(lattice_ones, walk):
+    # each walk's nested functions call each other; once it returns, its
+    # data is freed by reference counting, not left for the collector
+    pair = BoundaryPair((1,), (5,))
+    run = {
+        "enumerate_path_systems": lambda: enumerate_path_systems(lattice_ones, pair),
+        "compile_topology": lambda: compile_topology(lattice_ones, stop_at_full_rank=False),
+    }[walk]
+    run()
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        for _ in range(3):
+            run()
+        assert len(gc.get_objects()) == before
+    finally:
+        gc.enable()
