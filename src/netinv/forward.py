@@ -65,6 +65,14 @@ class BoundaryPair:
             if idx and idx[0] < 1:  # ascending: the first index is the least
                 raise ValueError(f"{name} indices must be >= 1, got {idx}")
 
+    @classmethod
+    def _sorted(cls, p: tuple[int, ...], q: tuple[int, ...]) -> "BoundaryPair":
+        """The pair (p, q) without __post_init__'s checks, for a caller
+        that built p and q as equal-size ascending tuples of ints >= 1."""
+        pair = object.__new__(cls)
+        pair.__dict__.update(p=p, q=q)
+        return pair
+
     def validate_for(self, n_boundary: int):
         for name, idx in (("P", self.p), ("Q", self.q)):
             if idx and idx[-1] > n_boundary:

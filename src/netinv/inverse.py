@@ -227,11 +227,12 @@ def compile_topology(
     distinct: dict[tuple[int, ...], tuple[int, ...]] = {}  # coefficient row per edge set
     logdet = [(net.n_edges, -1)] if has_logdet else []
     for row in admissible_rows(net, size):
-        if row.edge_ids not in distinct:
-            distinct[row.edge_ids] = _coefficient_row(row, net.n_edges, has_logdet)
+        row_coeffs = distinct.get(row.edge_ids)
+        if row_coeffs is None:
+            row_coeffs = distinct[row.edge_ids] = _coefficient_row(row, net.n_edges, has_logdet)
             space.add_sparse([(eid - 1, 1) for eid in row.edge_ids] + logdet)
         rows.append(row)
-        coeffs.append(distinct[row.edge_ids])
+        coeffs.append(row_coeffs)
         if stop_at_full_rank and space.rank == n_unknowns:
             break
     pinned = space.pinned_columns()

@@ -10,6 +10,7 @@ recovered conductivities align positionally with the input.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass
 
@@ -43,6 +44,11 @@ class Network:
     edges: tuple[Edge, ...]
 
     def __post_init__(self):
+        for name in ("n_boundary", "n_interior"):
+            try:
+                operator.index(getattr(self, name))
+            except TypeError:
+                raise NetworkError(f"{name} must be an integer, got {getattr(self, name)!r}") from None
         n = self.n_boundary + self.n_interior
         if self.n_boundary < 0 or self.n_interior < 0:
             raise NetworkError("vertex counts must be non-negative")
@@ -96,12 +102,18 @@ def _edge_fault(u: int, v: int, gamma: float, n: int, seen_pairs: set) -> str | 
     """The per-edge rule that edge (u, v, gamma) breaks in a graph of n
     vertices whose earlier edges cover `seen_pairs`, or None; a valid
     edge's vertex pair is added to `seen_pairs`."""
-    if not (1 <= u <= n and 1 <= v <= n):
-        return f"vertex out of range 1..{n}"
+    try:
+        if not (1 <= operator.index(u) <= n and 1 <= operator.index(v) <= n):
+            return f"vertex out of range 1..{n}"
+    except TypeError:
+        return f"vertices must be integers, got {u!r} and {v!r}"
     if u == v:
         return f"self-loop at vertex {u}"
-    if not (math.isfinite(gamma) and gamma > 0):
-        return f"conductivity must be finite and positive, got {gamma}"
+    try:
+        if not (math.isfinite(gamma) and gamma > 0):
+            return f"conductivity must be finite and positive, got {gamma}"
+    except TypeError:
+        return f"conductivity must be a real number, got {gamma!r}"
     pair = (u, v) if u < v else (v, u)
     if pair in seen_pairs:
         return f"parallel edge on vertex pair {pair}"

@@ -20,23 +20,23 @@ class RowSpace:
     exactly when it is orthogonal to every vector of N. A column that no
     added row touches holds its unit vector in N implicitly. The other
     vectors are stored sparse, and N's entries in each touched column j
-    are packed into one int P_j, one W-bit field per vector from the
-    first vector nonzero at j. A row r's products with the vectors of N
-    are then the fields of sum_j r_j P_j, each at most ||r||_1 max|N| in
-    size; W keeps that below 2^(W-1), so the sum is zero exactly when
-    every product is. An independent row (one per rank step) removes one
-    vector of N by a fraction-free pivot, each changed vector divided by
-    the gcd of its entries, and N is packed again. Rows come dense (add,
-    `in`) or as their nonzero entries (add_sparse).
+    are packed into one int P_j, field i of W bits holding the entry of
+    stored vector i. A row r's products with the stored vectors are then
+    the fields of sum_j r_j P_j, each at most ||r||_1 max|N| in size; W
+    keeps that below 2^(W-1), so the sum is zero exactly when every
+    product is. An independent row (one per rank step) removes one
+    vector of N by a fraction-free pivot on those products, each changed
+    vector divided by the gcd of its entries, and N is packed again.
+    Rows come dense (add, `in`) or as their nonzero entries (add_sparse).
     """
 
     def __init__(self, rows=()):
         self._rank = 0
         self._null: list[dict[int, int]] = []  # N's stored vectors, column -> entry
-        self._packed: dict[int, tuple[int, int]] = {}  # touched column -> (first vector, P_j)
+        self._packed: dict[int, int] = {}  # touched column j -> P_j
         self._width = 1  # W
         self._max = 0  # max|N| over the stored vectors
-        self._norm = 0  # the largest ||r||_1 of a row met so far
+        self._norm = 0  # the ||r||_1 that W was last widened for
         for row in rows:
             self.add(row)
 
@@ -46,7 +46,8 @@ class RowSpace:
 
     def __contains__(self, row) -> bool:
         """Whether the row lies in the span."""
-        return self._orthogonal(self._widen(_nonzero(row)))
+        total, fresh = self._products(_nonzero(row))
+        return not (fresh or total)
 
     def add(self, row) -> bool:
         """Add a row to the span; True when the rank rose."""
@@ -55,12 +56,18 @@ class RowSpace:
     def add_sparse(self, entries) -> bool:
         """add for the row whose nonzero (column, integer entry) pairs,
         columns ascending, are `entries`."""
-        entries = self._widen(entries)
-        if self._orthogonal(entries):
+        total, fresh = self._products(entries)
+        if not (fresh or total):
             return False
-        r = dict(entries)
-        null = self._null + [{j: 1} for j in r if j not in self._packed]
-        dots = [sum(r.get(j, 0) * x for j, x in v.items()) for v in null]
+        # the row's products with the stored vectors, then with the unit
+        # vectors of the columns it touches first
+        dots, width, null = [], self._width, self._null + [{j: 1} for j, _ in fresh]
+        for _ in self._null:
+            d = total & (1 << width) - 1
+            d -= d >> (width - 1) << width  # the field's sign
+            dots.append(d)
+            total = (total - d) >> width
+        dots += [x for _, x in fresh]
         i = min((i for i, d in enumerate(dots) if d), key=lambda i: (abs(dots[i]), len(null[i])))
         pivot, d0 = null.pop(i), dots.pop(i)
         for i, (v, d) in enumerate(zip(null, dots)):
@@ -69,7 +76,7 @@ class RowSpace:
                 g = math.gcd(*v.values())
                 null[i] = {j: x // g for j, x in v.items() if x}
         self._null = null
-        self._packed.update(dict.fromkeys(r, (0, 0)))  # the row's columns are touched now
+        self._packed.update((j, 0) for j, _ in fresh)  # the row's columns are touched now
         self._rank += 1
         self._pack()
         return True
@@ -77,35 +84,34 @@ class RowSpace:
     def pinned_columns(self) -> set[int]:
         """The columns whose unit vector lies in the span, the coordinates
         the rows fix: those touched where every vector of N is zero."""
-        return {j for j, (_, packed) in self._packed.items() if not packed}
+        return {j for j, packed in self._packed.items() if not packed}
 
-    def _widen(self, entries):
-        """The entries, W widened first when the row's size would overflow
-        a field."""
-        norm = sum(abs(x) for _, x in entries)
-        if norm > self._norm:
-            self._norm = norm
-            if norm * self._max >> (self._width - 1):
-                self._pack()
-        return entries
-
-    def _orthogonal(self, entries) -> bool:
-        total, width, packed = 0, self._width, self._packed
+    def _products(self, entries) -> tuple[int, list]:
+        """sum_j r_j P_j over the touched columns j of the row r with
+        these nonzero entries, and the row's other entries. A row whose
+        size could overflow a field widens W, and its products are summed
+        again."""
+        total, norm, fresh, packed = 0, 0, [], self._packed
         for j, x in entries:
-            if j not in packed:
-                return False  # the unit vector of an untouched column
-            first, p = packed[j]
-            total += x * p << width * first
-        return not total
+            p = packed.get(j)
+            if p is None:
+                fresh.append((j, x))
+            else:
+                total += x * p
+            norm += abs(x)
+        if norm * self._max >> (self._width - 1):
+            self._norm = norm
+            self._pack()
+            return self._products(entries)
+        return total, fresh
 
     def _pack(self) -> None:
         self._max = max((abs(x) for v in self._null for x in v.values()), default=0)
         self._width = width = (self._norm * self._max).bit_length() + 1
-        packed = dict.fromkeys(self._packed, (0, 0))
+        packed = dict.fromkeys(self._packed, 0)
         for i, v in enumerate(self._null):
             for j, x in v.items():
-                first, p = packed[j]
-                packed[j] = (i, x) if not p else (first, p + (x << width * (i - first)))
+                packed[j] += x << width * i
         self._packed = packed
 
 

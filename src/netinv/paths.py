@@ -298,11 +298,14 @@ def _term_sign(p_mask: int, q_mask: int, ends) -> int:
     of the sinks' permutation is one cycle of the term's bijection, and
     K's -gamma on each of its edges leaves -1. A path's route and length
     drop out, and so does whether a shared vertex lies on a path."""
-    moved, odd, placed = p_mask ^ q_mask, len(ends), 0
+    odd, placed = len(ends), 0
     for _, t in sorted(ends):
         odd += (placed >> t).bit_count()  # the sinks above t placed before it
         placed |= 1 << t
-    odd += sum((moved & ((1 << v) - 1)).bit_count() for v in _vertices(p_mask & q_mask))
+    shared = p_mask & q_mask
+    if shared:
+        moved = p_mask ^ q_mask
+        odd += sum((moved & ((1 << v) - 1)).bit_count() for v in _vertices(shared))
     return -1 if odd & 1 else 1
 
 
@@ -556,12 +559,11 @@ def _covering_orbits(graph: _SearchGraph, max_pair_size: int) -> tuple[dict, lis
 
 def _sole_cores(graph: _SearchGraph, max_pair_size: int) -> list[tuple]:
     """The cores with |P| <= max_pair_size whose one chordless covering
-    family is their only path system, each as (|P|, P, Q, the pendant
-    boundary vertices outside P + Q, sign, flips, edge ids): `flips` has
-    bit r set when an odd number of vertices of P^Q lie below r, and the
-    edge ids, ascending, are those of the family's paths."""
-    edge_id, pendants = graph.edge_id, graph.boundary & graph.pendants
+    family is their only path system, each as (|P|, P mask, Q mask, sign,
+    edge ids), the edge ids, ascending, those of the family's paths."""
+    edge_id = graph.edge_id
     families, orbits = _covering_orbits(graph, max_pair_size)
+    path_edges: dict[tuple, list] = {}  # the families of an orbit share most paths
     cores = []
     for orbit in orbits:
         walked, walked_cores = orbit[0]
@@ -580,19 +582,24 @@ def _sole_cores(graph: _SearchGraph, max_pair_size: int) -> list[tuple]:
             if not verdicts[i]:
                 continue
             if family is not last:
-                last = family
-                edge_ids = tuple(sorted(edge_id[e] for path in family for e in zip(path, path[1:])))
+                last, ids = family, []
+                for path in family:
+                    if path not in path_edges:
+                        path_edges[path] = [edge_id[e] for e in zip(path, path[1:])]
+                    ids += path_edges[path]
+                edge_ids = tuple(sorted(ids))
                 tips = [(path[0], path[-1]) for path in family]
             ends = [(s, t) if p_mask >> s & 1 else (t, s) for s, t in tips]
-            p, q = _vertices(p_mask), _vertices(q_mask)
-            free, flips = (), 0
-            if len(p) < max_pair_size:
-                free, moved = _vertices(pendants & ~(p_mask | q_mask)), _vertices(p_mask ^ q_mask)
-                # the vertices above an odd number of P^Q: above its 1st and up
-                # to its 2nd, above its 3rd and up to its 4th, ...
-                flips = sum((2 << b) - (2 << a) for a, b in zip(moved[::2], moved[1::2]))
-            cores.append((len(p), p, q, free, _term_sign(p_mask, q_mask, ends), flips, edge_ids))
+            sign = _term_sign(p_mask, q_mask, ends)
+            cores.append((p_mask.bit_count(), p_mask, q_mask, sign, edge_ids))
     return cores
+
+
+def _order_key(mask: int, n: int) -> int:
+    """The sum of 2^(n + 1 - v) over the vertices v of `mask`, a subset
+    of 1..n: of two sets of one size, the one with the larger key is the
+    lexicographically smaller ascending tuple."""
+    return int(bin(mask)[:1:-1], 2) << n + 2 - mask.bit_length()  # the bits reversed
 
 
 def admissible_rows(net: Network, max_pair_size: int) -> Iterator[AdmissibleRow]:
@@ -622,29 +629,52 @@ def admissible_rows(net: Network, max_pair_size: int) -> Iterator[AdmissibleRow]
     sign is _term_sign of the core; each added pendant r flips it when an
     odd number of vertices of P^Q lie below r, since a shared vertex
     changes neither P^Q nor the order of the sinks. Candidates are built
-    one size at a time, so the sizes a caller never reaches cost nothing
-    beyond the walk and the checks.
+    one size at a time, as integers: with b boundary vertices, a pair
+    (P, Q) is keyed as the one set of P and Q's vertices moved up by b + 1,
+    whose _order_key is _order_key(P) * 2^(b+1) + _order_key(Q). By key,
+    descending, the candidates come in scan order, and no two tie, as a
+    pair fixes its core. A candidate's tuples, edge ids and row are built
+    only when it is yielded, so the sizes and rows a caller never reaches
+    cost nothing beyond the walk and the checks.
     """
     graph = _SearchGraph(net)
-    masks, edge_id, pendants = graph.masks, graph.edge_id, graph.boundary & graph.pendants
-    pendant_edge = {r: edge_id[r, w] for r in _vertices(pendants) for w, _ in graph.steps[r]}
+    shift = net.n_boundary + 1
+    n = 2 * shift - 1  # a pair's key is that of a subset of 1..n
+    pendants = graph.boundary & graph.pendants
+    pendant_edge = {r: graph.edge_id[r, w] for r in _vertices(pendants) for w, _ in graph.steps[r]}
+    # per pendant r: its bit, the key it adds when shared (in P and in Q), its neighbor
+    shares = {r: (1 << r, _order_key(1 << r | 1 << r + shift, n), graph.masks[r]) for r in pendant_edge}
     cores = _sole_cores(graph, max_pair_size)
+    keys = [0] * len(cores)
+    extras: dict[int, tuple] = {}  # per core: its free pendants' shares, and flips
     for size in range(1, max_pair_size + 1):
         candidates = []
-        for k, p, q, free, sign, flips, edge_ids in cores:
-            if k > size:
-                continue
+        for i, (k, p_mask, q_mask, _, _) in enumerate(cores):
             if k == size:
-                candidates.append((p, q, (), sign, edge_ids))
-                continue
-            for extra in combinations(free, size - k):
-                shared = _mask(extra)
-                if not any(masks[r] & shared for r in extra):
-                    row_sign = -sign if (flips & shared).bit_count() & 1 else sign
-                    row_p, row_q = tuple(sorted(p + extra)), tuple(sorted(q + extra))
-                    candidates.append((row_p, row_q, extra, row_sign, edge_ids))
-        candidates.sort()
-        for p, q, extra, sign, edge_ids in candidates:
-            if extra:
-                edge_ids = tuple(sorted(edge_ids + tuple(pendant_edge[r] for r in extra)))
-            yield AdmissibleRow(BoundaryPair(p, q), edge_ids, sign)
+                keys[i] = _order_key(p_mask | q_mask << shift, n)
+                candidates.append((keys[i], i, 0))
+            elif k < size:
+                if i not in extras:
+                    moved = _vertices(p_mask ^ q_mask)
+                    # the vertices above an odd number of P^Q: above its 1st and
+                    # up to its 2nd, above its 3rd and up to its 4th, ...
+                    flips = sum((2 << b) - (2 << a) for a, b in zip(moved[::2], moved[1::2]))
+                    free = [shares[r] for r in _vertices(pendants & ~(p_mask | q_mask))]
+                    extras[i] = free, flips
+                for extra in combinations(extras[i][0], size - k):
+                    key, shared, around = keys[i], 0, 0
+                    for bit, r_key, neighbor in extra:
+                        key += r_key
+                        shared |= bit
+                        around |= neighbor
+                    if not around & shared:
+                        candidates.append((key, i, shared))
+        candidates.sort(reverse=True)
+        for _, i, shared in candidates:
+            _, p_mask, q_mask, sign, edge_ids = cores[i]
+            if shared:
+                p_mask, q_mask = p_mask | shared, q_mask | shared
+                if (extras[i][1] & shared).bit_count() & 1:
+                    sign = -sign
+                edge_ids = tuple(sorted(edge_ids + tuple(map(pendant_edge.get, _vertices(shared)))))
+            yield AdmissibleRow(BoundaryPair._sorted(_vertices(p_mask), _vertices(q_mask)), edge_ids, sign)

@@ -159,6 +159,30 @@ def test_network_rejects_negative_vertex_count():
         Network(2, -1, ())
 
 
+def test_network_rejects_non_integer_vertex():
+    with pytest.raises(NetworkError, match=r"^edge 1: vertices must be integers, got 1\.5 and 2$"):
+        Network(2, 0, (Edge(1, 1.5, 2, 1.0),))
+    with pytest.raises(NetworkError, match="^edge 2: vertices must be integers, got 1 and '2'$"):
+        Network(2, 0, (Edge(1, 1, 2, 1.0), Edge(2, 1, "2", 1.0)))
+
+
+@pytest.mark.parametrize("gamma", ["1.0", 1 + 0j, None])
+def test_network_rejects_non_real_conductivity(gamma):
+    with pytest.raises(NetworkError) as exc:
+        Network(2, 0, (Edge(1, 1, 2, gamma),))
+    assert str(exc.value) == f"edge 1: conductivity must be a real number, got {gamma!r}"
+
+
+@pytest.mark.parametrize(
+    "counts, message",
+    [((2.0, 0), "n_boundary must be an integer, got 2.0"), ((2, 0.0), "n_interior must be an integer, got 0.0")],
+)
+def test_network_rejects_non_integer_vertex_count(counts, message):
+    with pytest.raises(NetworkError) as exc:
+        Network(*counts, (Edge(1, 1, 2, 1.0),))
+    assert str(exc.value) == message
+
+
 def test_network_rejects_bad_edge_ids():
     with pytest.raises(NetworkError, match="edge ids"):
         Network(2, 0, (Edge(2, 1, 2, 1.0),))

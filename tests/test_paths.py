@@ -20,7 +20,13 @@ from netinv import (
 )
 from netinv import paths
 from netinv.network import Edge, Network, kirchhoff, random_network
-from oracle import exhaustive_path_systems, is_log_linear_admissible, second_system_search, term_sign
+from oracle import (
+    exhaustive_path_systems,
+    is_log_linear_admissible,
+    scan_reference,
+    second_system_search,
+    term_sign,
+)
 
 
 def system_summaries(systems):
@@ -697,6 +703,53 @@ class TestSoleSystem:
     def test_rule_and_search_split(self, request, monkeypatch, fixture, size, split):
         net = request.getfixturevalue(fixture)
         assert decided_by_rule_and_search(net, size, monkeypatch) == split
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_order_key_orders_subsets_as_tuples(data):
+    # among subsets of 1..n of one size, a larger key is exactly a
+    # lexicographically smaller ascending tuple
+    n = data.draw(st.integers(1, 40))
+    size = data.draw(st.integers(0, n))
+    subsets = st.lists(st.integers(1, n), min_size=size, max_size=size, unique=True).map(sorted)
+    a, b = tuple(data.draw(subsets)), tuple(data.draw(subsets))
+    key_a, key_b = (paths._order_key(paths._mask(s), n) for s in (a, b))
+    assert (key_a > key_b, key_a == key_b) == (a < b, a == b)
+
+
+def rows_match_reference(net, max_size):
+    """admissible_rows, after checking that it yields scan_reference's rows,
+    in its order, and that each pair passes BoundaryPair's own checks."""
+    rows = list(paths.admissible_rows(net, max_size))
+    assert rows == scan_reference(net, max_size)
+    for row in rows:
+        assert BoundaryPair(row.pair.p, row.pair.q) == row.pair
+        assert all(type(v) is int for v in row.pair.p + row.pair.q)
+        row.pair.validate_for(net.n_boundary)
+    return rows
+
+
+class TestScanReference:
+    """The scan's integer keys and rows built at yield give the rows that
+    plain tuple sorting gives: same order, pairs, signs and edge ids."""
+
+    def test_lattice(self, lattice_ones):
+        rows = rows_match_reference(lattice_ones, 8)
+        assert len(rows) == 1288
+        # the plan stops at full rank, 46 rows into the size-3 candidates
+        assert compile_topology(lattice_ones).rows == tuple(rows[:110])
+
+    @pytest.mark.parametrize("n, size, n_rows", [(3, 3, 352), (3, 4, 3360), (4, 4, 1792)])
+    def test_grid(self, n, size, n_rows):
+        net = grid_fixture(n, [1.0] * (2 * n * (n + 1)))
+        assert len(rows_match_reference(net, size)) == n_rows
+
+    def test_random_networks(self):
+        for seed in range(300):
+            net = random_network(seed=seed)
+            for size in (1, 2, 3):
+                rows_match_reference(net, size)
 
 
 def star_network(k):
