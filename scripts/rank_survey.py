@@ -6,7 +6,7 @@ solvable from unique-disjoint-path determinants alone?"""
 import argparse
 from collections import Counter
 
-from netinv import compile_topology
+from netinv import rank_topology
 from netinv.network import random_network
 
 
@@ -22,12 +22,12 @@ def main():
     verdicts = Counter()
     for trial in range(args.trials):
         net = random_network(args.boundary, args.interior, args.edge_prob, args.seed + trial)
-        plan = compile_topology(net, stop_at_full_rank=False)
-        verdict = "full" if plan.full_rank else "deficient"
+        cert = rank_topology(net)
+        verdict = "full" if cert.full_rank else "deficient"
         verdicts[verdict] += 1
         print(
             f"trial {trial}: vertices {net.n_vertices} edges {net.n_edges} "
-            f"rows {len(plan.rows)} rank {plan.rank}/{plan.n_unknowns} {verdict}"
+            f"rows {cert.rows} rank {cert.rank}/{cert.n_unknowns} {verdict}"
         )
     print(f"\nsummary: {dict(verdicts)}")
 

@@ -23,10 +23,12 @@ from .forward import (
 )
 from .inverse import (
     LogLinearSystem,
+    RankCertificate,
     RecoveryPlan,
     RecoveryReport,
     compile_topology,
     difference_rows,
+    rank_topology,
     recover,
 )
 from .network import (

@@ -30,7 +30,7 @@ from .errors import (
     TooManySystems,
 )
 from .forward import BoundaryPair, DtNMap, dtn
-from .inverse import compile_topology, recover
+from .inverse import compile_topology, rank_topology, recover
 from .network import Network, parse_network, random_gamma
 from .numerics import format_matrix_text, parse_matrix_text
 from .paths import expand_det
@@ -102,10 +102,10 @@ def cmd_paths(args) -> int:
 
 def cmd_rank(args) -> int:
     net = _load_network(args.net_file)
-    plan = compile_topology(net, args.max_pair_size, stop_at_full_rank=False)
-    verdict = "full" if plan.full_rank else "deficient"
-    print(f"rows={len(plan.rows)} rank={plan.rank} unknowns={plan.n_unknowns} verdict={verdict}")
-    return EXIT_OK if plan.full_rank else EXIT_CODES[RankDeficient]
+    cert = rank_topology(net, args.max_pair_size)
+    verdict = "full" if cert.full_rank else "deficient"
+    print(f"rows={cert.rows} rank={cert.rank} unknowns={cert.n_unknowns} verdict={verdict}")
+    return EXIT_OK if cert.full_rank else EXIT_CODES[RankDeficient]
 
 
 def cmd_invert(args) -> int:

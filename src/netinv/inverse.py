@@ -2,7 +2,9 @@
 boundary pairs, their {1,0,-1} rows in (log gamma_1..log gamma_m,
 log det K(I,I)) and the rows' exact rank, all fixed by the topology
 alone; the plan's system takes the rhs log|det Lambda(P,Q)| from a DtN
-map, and its apply solves that system and checks the round trip."""
+map, and its apply solves that system and checks the round trip.
+rank_topology certifies the same rows' count and rank without building
+them."""
 
 from __future__ import annotations
 
@@ -24,7 +26,7 @@ from .errors import (
 from .forward import BoundaryPair, DtNMap, dtn
 from .network import Network
 from .numerics import RowSpace
-from .paths import AdmissibleRow, admissible_rows
+from .paths import AdmissibleRow, admissible_rows, core_census
 
 #: Least-squares residual beyond this multiple of ||rhs|| flags the
 #: input as not an exact DtN map of the topology.
@@ -203,6 +205,26 @@ class RecoveryPlan:
         return RecoveryReport(gammas, logdet, residual_norm, self.n_unknowns, roundtrip_error)
 
 
+def _pair_size(net: Network, max_pair_size: Optional[int]) -> int:
+    """The largest |P| a scan with this max_pair_size reaches; ValueError
+    for a max_pair_size other than None or an integer >= 1."""
+    if max_pair_size is None:
+        return net.n_boundary
+    try:
+        cap = operator.index(max_pair_size)
+    except TypeError:
+        cap = 0
+    if cap < 1:
+        raise ValueError(f"max_pair_size must be an integer >= 1, got {max_pair_size!r}")
+    return min(cap, net.n_boundary)
+
+
+def _unresolved(space: RowSpace, n_edges: int) -> tuple[int, ...]:
+    """The edge ids whose column the rows in `space` leave unpinned."""
+    pinned = space.pinned_columns()
+    return tuple(j for j in range(1, n_edges + 1) if j - 1 not in pinned)
+
+
 def compile_topology(
     net: Network, max_pair_size: Optional[int] = None, stop_at_full_rank: bool = True
 ) -> RecoveryPlan:
@@ -210,15 +232,7 @@ def compile_topology(
     admissibility, ranking their rows exactly as they come; with
     stop_at_full_rank the scan halts once the rows reach full rank. A
     max_pair_size other than None or an integer >= 1 raises ValueError."""
-    size = net.n_boundary
-    if max_pair_size is not None:
-        try:
-            cap = operator.index(max_pair_size)
-        except TypeError:
-            cap = 0
-        if cap < 1:
-            raise ValueError(f"max_pair_size must be an integer >= 1, got {max_pair_size!r}")
-        size = min(cap, size)
+    size = _pair_size(net, max_pair_size)
     has_logdet = net.n_interior > 0
     n_unknowns = net.n_edges + has_logdet
     space = RowSpace()
@@ -235,9 +249,53 @@ def compile_topology(
         coeffs.append(row_coeffs)
         if stop_at_full_rank and space.rank == n_unknowns:
             break
-    pinned = space.pinned_columns()
-    unresolved = tuple(j for j in range(1, net.n_edges + 1) if j - 1 not in pinned)
+    unresolved = _unresolved(space, net.n_edges)
     return RecoveryPlan(net, tuple(rows), tuple(coeffs), space.rank, n_unknowns, unresolved)
+
+
+@dataclass(frozen=True)
+class RankCertificate:
+    """What compile_topology(net, max_pair_size, stop_at_full_rank=False)
+    finds of a topology's rows, without the rows: how many there are,
+    their exact rank, the unknown count and the edge ids they leave
+    unresolved."""
+
+    rows: int
+    rank: int
+    n_unknowns: int
+    unresolved_edges: tuple[int, ...]
+
+    @property
+    def full_rank(self) -> bool:
+        """Whether the rows determine every unknown; no rows never do."""
+        return self.rows > 0 and self.rank == self.n_unknowns
+
+
+def rank_topology(net: Network, max_pair_size: Optional[int] = None) -> RankCertificate:
+    """The rank certificate of the pairs with |P| = |Q| <= max_pair_size
+    (default: all), read from the scan's cores (paths.core_census): each
+    core's rows are counted, not built, and only the rows that can raise
+    the rank are ranked. Let c be a core's row and e_r the unit row of a
+    free pendant r's edge. A row sharing pendants r_1..r_j, j >= 2, is
+    sum_i (c + e_ri) - (j - 1) c, and each term is itself a row. So the
+    rows span what the core rows and the rows c + e_r span, and only
+    those go to the RowSpace, until it reaches full rank (the empty
+    core's row, of a network without interior vertices, is zero and adds
+    nothing). The memory is then set by the cores, not by the rows. A
+    max_pair_size other than None or an integer >= 1 raises ValueError."""
+    size = _pair_size(net, max_pair_size)
+    n_unknowns = net.n_edges + (net.n_interior > 0)
+    logdet = [(net.n_edges, -1)] if net.n_interior else []
+    space = RowSpace()
+    rows = 0
+    for count, edge_ids, extra in core_census(net, size):
+        rows += count
+        if space.rank < n_unknowns:
+            entries = [(eid - 1, 1) for eid in edge_ids] + logdet
+            space.add_sparse(entries)
+            for eid in extra:
+                space.add_sparse(entries + [(eid - 1, 1)])
+    return RankCertificate(rows, space.rank, n_unknowns, _unresolved(space, net.n_edges))
 
 
 def recover(

@@ -110,6 +110,10 @@ def _edge_fault(u: int, v: int, gamma: float, n: int, seen_pairs: set) -> str | 
     if u == v:
         return f"self-loop at vertex {u}"
     try:
+        # math.isfinite would read a numpy complex as its real part; a
+        # float, as every parsed or drawn conductivity is, skips the test
+        if type(gamma) is not float and isinstance(gamma, (complex, np.complexfloating)):
+            raise TypeError
         if not (math.isfinite(gamma) and gamma > 0):
             return f"conductivity must be finite and positive, got {gamma}"
     except TypeError:

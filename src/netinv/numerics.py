@@ -27,7 +27,7 @@ class RowSpace:
     product is. An independent row (one per rank step) removes one
     vector of N by a fraction-free pivot on those products, each changed
     vector divided by the gcd of its entries, and N is packed again.
-    Rows come dense (add, `in`) or as their nonzero entries (add_sparse).
+    Rows come dense (add) or as their nonzero entries (add_sparse).
     """
 
     def __init__(self, rows=()):
@@ -36,7 +36,9 @@ class RowSpace:
         self._packed: dict[int, int] = {}  # touched column j -> P_j
         self._width = 1  # W
         self._max = 0  # max|N| over the stored vectors
-        self._norm = 0  # the ||r||_1 that W was last widened for
+        # the ||r||_1 that W was last widened for; at least 1, so that a
+        # field holds each entry of N and pinned_columns reads P_j == 0 right
+        self._norm = 1
         for row in rows:
             self.add(row)
 
@@ -44,18 +46,13 @@ class RowSpace:
     def rank(self) -> int:
         return self._rank
 
-    def __contains__(self, row) -> bool:
-        """Whether the row lies in the span."""
-        total, fresh = self._products(_nonzero(row))
-        return not (fresh or total)
-
     def add(self, row) -> bool:
         """Add a row to the span; True when the rank rose."""
-        return self.add_sparse(_nonzero(row))
+        return self.add_sparse([(j, int(x)) for j, x in enumerate(row) if x])
 
     def add_sparse(self, entries) -> bool:
         """add for the row whose nonzero (column, integer entry) pairs,
-        columns ascending, are `entries`."""
+        one per column, in any order, are `entries`."""
         total, fresh = self._products(entries)
         if not (fresh or total):
             return False
@@ -113,11 +110,6 @@ class RowSpace:
             for j, x in v.items():
                 packed[j] += x << width * i
         self._packed = packed
-
-
-def _nonzero(row) -> list[tuple[int, int]]:
-    """A dense row's nonzero (column, entry) pairs."""
-    return [(j, int(x)) for j, x in enumerate(row) if x]
 
 
 def format_matrix_text(m) -> str:

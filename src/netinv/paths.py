@@ -26,7 +26,7 @@ from .network import Network, kirchhoff
 #: beyond desk scale and the caller gets TooManySystems.
 MAX_SYSTEMS = 10**6
 
-#: Both walks, enumerate_path_systems and covering_families, recurse once
+#: Both walks, enumerate_path_systems and _covering_orbits, recurse once
 #: per path vertex; past the recursion limit they have run out of budget.
 _TOO_DEEP = "path search deeper than the recursion limit"
 
@@ -354,8 +354,9 @@ class AdmissibleRow:
     sign: int
 
 
-def covering_families(graph: _SearchGraph, max_pair_size: int) -> dict[tuple, Optional[tuple]]:
-    """The chordless path families that cover I, per endpoint core.
+def _covering_orbits(graph: _SearchGraph, max_pair_size: int) -> tuple[dict, list]:
+    """The chordless path families that cover I, per endpoint core, and
+    the orbits of twin swaps behind them.
 
     A family is a set of vertex-disjoint paths, each joining two boundary
     vertices through interior vertices and non-pendant boundary vertices,
@@ -369,7 +370,7 @@ def covering_families(graph: _SearchGraph, max_pair_size: int) -> dict[tuple, Op
     A family is left out when one of its paths has a chord, an edge
     between two of its vertices that are not consecutive on it: the
     shortcut along the chord is a second system of the same core, so that
-    core has no unique system. Returns, for each core that has a
+    core has no unique system. The dict holds, for each core that has a
     chordless family, keyed by the core's (P, Q) vertex bitmasks (bit v
     is vertex v) with P before Q lexicographically (the mirror (Q, P) has
     the same systems reversed): its family when it has only one, per path
@@ -377,24 +378,18 @@ def covering_families(graph: _SearchGraph, max_pair_size: int) -> dict[tuple, Op
     their lower end; else None.
 
     Two pendant boundary vertices hung on one vertex v, twins, swap by an
-    automorphism of the network. So the walk (_covering_orbits) builds one
-    family per orbit of such swaps: only the lowest twin of v ends a path,
-    except on the path a-v-b through v between its two lowest twins. Each
-    walked family is then relabeled into every family of its orbit: any
-    twin of v in place of the lowest, and any two on a-v-b. A network
-    without twins walks every family.
-    """
-    return _covering_orbits(graph, max_pair_size)[0]
-
-
-def _covering_orbits(graph: _SearchGraph, max_pair_size: int) -> tuple[dict, list]:
-    """covering_families' dict, and the orbits behind it: one list per
-    walked family of (family, keys) pairs, one pair per family of its
-    orbit, the walked one first, where keys are the dict keys of that
-    family's cores. The walked family's cores run its first path from its
-    lower end and the others either way. Every other family's keys follow
-    them in order, each the image of its walked core, or of that core's
-    mirror, under a product of twin swaps.
+    automorphism of the network. So the walk builds one family per orbit
+    of such swaps: only the lowest twin of v ends a path, except on the
+    path a-v-b through v between its two lowest twins. Each walked family
+    is then relabeled into every family of its orbit: any twin of v in
+    place of the lowest, and any two on a-v-b. A network without twins
+    walks every family. The orbits are one list per walked family of
+    (family, keys) pairs, one pair per family of its orbit, the walked
+    one first, where keys are the dict keys of that family's cores. The
+    walked family's cores run its first path from its lower end and the
+    others either way. Every other family's keys follow them in order,
+    each the image of its walked core, or of that core's mirror, under a
+    product of twin swaps.
 
     The walk builds each walked family once, its paths ordered by their
     lower end and each starting there, and gives up a branch as soon as
@@ -557,42 +552,40 @@ def _covering_orbits(graph: _SearchGraph, max_pair_size: int) -> tuple[dict, lis
     return families, orbits
 
 
-def _sole_cores(graph: _SearchGraph, max_pair_size: int) -> list[tuple]:
+def _sole_cores(graph: _SearchGraph, max_pair_size: int) -> Iterator[tuple]:
     """The cores with |P| <= max_pair_size whose one chordless covering
-    family is their only path system, each as (|P|, P mask, Q mask, sign,
-    edge ids), the edge ids, ascending, those of the family's paths."""
+    family is their only path system, by family: per family that has
+    such a core, its |P|, the family, the edge ids of its paths,
+    ascending, and the (P mask, Q mask) of each such core. The cores of a
+    family differ only in which way its paths run, so they share |P| and
+    P + Q."""
     edge_id = graph.edge_id
     families, orbits = _covering_orbits(graph, max_pair_size)
     path_edges: dict[tuple, list] = {}  # the families of an orbit share most paths
-    cores = []
     for orbit in orbits:
         walked, walked_cores = orbit[0]
-        kept = [
-            (family, i, core)
-            for family, keys in orbit
-            for i, core in enumerate(keys)
-            if families[core] is family
-        ]
+        kept = []  # per family of the orbit: its one-family cores, by index
+        for family, keys in orbit:
+            mine = [(i, core) for i, core in enumerate(keys) if families[core] is family]
+            if mine:
+                kept.append((family, mine))
         if not kept:
             continue
-        rungs, verdicts, last = graph.rungs(walked), {}, None
-        for family, i, (p_mask, q_mask) in kept:
-            if i not in verdicts:
-                verdicts[i] = graph.sole_system(*walked_cores[i], walked, rungs)
-            if not verdicts[i]:
-                continue
-            if family is not last:
-                last, ids = family, []
+        rungs, verdicts = graph.rungs(walked), {}
+        for family, mine in kept:
+            cores = []
+            for i, core in mine:
+                if i not in verdicts:
+                    verdicts[i] = graph.sole_system(*walked_cores[i], walked, rungs)
+                if verdicts[i]:
+                    cores.append(core)
+            if cores:
+                ids = []
                 for path in family:
                     if path not in path_edges:
                         path_edges[path] = [edge_id[e] for e in zip(path, path[1:])]
                     ids += path_edges[path]
-                edge_ids = tuple(sorted(ids))
-                tips = [(path[0], path[-1]) for path in family]
-            ends = [(s, t) if p_mask >> s & 1 else (t, s) for s, t in tips]
-            sign = _term_sign(p_mask, q_mask, ends)
-            cores.append((p_mask.bit_count(), p_mask, q_mask, sign, edge_ids))
-    return cores
+                yield cores[0][0].bit_count(), family, tuple(sorted(ids)), cores
 
 
 def _order_key(mask: int, n: int) -> int:
@@ -600,6 +593,12 @@ def _order_key(mask: int, n: int) -> int:
     of 1..n: of two sets of one size, the one with the larger key is the
     lexicographically smaller ascending tuple."""
     return int(bin(mask)[:1:-1], 2) << n + 2 - mask.bit_length()  # the bits reversed
+
+
+def _pendant_edges(graph: _SearchGraph) -> dict[int, int]:
+    """Per pendant boundary vertex, the id of its one edge."""
+    pendants = _vertices(graph.boundary & graph.pendants)
+    return {r: graph.edge_id[r, w] for r in pendants for w, _ in graph.steps[r]}
 
 
 def admissible_rows(net: Network, max_pair_size: int) -> Iterator[AdmissibleRow]:
@@ -613,7 +612,7 @@ def admissible_rows(net: Network, max_pair_size: int) -> Iterator[AdmissibleRow]
     vertices), those vertices added to the residual. An admissible pair's
     unique system covers I, passes through every other shared vertex and
     has no chord, so its core has exactly one chordless covering family
-    (covering_families). Each of those cores is checked for a second
+    (_covering_orbits). Each of those cores is checked for a second
     system (_SearchGraph.sole_system) once per orbit of twin swaps: the
     check runs on the walked family's core and holds for every relabeling
     of it. The cores of one family differ only in which way each path
@@ -625,28 +624,30 @@ def admissible_rows(net: Network, max_pair_size: int) -> Iterator[AdmissibleRow]
     whose rungs close a cycle of paths go to the growing search.
 
     A core whose family is its only system gives the candidates of a
-    size by adding shared pendant vertices not joined to each other. Its
-    sign is _term_sign of the core; each added pendant r flips it when an
-    odd number of vertices of P^Q lie below r, since a shared vertex
-    changes neither P^Q nor the order of the sinks. Candidates are built
-    one size at a time, as integers: with b boundary vertices, a pair
-    (P, Q) is keyed as the one set of P and Q's vertices moved up by b + 1,
-    whose _order_key is _order_key(P) * 2^(b+1) + _order_key(Q). By key,
-    descending, the candidates come in scan order, and no two tie, as a
-    pair fixes its core. A candidate's tuples, edge ids and row are built
-    only when it is yielded, so the sizes and rows a caller never reaches
-    cost nothing beyond the walk and the checks.
+    size by adding shared pendant vertices not joined to each other.
+    Candidates are built one size at a time, as integers: with b boundary
+    vertices, a pair (P, Q) is keyed as the one set of P and Q's vertices
+    moved up by b + 1, whose _order_key is _order_key(P) * 2^(b+1) +
+    _order_key(Q). By key, descending, the candidates come in scan order,
+    and no two tie, as a pair fixes its core. A candidate's tuples, edge
+    ids and sign (_term_sign of its pair) are built only when it is
+    yielded, so the sizes and rows a caller never reaches cost nothing
+    beyond the walk and the checks.
     """
     graph = _SearchGraph(net)
     shift = net.n_boundary + 1
     n = 2 * shift - 1  # a pair's key is that of a subset of 1..n
     pendants = graph.boundary & graph.pendants
-    pendant_edge = {r: graph.edge_id[r, w] for r in _vertices(pendants) for w, _ in graph.steps[r]}
+    pendant_edge = _pendant_edges(graph)
     # per pendant r: its bit, the key it adds when shared (in P and in Q), its neighbor
     shares = {r: (1 << r, _order_key(1 << r | 1 << r + shift, n), graph.masks[r]) for r in pendant_edge}
-    cores = _sole_cores(graph, max_pair_size)
+    cores = [
+        (k, p_mask, q_mask, family, edge_ids)
+        for k, family, edge_ids, kept in _sole_cores(graph, max_pair_size)
+        for p_mask, q_mask in kept
+    ]
     keys = [0] * len(cores)
-    extras: dict[int, tuple] = {}  # per core: its free pendants' shares, and flips
+    free: dict[int, list] = {}  # per core: its free pendants' shares
     for size in range(1, max_pair_size + 1):
         candidates = []
         for i, (k, p_mask, q_mask, _, _) in enumerate(cores):
@@ -654,14 +655,9 @@ def admissible_rows(net: Network, max_pair_size: int) -> Iterator[AdmissibleRow]
                 keys[i] = _order_key(p_mask | q_mask << shift, n)
                 candidates.append((keys[i], i, 0))
             elif k < size:
-                if i not in extras:
-                    moved = _vertices(p_mask ^ q_mask)
-                    # the vertices above an odd number of P^Q: above its 1st and
-                    # up to its 2nd, above its 3rd and up to its 4th, ...
-                    flips = sum((2 << b) - (2 << a) for a, b in zip(moved[::2], moved[1::2]))
-                    free = [shares[r] for r in _vertices(pendants & ~(p_mask | q_mask))]
-                    extras[i] = free, flips
-                for extra in combinations(extras[i][0], size - k):
+                if i not in free:
+                    free[i] = [shares[r] for r in _vertices(pendants & ~(p_mask | q_mask))]
+                for extra in combinations(free[i], size - k):
                     key, shared, around = keys[i], 0, 0
                     for bit, r_key, neighbor in extra:
                         key += r_key
@@ -671,10 +667,53 @@ def admissible_rows(net: Network, max_pair_size: int) -> Iterator[AdmissibleRow]
                         candidates.append((key, i, shared))
         candidates.sort(reverse=True)
         for _, i, shared in candidates:
-            _, p_mask, q_mask, sign, edge_ids = cores[i]
+            _, p_mask, q_mask, family, edge_ids = cores[i]
             if shared:
                 p_mask, q_mask = p_mask | shared, q_mask | shared
-                if (extras[i][1] & shared).bit_count() & 1:
-                    sign = -sign
                 edge_ids = tuple(sorted(edge_ids + tuple(map(pendant_edge.get, _vertices(shared)))))
-            yield AdmissibleRow(BoundaryPair._sorted(_vertices(p_mask), _vertices(q_mask)), edge_ids, sign)
+            ends = [(s, t) if p_mask >> s & 1 else (t, s) for s, t in ((p[0], p[-1]) for p in family)]
+            yield AdmissibleRow(
+                BoundaryPair._sorted(_vertices(p_mask), _vertices(q_mask)),
+                edge_ids,
+                _term_sign(p_mask, q_mask, ends),
+            )
+
+
+def core_census(net: Network, max_pair_size: int) -> Iterator[tuple[int, tuple, tuple]]:
+    """admissible_rows' cores, read for a rank certificate with no row
+    built, one family at a time (_sole_cores): the number of its cores'
+    rows with |P| <= max_pair_size, the edge ids of a core's own row, and
+    the edge id that each free pendant adds to a row that shares it, or
+    () when no row has room to share one. A family's cores differ only
+    in which way its paths run, so they share the last two.
+
+    A core of size k gives at size k + m the m-sets of its free pendant
+    boundary vertices (those outside P + Q) with no two joined. A pendant
+    can be joined only to another pendant, as an isolated edge, so they
+    number the coefficient of x^m in (1 + x)^singles (1 + 2x)^couples,
+    where couples counts the free pendants joined in twos and singles the
+    rest. The empty core of a network without interior vertices is no
+    row itself: its rows start at m = 1.
+    """
+    graph = _SearchGraph(net)
+    pendants = graph.boundary & graph.pendants
+    pendant_edge = _pendant_edges(graph)
+    joined = _mask(r for r in pendant_edge if graph.masks[r] & pendants)
+    shapes: dict[int, tuple] = {}  # per free set: its singles, couples and edge ids
+    counts: dict[tuple, int] = {}  # per (k, singles, couples): a core's rows
+    for k, _, edge_ids, cores in _sole_cores(graph, max_pair_size):
+        p_mask, q_mask = cores[0]
+        free = pendants & ~(p_mask | q_mask)
+        if free not in shapes:
+            couples = (free & joined).bit_count() // 2
+            extra = tuple(pendant_edge[r] for r in _vertices(free))
+            shapes[free] = len(extra) - 2 * couples, couples, extra
+        singles, couples, extra = shapes[free]
+        shape = k, singles, couples
+        if shape not in counts:
+            counts[shape] = sum(
+                math.comb(couples, j) * 2**j * math.comb(singles, m - j)
+                for m in range(k == 0, max_pair_size - k + 1)
+                for j in range(min(m, couples) + 1)
+            )
+        yield len(cores) * counts[shape], edge_ids, extra if k < max_pair_size else ()

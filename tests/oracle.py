@@ -17,15 +17,19 @@ test builds its row from the system with term_sign, not with the scan's
 per-core signs. The Schur check sets two of the package's computations
 against each other: a minor of Lambda and a minor of K. The echelon
 row space eliminates rows against each other, where the package's
-RowSpace tests each row against a basis of the rows' null space.
+RowSpace tests each row against a basis of the rows' null space; span
+membership asks a copy of a RowSpace whether a row raises its rank.
 The scan reference rebuilds admissible_rows' rows from the package's
 cores (_sole_cores) with tuples: it sorts each size's candidates as
-tuples, where the scan sorts integer keys, counts each sign flip vertex
-by vertex and builds every pair through BoundaryPair's checks.
+tuples, where the scan sorts integer keys, signs each row by term_sign
+of its system and builds every pair through BoundaryPair's checks. The
+covering-family dict is the walk's own, read for the tests that check
+it against the exhaustive search.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from functools import lru_cache
 from itertools import combinations, permutations, product
@@ -45,6 +49,7 @@ from netinv.forward import (
 )
 from netinv.inverse import LogLinearSystem, RecoveryPlan
 from netinv.network import Network, kirchhoff
+from netinv.numerics import RowSpace
 from netinv import paths
 from netinv.paths import AdmissibleRow, PathSystem, enumerate_path_systems
 
@@ -193,36 +198,54 @@ def is_log_linear_admissible(net: Network, pair: BoundaryPair) -> Optional[Admis
     return AdmissibleRow(pair, tuple(sorted(edge_id[e] for e in edges)), sign)
 
 
+def covering_families(net: Network, max_pair_size: int) -> dict:
+    """The chordless covering family of each core with |P| <=
+    max_pair_size, None for a core with more than one: the dict of
+    paths._covering_orbits, whose docstring gives its keys and form."""
+    return paths._covering_orbits(paths._SearchGraph(net), max_pair_size)[0]
+
+
 def scan_reference(net: Network, max_pair_size: int) -> list[AdmissibleRow]:
     """admissible_rows' rows, built the plain way: per size, every core
     of _sole_cores with |P| up to it, extended by each set of shared
     pendant vertices not joined to each other to fill the size, as
     ascending tuples; the candidates sorted as tuples of tuples. A row's
-    edge ids add the pendants' edges to the core's, and its sign is the
-    core's times -1 per added pendant r and vertex of P^Q below r."""
+    edge ids add the pendants' edges to the core's, and its sign is
+    term_sign of its system: the core's family run from P, with the
+    added pendants as its residual."""
     adj = net.adjacency()
     pendants = [r for r in range(1, net.n_boundary + 1) if len(adj[r]) == 1]
     edge_id = {e.pair: e.id for e in net.edges}
-    cores = paths._sole_cores(paths._SearchGraph(net), max_pair_size)
+    cores = [
+        (k, p_mask, q_mask, family, edge_ids)
+        for k, family, edge_ids, kept in paths._sole_cores(paths._SearchGraph(net), max_pair_size)
+        for p_mask, q_mask in kept
+    ]
     rows = []
     for size in range(1, max_pair_size + 1):
         candidates = []
-        for k, p_mask, q_mask, sign, edge_ids in cores:
+        for k, p_mask, q_mask, family, edge_ids in cores:
             if k > size:
                 continue
             p = [v for v in range(1, net.n_boundary + 1) if p_mask >> v & 1]
             q = [v for v in range(1, net.n_boundary + 1) if q_mask >> v & 1]
-            moved = set(p) ^ set(q)
+            run = tuple(sorted(path if path[0] in p else path[::-1] for path in family))
             for extra in combinations([r for r in pendants if r not in p + q], size - k):
                 if any(adj[r][0] in extra for r in extra):
                     continue
                 row_p, row_q = tuple(sorted(p + list(extra))), tuple(sorted(q + list(extra)))
                 edges = edge_ids + tuple(edge_id[min(r, adj[r][0]), max(r, adj[r][0])] for r in extra)
-                flips = sum(v < r for r in extra for v in moved)
-                candidates.append((row_p, row_q, tuple(sorted(edges)), sign * (-1) ** flips))
+                sign = term_sign(PathSystem(run, extra), BoundaryPair(row_p, row_q))
+                candidates.append((row_p, row_q, tuple(sorted(edges)), sign))
         candidates.sort()
         rows += [AdmissibleRow(BoundaryPair(p, q), edges, sign) for p, q, edges, sign in candidates]
     return rows
+
+
+def in_span(space: RowSpace, row) -> bool:
+    """Whether the dense integer row lies in the span of space's rows:
+    added to a copy of the space, it leaves the rank as it was."""
+    return not copy.deepcopy(space).add(row)
 
 
 def schur_identity_check(net: Network, pair: BoundaryPair) -> float:

@@ -1,10 +1,15 @@
 import dataclasses
+import os
 import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import netinv
 import netinv.cli
 import netinv.inverse
 import netinv.paths
@@ -25,6 +30,7 @@ from netinv import (
 from netinv.cli import main
 from netinv.network import Edge, Network
 from netinv.numerics import format_matrix_text, parse_matrix_text
+from boxes import box_network
 
 #: The one stderr line of a command whose interior solve leaves the
 #: float range.
@@ -264,6 +270,50 @@ class TestRank:
         path.write_text(serialize_network(grid_fixture(4, [1.0] * 40)))
         assert main(["rank", str(path), "--max-pair-size", "4"]) == 5
         assert capsys.readouterr().out == "rows=1792 rank=16 unknowns=41 verdict=deficient\n"
+
+    @pytest.mark.parametrize(
+        "dims, line",
+        [
+            ((1, 1, 2), "rows=19200 rank=12 unknowns=12 verdict=full\n"),
+            # 17.3 M rows from 20,864 cores: counted per core, not built
+            ((1, 2, 2), "rows=17334272 rank=21 unknowns=21 verdict=full\n"),
+        ],
+    )
+    def test_box_rank_line(self, tmp_path, dims, line, capsys):
+        path = tmp_path / "box.net"
+        path.write_text(serialize_network(box_network(*dims)))
+        assert main(["rank", str(path)]) == 0
+        assert capsys.readouterr() == (line, "")
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="reads VmHWM from /proc")
+    def test_box_rank_memory_is_set_by_the_cores(self, tmp_path):
+        # storing the 1x2x2 box's rows would take gigabytes; its cores
+        # take a few megabytes over the interpreter's own. VmHWM is the
+        # peak resident size since exec, unlike ru_maxrss, which also
+        # counts the forking test process
+        path = tmp_path / "box.net"
+        path.write_text(serialize_network(box_network(1, 2, 2)))
+        program = (
+            "import re, sys\n"
+            "from netinv.cli import main\n"
+            "code = main(['rank', sys.argv[1]])\n"
+            "with open('/proc/self/status') as f:\n"
+            "    print(re.search(r'VmHWM:\\s*(\\d+) kB', f.read()).group(1))\n"
+            "sys.exit(code)\n"
+        )
+        src = str(Path(netinv.__file__).resolve().parent.parent)
+        path_var = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-c", program, str(path)],
+            env={**os.environ, "PYTHONPATH": path_var},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        line, peak_kib = result.stdout.splitlines()
+        assert line == "rows=17334272 rank=21 unknowns=21 verdict=full"
+        assert int(peak_kib) < 100 * 1024
 
 
 class TestInvert:

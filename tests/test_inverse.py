@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import netinv.inverse
+import netinv.paths
 from netinv import (
     AllRowsDegenerate,
     BoundaryPair,
@@ -19,12 +20,13 @@ from netinv import (
     grid_fixture,
     kirchhoff_subdet,
     lattice_fixture,
+    rank_topology,
     recover,
 )
 from netinv.inverse import LogLinearSystem
 from netinv.network import Edge, Network, kirchhoff, random_network
 from netinv.numerics import RowSpace
-from oracle import EchelonRowSpace, per_row_system
+from oracle import EchelonRowSpace, in_span, per_row_system
 
 
 # boundary 1, 2 joined through interior 3, 4: the boundary sees only
@@ -230,8 +232,8 @@ class TestSolveSystem:
         # the rest are not
         space = two_row_space(lattice12)
         unit = {j: [int(c == j) for c in range(1, 14)] for j in range(7, 13)}
-        assert unit[7] in space
-        assert not any(unit[j] in space for j in (8, 9, 10, 11, 12))
+        assert in_span(space, unit[7])
+        assert not any(in_span(space, unit[j]) for j in (8, 9, 10, 11, 12))
 
     @pytest.mark.parametrize("n_edges, columns", [(3, (1, 2, 3)), (0, ())])
     def test_empty_system_is_rank_deficient(self, n_edges, columns):
@@ -493,3 +495,89 @@ class TestRecoveryPlan:
             gammas = [math.exp(rng.uniform(math.log(0.1), math.log(10))) for _ in range(12)]
             report = plan.apply(dtn(lattice_fixture(gammas)))
             assert report.recovered_gammas == pytest.approx(gammas, rel=1e-8)
+
+
+def census_matches_compile(net):
+    """rank_topology against compile_topology(..., stop_at_full_rank=False)
+    at the default cap and at every cap from 1 to the boundary size:
+    the same row count, rank, unknowns, unresolved edges and verdict."""
+    for cap in [None, *range(1, net.n_boundary + 1)]:
+        cert = rank_topology(net, cap)
+        plan = compile_topology(net, cap, stop_at_full_rank=False)
+        assert (cert.rows, cert.rank, cert.n_unknowns, cert.unresolved_edges) == (
+            len(plan.rows),
+            plan.rank,
+            plan.n_unknowns,
+            plan.unresolved_edges,
+        )
+        assert cert.full_rank is plan.full_rank
+
+
+def star(k):
+    """k pendant boundary vertices hung on interior vertex k + 1."""
+    return Network(k, 1, tuple(Edge(i, i, k + 1, 1.0) for i in range(1, k + 1)))
+
+
+class TestRankTopology:
+    """The census counts and ranks the rows without building them, and
+    agrees with the plan that builds them all."""
+
+    @pytest.mark.parametrize(
+        "net",
+        [
+            lattice_fixture([1.0] * 12),
+            grid_fixture(3, [1.0] * 24),
+            star(4),
+            star(5),
+            Network(3, 0, ()),
+            Network(0, 0, ()),
+        ],
+        ids=["lattice", "grid3", "star4", "star5", "edgeless", "empty"],
+    )
+    def test_matches_compile(self, net):
+        census_matches_compile(net)
+
+    def test_matches_compile_on_random_networks(self):
+        for seed in range(50):
+            census_matches_compile(random_network(seed=seed))
+
+    def test_pendants_joined_in_twos(self):
+        # 1-2 and 3-4 are isolated edges and 5, 6 hang on the path 7-8:
+        # a row shares at most one pendant of each joined two
+        pairs = [(1, 2), (3, 4), (5, 7), (7, 8), (6, 8)]
+        net = Network(6, 2, tuple(Edge(i, u, v, 1.0) for i, (u, v) in enumerate(pairs, start=1)))
+        census_matches_compile(net)
+        assert rank_topology(net).rows > 0
+
+    def test_builds_no_row(self, monkeypatch):
+        # the census reads the cores; it neither scans rows nor signs them
+        def no_row(*args):
+            raise AssertionError("rank_topology built a row")
+
+        monkeypatch.setattr(netinv.inverse, "admissible_rows", no_row)
+        monkeypatch.setattr(netinv.paths, "_term_sign", no_row)
+        cert = rank_topology(grid_fixture(3, [1.0] * 24), 4)
+        assert (cert.rows, cert.rank, cert.unresolved_edges) == (3360, 24, (15, 16, 20, 23))
+
+    def test_stops_ranking_at_full_rank(self, monkeypatch):
+        # once the rows reach full rank, the later cores' rows are counted,
+        # not ranked: 227 of the 289 rows that could raise the rank
+        net = lattice_fixture([1.0] * 12)
+        census = list(netinv.paths.core_census(net, net.n_boundary))
+        assert sum(1 + len(extra) for _, _, extra in census) == 289
+        added = []
+        add = RowSpace.add_sparse
+
+        def counted(space, entries):
+            added.append(entries)
+            return add(space, entries)
+
+        monkeypatch.setattr(RowSpace, "add_sparse", counted)
+        cert = rank_topology(net)
+        assert (cert.rows, cert.rank, cert.full_rank) == (1288, 13, True)
+        assert len(added) == 227
+
+    @pytest.mark.parametrize("cap", [0, -1, 2.5, "3"])
+    def test_cap_below_one_or_not_an_integer_raises(self, lattice_ones, cap):
+        with pytest.raises(ValueError, match="max_pair_size must be an integer >= 1"):
+            rank_topology(lattice_ones, cap)

@@ -1,4 +1,5 @@
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -170,6 +171,17 @@ def test_network_rejects_non_integer_vertex():
 def test_network_rejects_non_real_conductivity(gamma):
     with pytest.raises(NetworkError) as exc:
         Network(2, 0, (Edge(1, 1, 2, gamma),))
+    assert str(exc.value) == f"edge 1: conductivity must be a real number, got {gamma!r}"
+
+
+@pytest.mark.parametrize("gamma", [np.complex128(1), np.complex64(2)])
+def test_network_rejects_numpy_complex_conductivity(gamma):
+    # a numpy complex passes math.isfinite as its real part, with only a
+    # ComplexWarning; it is rejected before that, with no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NetworkError) as exc:
+            Network(2, 0, (Edge(1, 1, 2, gamma),))
     assert str(exc.value) == f"edge 1: conductivity must be a real number, got {gamma!r}"
 
 

@@ -19,7 +19,7 @@ from netinv import (
 from netinv.forward import _harmonic_basis
 from netinv.network import Edge, Network, kirchhoff
 from netinv.numerics import RowSpace, format_matrix_text, parse_matrix_text
-from oracle import EchelonRowSpace, perm_det
+from oracle import EchelonRowSpace, in_span, perm_det
 
 
 def full_det(m) -> float:
@@ -167,15 +167,15 @@ class TestIntegerRank:
             probes = [rng.integers(-1, 2, size=n) for _ in range(4)]
             probes += [rng.integers(-2, 3, size=len(m)) @ m for _ in range(4)]
             for probe in probes:
-                in_span = np_rank(np.vstack([m, probe])) == np_rank(m)
-                assert (probe in space) == in_span
+                expected = np_rank(np.vstack([m, probe])) == np_rank(m)
+                assert in_span(space, probe) == expected
             unit_raises = {
                 j + 1
                 for j in range(n)
                 if np_rank(np.vstack([m, np.eye(n, dtype=int)[j]])) > np_rank(m)
             }
             unit = np.eye(n, dtype=int)
-            assert {j + 1 for j in range(n) if unit[j] not in space} == unit_raises
+            assert {j + 1 for j in range(n) if not in_span(space, unit[j])} == unit_raises
 
 
 @st.composite
@@ -209,7 +209,7 @@ class TestRowSpace:
         for coeffs in data.draw(st.lists(combinations)):
             probes.append([sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(n)])
         for probe in probes + [[int(j == k) for j in range(n)] for k in range(n)]:
-            assert (probe in space) == (not any(reference.reduce(probe)))
+            assert in_span(space, probe) == (not any(reference.reduce(probe)))
         unit = np.eye(n, dtype=int)
         assert space.pinned_columns() == {j for j in range(n) if not any(reference.reduce(unit[j]))}
 
@@ -218,8 +218,8 @@ class TestRowSpace:
         # of opposite sign that cancel if packed into fields k bits wide
         space = RowSpace([[1, 1, 1]])
         for k in range(1, 80):
-            assert [0, 2**k, -1] not in space
-            assert [2**k, 2**k, 2**k] in space
+            assert not in_span(space, [0, 2**k, -1])
+            assert in_span(space, [2**k, 2**k, 2**k])
 
     @given(integer_rows())
     @settings(max_examples=200, deadline=None)
@@ -231,7 +231,7 @@ class TestRowSpace:
             assert sparse.add_sparse([(j, x) for j, x in enumerate(row) if x]) == dense.add(row)
         assert (sparse.rank, sparse.pinned_columns()) == (dense.rank, dense.pinned_columns())
         for row in rows:
-            assert row in sparse
+            assert in_span(sparse, row)
 
     def test_sparse_fields_widen_for_large_entries(self):
         # test_fields_widen_for_large_entries through add_sparse
@@ -239,11 +239,18 @@ class TestRowSpace:
             assert RowSpace([[1, 1, 1]]).add_sparse([(1, 2**k), (2, -1)])
             assert not RowSpace([[1, 1, 1]]).add_sparse([(0, 2**k), (1, 2**k), (2, 2**k)])
 
+    def test_first_row_with_an_entry_beyond_one(self):
+        # N's entries reach 2 after this one row; with one-bit fields column
+        # 0 packed to -2 + 2 * 1 = 0 and read as pinned
+        space = RowSpace([[1, 2, -1]])
+        assert space.pinned_columns() == set()
+        assert space.add([1, 0, 0]) and space.pinned_columns() == {0}
+
     def test_untouched_columns(self):
         # no row touches column 2: its unit vector stays out of the span
         space = RowSpace([[1, -1, 0], [0, 0, 0]])
         assert (space.rank, space.pinned_columns()) == (1, set())
-        assert [2, -2, 0] in space and [0, 0, 1] not in space
+        assert in_span(space, [2, -2, 0]) and not in_span(space, [0, 0, 1])
         assert space.add([0, 1, 1]) and space.add([1, 0, 0])
         assert space.pinned_columns() == {0, 1, 2}
 
@@ -251,7 +258,7 @@ class TestRowSpace:
         # one row over 1,202 columns leaves a 1,201-dimensional null space
         space = RowSpace([[1] * 1201 + [-1]])
         assert space.rank == 1 and space.pinned_columns() == set()
-        assert [2] * 1201 + [-2] in space and [1] * 1202 not in space
+        assert in_span(space, [2] * 1201 + [-2]) and not in_span(space, [1] * 1202)
 
 
 class TestMatrixText:

@@ -21,6 +21,7 @@ from netinv import (
 from netinv import paths
 from netinv.network import Edge, Network, kirchhoff, random_network
 from oracle import (
+    covering_families,
     exhaustive_path_systems,
     is_log_linear_admissible,
     scan_reference,
@@ -362,10 +363,6 @@ def oracle_family_counts(net, max_size):
         if n:
             counts[(sum(1 << v for v in pair.p), sum(1 << v for v in pair.q))] = n
     return counts
-
-
-def covering_families(net, max_size):
-    return paths.covering_families(paths._SearchGraph(net), max_size)
 
 
 def families_match_oracle(net, max_size):
