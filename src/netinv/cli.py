@@ -17,6 +17,7 @@ met.
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import sys
 import warnings
@@ -145,7 +146,10 @@ def cmd_roundtrip(args) -> int:
     return EXIT_CODES[RoundTripFailure]
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built on first use; main runs the
+    function cmd_<command> that this module holds when it is called."""
     parser = argparse.ArgumentParser(
         prog="netinv",
         description="Resistor-network DtN maps and log-linear conductivity recovery",
@@ -154,32 +158,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("forward", help="compute the DtN map of a network file")
     p.add_argument("net_file")
-    p.set_defaults(func=cmd_forward)
 
     p = sub.add_parser("paths", help="enumerate disjoint path systems for a boundary pair")
     p.add_argument("net_file")
     p.add_argument("--from", dest="from_", required=True, metavar="P1,P2,...")
     p.add_argument("--to", required=True, metavar="Q1,Q2,...")
-    p.set_defaults(func=cmd_paths)
 
     p = sub.add_parser("rank", help="rank of the admissible log-linear system")
     p.add_argument("net_file")
     p.add_argument("--max-pair-size", type=int, default=None)
-    p.set_defaults(func=cmd_rank)
 
     p = sub.add_parser("invert", help="recover conductivities from a DtN matrix file")
     p.add_argument("topology_file")
     p.add_argument("dtn_file")
     p.add_argument("--max-pair-size", type=int, default=None)
     p.add_argument("--no-stop-at-full-rank", action="store_true")
-    p.set_defaults(func=cmd_invert)
 
     p = sub.add_parser("roundtrip", help="randomized forward/inverse round-trip trials")
     p.add_argument("net_file")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--max-pair-size", type=int, default=None)
-    p.set_defaults(func=cmd_roundtrip)
 
     return parser
 
@@ -188,7 +187,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         with warnings.catch_warnings(record=True) as caught:
-            code = args.func(args)
+            code = globals()[f"cmd_{args.command}"](args)
     except _FAULTS as exc:
         return _report(exc)
     if code == EXIT_OK:

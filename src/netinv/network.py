@@ -10,6 +10,7 @@ recovered conductivities align positionally with the input.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 import random
 from dataclasses import dataclass
@@ -89,11 +90,14 @@ class Network:
         return adj
 
     def with_gammas(self, gammas) -> "Network":
-        """Same topology with replaced conductivities (by edge id order)."""
+        """Same topology with replaced conductivities (by edge id order),
+        each real one as a float; the constructor rejects any other value
+        as it does in an edge."""
         if len(gammas) != self.n_edges:
             raise NetworkError(f"expected {self.n_edges} conductivities, got {len(gammas)}")
         new_edges = tuple(
-            Edge(e.id, e.u, e.v, float(g)) for e, g in zip(self.edges, gammas)
+            Edge(e.id, e.u, e.v, float(g) if isinstance(g, numbers.Real) else g)
+            for e, g in zip(self.edges, gammas)
         )
         return Network(self.n_boundary, self.n_interior, new_edges)
 

@@ -95,6 +95,21 @@ class _SearchGraph:
         self.twins = [()] + [tuple(w for w in adj[v] if hung >> w & 1) for v in vertices]
         self.edge_id = {pair: e.id for e in net.edges for pair in (e.pair, e.pair[::-1])}
 
+    def variants(self, path: tuple) -> list:
+        """A walked family's path (_covering_orbits) in each family of its
+        orbit, the walked one first: from its lower end, with the bits of
+        its ends in walk order, any twin for the lowest, any two on a-v-b."""
+        hung = self.twins[path[1]]
+        starts = path[:1]
+        if len(hung) > 1 and hung[0] == path[0]:
+            if len(path) == 3 and path[2] == hung[1]:
+                return [((a, path[1], b), 1 << a, 1 << b) for a, b in combinations(hung, 2)]
+            starts = hung
+        hung = self.twins[path[-2]]
+        ends = hung if len(hung) > 1 and hung[0] == path[-1] else path[-1:]
+        middle, back = path[1:-1], path[-2:0:-1]
+        return [((s, *middle, t) if s < t else (t, *back, s), 1 << s, 1 << t) for s in starts for t in ends]
+
     def rungs(self, family) -> Optional[tuple]:
         """The rung table (starts, same, opposite) of a chordless covering
         family (per path, its vertices from its lower end), or None when
@@ -355,8 +370,8 @@ class AdmissibleRow:
 
 
 def _covering_orbits(graph: _SearchGraph, max_pair_size: int) -> tuple[dict, list]:
-    """The chordless path families that cover I, per endpoint core, and
-    the orbits of twin swaps behind them.
+    """The chordless path families that cover I, one per orbit of twin
+    swaps, with their endpoint cores, and which cores have one family.
 
     A family is a set of vertex-disjoint paths, each joining two boundary
     vertices through interior vertices and non-pendant boundary vertices,
@@ -365,31 +380,27 @@ def _covering_orbits(graph: _SearchGraph, max_pair_size: int) -> tuple[dict, lis
     inside them number at most max_pair_size. Oriented from P to Q, a
     family is a covering path system of its core (P, Q): P holds the path
     starts, Q the path ends, and both hold the boundary vertices inside
-    the paths.
-
-    A family is left out when one of its paths has a chord, an edge
-    between two of its vertices that are not consecutive on it: the
-    shortcut along the chord is a second system of the same core, so that
-    core has no unique system. The dict holds, for each core that has a
-    chordless family, keyed by the core's (P, Q) vertex bitmasks (bit v
-    is vertex v) with P before Q lexicographically (the mirror (Q, P) has
-    the same systems reversed): its family when it has only one, per path
-    its vertices in walk order, from its lower end, the paths ordered by
-    their lower end; else None.
+    the paths. A family with a chord on a path, an edge between two of
+    its vertices not consecutive on it, is left out: the shortcut is a
+    second system of the same core.
 
     Two pendant boundary vertices hung on one vertex v, twins, swap by an
     automorphism of the network. So the walk builds one family per orbit
     of such swaps: only the lowest twin of v ends a path, except on the
-    path a-v-b through v between its two lowest twins. Each walked family
-    is then relabeled into every family of its orbit: any twin of v in
-    place of the lowest, and any two on a-v-b. A network without twins
-    walks every family. The orbits are one list per walked family of
-    (family, keys) pairs, one pair per family of its orbit, the walked
-    one first, where keys are the dict keys of that family's cores. The
-    walked family's cores run its first path from its lower end and the
-    others either way. Every other family's keys follow them in order,
-    each the image of its walked core, or of that core's mirror, under a
-    product of twin swaps.
+    path a-v-b between its two lowest twins; callers relabel the rest
+    (_SearchGraph.variants). The orbits are one (family, cores) pair per
+    walked family. Its cores run its first path from its lower end, which
+    puts the lowest endpoint in P and so P before Q (the mirror (Q, P)
+    has the same systems reversed), and the others either way.
+
+    The dict holds the walked cores only, keyed by their (P, Q) vertex
+    bitmasks (bit v is vertex v): the walked family when it is the core's
+    only one, else None. The walk's labels make that answer whole: a
+    walked core's twins are the lowest of their class, or the two lowest
+    on a-v-b, so every family of the core has the same twin ends, was
+    walked, and has the core among its cores. A swap maps the families
+    of a core one to one onto those of its image, so every image of a
+    walked core has one family exactly when the core has.
 
     The walk builds each walked family once, its paths ordered by their
     lower end and each starting there, and gives up a branch as soon as
@@ -409,49 +420,23 @@ def _covering_orbits(graph: _SearchGraph, max_pair_size: int) -> tuple[dict, lis
     spare = _mask(w for hung in twins for w in hung[1:])
     hub = {hung[0]: v for v, hung in enumerate(twins) if len(hung) > 1}  # lowest twin: v
     families: dict[tuple[int, int], Optional[tuple]] = {}
-    orbits: list[list] = []
+    orbits: list[tuple] = []
     ends: list[tuple[int, ...]] = []  # the finished paths, each from its lower end
-
-    def variants(path: tuple) -> list:
-        # the path in each family of the walked one's orbit, from its lower
-        # end, with the bits of its start and end in walk order: each member
-        # of a class in place of its lowest, and each two on a path a-v-b
-        hung = twins[path[1]]
-        starts = path[:1]
-        if len(hung) > 1 and hung[0] == path[0]:
-            if len(path) == 3 and path[2] == hung[1]:
-                return [((a, path[1], b), 1 << a, 1 << b) for a, b in combinations(hung, 2)]
-            starts = hung
-        hung = twins[path[-2]]
-        finishes = hung if len(hung) > 1 and hung[0] == path[-1] else path[-1:]
-        middle, back = path[1:-1], path[-2:0:-1]
-        return [
-            ((s, *middle, t) if s < t else (t, *back, s), 1 << s, 1 << t)
-            for s in starts
-            for t in finishes
-        ]
 
     def record(shared: int) -> None:
         # the walked family's cores: the first path runs from the lowest
         # endpoint, which puts it in P and so P before Q; every other path
-        # runs either way. A relabeling's cores follow them in order, each
-        # turned to put the relabeled family's lowest endpoint in P. The
-        # walked family itself is the first relabeling
-        orbit = []
-        for choice in product(*map(variants, ends)):
-            family = tuple(sorted(path for path, _, _ in choice))
-            cores = [(shared, shared)]
-            for i, (_, s_bit, t_bit) in enumerate(choice):
-                cores = [(p | s_bit, q | t_bit) for p, q in cores] + (
-                    [(p | t_bit, q | s_bit) for p, q in cores] if i else []
-                )
-            if orbit:
-                low = 1 << family[0][0]
-                cores = [(p, q) if p & low else (q, p) for p, q in cores]
-            for core in cores:
-                families[core] = None if core in families else family
-            orbit.append((family, cores))
-        orbits.append(orbit)
+        # runs either way
+        family = tuple(ends)
+        cores = [(shared, shared)]
+        for i, path in enumerate(family):
+            s_bit, t_bit = 1 << path[0], 1 << path[-1]
+            cores = [(p | s_bit, q | t_bit) for p, q in cores] + (
+                [(p | t_bit, q | s_bit) for p, q in cores] if i else []
+            )
+        for core in cores:
+            families[core] = None if core in families else family
+        orbits.append((family, cores))
 
     def next_path(first: int, used: int, cost: int, shared: int) -> None:
         uncovered = interior & ~used
@@ -554,38 +539,35 @@ def _covering_orbits(graph: _SearchGraph, max_pair_size: int) -> tuple[dict, lis
 
 def _sole_cores(graph: _SearchGraph, max_pair_size: int) -> Iterator[tuple]:
     """The cores with |P| <= max_pair_size whose one chordless covering
-    family is their only path system, by family: per family that has
-    such a core, its |P|, the family, the edge ids of its paths,
-    ascending, and the (P mask, Q mask) of each such core. The cores of a
-    family differ only in which way its paths run, so they share |P| and
-    P + Q."""
+    family is their only path system, by orbit (_covering_orbits): per
+    walked family with such a core, its |P|, the family, each such core's
+    (P mask, Q mask), and lazily each family of the orbit, the walked one
+    first, as its paths with the bits of their ends in walk order
+    (_SearchGraph.variants) and its edge ids, ascending. A family's cores
+    differ only in which way its paths run, so they share |P| and P + Q;
+    a relabeled family's are the images of the walked one's, and take
+    their verdicts, one family and one system, so only walked cores are
+    tested."""
     edge_id = graph.edge_id
     families, orbits = _covering_orbits(graph, max_pair_size)
     path_edges: dict[tuple, list] = {}  # the families of an orbit share most paths
-    for orbit in orbits:
-        walked, walked_cores = orbit[0]
-        kept = []  # per family of the orbit: its one-family cores, by index
-        for family, keys in orbit:
-            mine = [(i, core) for i, core in enumerate(keys) if families[core] is family]
-            if mine:
-                kept.append((family, mine))
-        if not kept:
-            continue
-        rungs, verdicts = graph.rungs(walked), {}
-        for family, mine in kept:
-            cores = []
-            for i, core in mine:
-                if i not in verdicts:
-                    verdicts[i] = graph.sole_system(*walked_cores[i], walked, rungs)
-                if verdicts[i]:
-                    cores.append(core)
-            if cores:
-                ids = []
-                for path in family:
-                    if path not in path_edges:
-                        path_edges[path] = [edge_id[e] for e in zip(path, path[1:])]
-                    ids += path_edges[path]
-                yield cores[0][0].bit_count(), family, tuple(sorted(ids)), cores
+
+    def relabelings(walked: tuple) -> Iterator[tuple]:
+        for choice in product(*map(graph.variants, walked)):
+            ids = []
+            for path, _, _ in choice:
+                if path not in path_edges:
+                    path_edges[path] = [edge_id[e] for e in zip(path, path[1:])]
+                ids += path_edges[path]
+            yield choice, tuple(sorted(ids))
+
+    for walked, cores in orbits:
+        mine = [core for core in cores if families[core] is walked]
+        if mine:
+            rungs = graph.rungs(walked)
+            kept = [core for core in mine if graph.sole_system(*core, walked, rungs)]
+            if kept:
+                yield kept[0][0].bit_count(), walked, kept, relabelings(walked)
 
 
 def _order_key(mask: int, n: int) -> int:
@@ -612,16 +594,16 @@ def admissible_rows(net: Network, max_pair_size: int) -> Iterator[AdmissibleRow]
     vertices), those vertices added to the residual. An admissible pair's
     unique system covers I, passes through every other shared vertex and
     has no chord, so its core has exactly one chordless covering family
-    (_covering_orbits). Each of those cores is checked for a second
-    system (_SearchGraph.sole_system) once per orbit of twin swaps: the
-    check runs on the walked family's core and holds for every relabeling
-    of it. The cores of one family differ only in which way each path
-    runs, and a pendant end carries no rung, its one neighbor being on
-    its own path; so the walked family's rungs, the edges between two of
-    its paths, are read once for its whole orbit. When the paths joined
-    by rungs form a forest, a few bit tests per core drop it on a
-    crossing pair of rungs or keep it, and only the cores of a family
-    whose rungs close a cycle of paths go to the growing search.
+    (_covering_orbits). Both tests run on walked cores only, and only the
+    orbits that keep a core are relabeled into their families
+    (_sole_cores). A second system is sought by _SearchGraph.sole_system:
+    the cores of one family differ only in which way each path runs, and
+    a pendant end carries no rung, its one neighbor being on its own
+    path; so the family's rungs, the edges between two of its paths, are
+    read once. When the paths joined by rungs form a forest, a few bit
+    tests per core drop it on a crossing pair of rungs or keep it, and
+    only the cores of a family whose rungs close a cycle of paths go to
+    the growing search.
 
     A core whose family is its only system gives the candidates of a
     size by adding shared pendant vertices not joined to each other.
@@ -641,11 +623,19 @@ def admissible_rows(net: Network, max_pair_size: int) -> Iterator[AdmissibleRow]
     pendant_edge = _pendant_edges(graph)
     # per pendant r: its bit, the key it adds when shared (in P and in Q), its neighbor
     shares = {r: (1 << r, _order_key(1 << r | 1 << r + shift, n), graph.masks[r]) for r in pendant_edge}
-    cores = [
-        (k, p_mask, q_mask, family, edge_ids)
-        for k, family, edge_ids, kept in _sole_cores(graph, max_pair_size)
-        for p_mask, q_mask in kept
-    ]
+    cores = []
+    for k, walked, kept, relabelings in _sole_cores(graph, max_pair_size):
+        for choice, edge_ids in relabelings:
+            # each kept core's image, turned to put the lowest endpoint in P
+            family = tuple(sorted(path for path, _, _ in choice))
+            for p, q in kept:
+                p_mask = q_mask = p & q
+                for path, (_, s_bit, t_bit) in zip(walked, choice):
+                    s_bit, t_bit = (s_bit, t_bit) if p >> path[0] & 1 else (t_bit, s_bit)
+                    p_mask, q_mask = p_mask | s_bit, q_mask | t_bit
+                if family and not p_mask >> family[0][0] & 1:
+                    p_mask, q_mask = q_mask, p_mask
+                cores.append((k, p_mask, q_mask, family, edge_ids))
     keys = [0] * len(cores)
     free: dict[int, list] = {}  # per core: its free pendants' shares
     for size in range(1, max_pair_size + 1):
@@ -699,21 +689,21 @@ def core_census(net: Network, max_pair_size: int) -> Iterator[tuple[int, tuple, 
     pendants = graph.boundary & graph.pendants
     pendant_edge = _pendant_edges(graph)
     joined = _mask(r for r in pendant_edge if graph.masks[r] & pendants)
-    shapes: dict[int, tuple] = {}  # per free set: its singles, couples and edge ids
     counts: dict[tuple, int] = {}  # per (k, singles, couples): a core's rows
-    for k, _, edge_ids, cores in _sole_cores(graph, max_pair_size):
-        p_mask, q_mask = cores[0]
-        free = pendants & ~(p_mask | q_mask)
-        if free not in shapes:
+    for k, _, kept, relabelings in _sole_cores(graph, max_pair_size):
+        shared = kept[0][0] & kept[0][1]  # the inner boundary vertices on the paths
+        for choice, edge_ids in relabelings:
+            free = pendants & ~shared
+            for _, s_bit, t_bit in choice:
+                free &= ~(s_bit | t_bit)
             couples = (free & joined).bit_count() // 2
-            extra = tuple(pendant_edge[r] for r in _vertices(free))
-            shapes[free] = len(extra) - 2 * couples, couples, extra
-        singles, couples, extra = shapes[free]
-        shape = k, singles, couples
-        if shape not in counts:
-            counts[shape] = sum(
-                math.comb(couples, j) * 2**j * math.comb(singles, m - j)
-                for m in range(k == 0, max_pair_size - k + 1)
-                for j in range(min(m, couples) + 1)
-            )
-        yield len(cores) * counts[shape], edge_ids, extra if k < max_pair_size else ()
+            singles = free.bit_count() - 2 * couples
+            shape = k, singles, couples
+            if shape not in counts:
+                counts[shape] = sum(
+                    math.comb(couples, j) * 2**j * math.comb(singles, m - j)
+                    for m in range(k == 0, max_pair_size - k + 1)
+                    for j in range(min(m, couples) + 1)
+                )
+            extra = tuple(pendant_edge[r] for r in _vertices(free)) if k < max_pair_size else ()
+            yield len(kept) * counts[shape], edge_ids, extra

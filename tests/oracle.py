@@ -22,9 +22,12 @@ membership asks a copy of a RowSpace whether a row raises its rank.
 The scan reference rebuilds admissible_rows' rows from the package's
 cores (_sole_cores) with tuples: it sorts each size's candidates as
 tuples, where the scan sorts integer keys, signs each row by term_sign
-of its system and builds every pair through BoundaryPair's checks. The
-covering-family dict is the walk's own, read for the tests that check
-it against the exhaustive search.
+of its system and builds every pair through BoundaryPair's checks.
+The walk keeps walked families and their cores only; covering_orbits
+relabels each walked family into its whole orbit, by a vertex map of
+its own rather than the scan's bit arithmetic, and covering_families
+counts every core of every family of it, for the tests that check the
+walk's one-family answers against the exhaustive search.
 """
 
 from __future__ import annotations
@@ -198,11 +201,46 @@ def is_log_linear_admissible(net: Network, pair: BoundaryPair) -> Optional[Admis
     return AdmissibleRow(pair, tuple(sorted(edge_id[e] for e in edges)), sign)
 
 
+def relabeled(walked: tuple, choice: tuple, cores) -> tuple[tuple, list]:
+    """A relabeling of a walked family (per path, the entry of
+    paths._SearchGraph.variants it takes) and the images of its cores,
+    through the vertex map that takes each walked path's start and end to
+    the relabeled path's, in walk order; each image with the family's
+    lowest endpoint in P."""
+    image = {}
+    for path, (_, s_bit, t_bit) in zip(walked, choice):
+        image[path[0]], image[path[-1]] = s_bit.bit_length() - 1, t_bit.bit_length() - 1
+    family = tuple(sorted(path for path, _, _ in choice))
+    images = []
+    for core in cores:
+        p, q = (sum(1 << image.get(v, v) for v in paths._vertices(mask)) for mask in core)
+        images.append((p, q) if not family or p >> family[0][0] & 1 else (q, p))
+    return family, images
+
+
+def covering_orbits(net: Network, max_pair_size: int) -> list[list]:
+    """paths._covering_orbits' orbits relabeled in full: per walked
+    family, one (family, cores) pair per family of its orbit, the walked
+    one first, with every core of each family, one-family or not."""
+    graph = paths._SearchGraph(net)
+    return [
+        [relabeled(walked, choice, cores) for choice in product(*map(graph.variants, walked))]
+        for walked, cores in paths._covering_orbits(graph, max_pair_size)[1]
+    ]
+
+
 def covering_families(net: Network, max_pair_size: int) -> dict:
     """The chordless covering family of each core with |P| <=
-    max_pair_size, None for a core with more than one: the dict of
-    paths._covering_orbits, whose docstring gives its keys and form."""
-    return paths._covering_orbits(paths._SearchGraph(net), max_pair_size)[0]
+    max_pair_size, None for a core with more than one, counted over every
+    family of every orbit (covering_orbits): keyed by the core's (P, Q)
+    vertex bitmasks with the family's lowest endpoint in P; per path its
+    vertices from its lower end, the paths ordered by their lower end."""
+    families: dict = {}
+    for orbit in covering_orbits(net, max_pair_size):
+        for family, cores in orbit:
+            for core in cores:
+                families[core] = None if core in families else family
+    return families
 
 
 def scan_reference(net: Network, max_pair_size: int) -> list[AdmissibleRow]:
@@ -218,8 +256,10 @@ def scan_reference(net: Network, max_pair_size: int) -> list[AdmissibleRow]:
     edge_id = {e.pair: e.id for e in net.edges}
     cores = [
         (k, p_mask, q_mask, family, edge_ids)
-        for k, family, edge_ids, kept in paths._sole_cores(paths._SearchGraph(net), max_pair_size)
-        for p_mask, q_mask in kept
+        for k, walked, kept, relabelings in paths._sole_cores(paths._SearchGraph(net), max_pair_size)
+        for choice, edge_ids in relabelings
+        for family, images in [relabeled(walked, choice, kept)]
+        for p_mask, q_mask in images
     ]
     rows = []
     for size in range(1, max_pair_size + 1):

@@ -315,6 +315,33 @@ class TestRank:
         assert line == "rows=17334272 rank=21 unknowns=21 verdict=full"
         assert int(peak_kib) < 100 * 1024
 
+    def test_cube_rank_line_and_memory(self, tmp_path):
+        # the 2x2x2 cube has three twins at each of its eight corner cells.
+        # A fresh interpreter runs `netinv rank` as its child and reads the
+        # child's peak resident size; it is small, so the fork adds little
+        path = tmp_path / "cube.net"
+        path.write_text(serialize_network(box_network(2, 2, 2)))
+        program = (
+            "import resource, subprocess, sys\n"
+            "argv = [sys.executable, '-m', 'netinv.cli', 'rank', sys.argv[1], '--max-pair-size', '4']\n"
+            "result = subprocess.run(argv, capture_output=True, text=True)\n"
+            "print(result.returncode, result.stdout, result.stderr, sep='|')\n"
+            "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+        )
+        src = str(Path(netinv.__file__).resolve().parent.parent)
+        path_var = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-c", program, str(path)],
+            env={**os.environ, "PYTHONPATH": path_var},
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert result.returncode == 0, result.stderr
+        report, peak = result.stdout.rsplit("\n", 2)[:2]
+        assert report == "5|rows=984879 rank=28 unknowns=37 verdict=deficient\n|"
+        assert int(peak) < 150 * 2**20 // (1 if sys.platform == "darwin" else 1024)  # bytes there, else KiB
+
 
 class TestInvert:
     def test_lattice_roundtrip(self, tmp_path, lattice_file, lattice12, capsys):
@@ -656,3 +683,14 @@ def test_exit_code_table(
     argv = [a.format(net=single_edge_file, lam=lam_file) for a in command]
     assert main(argv) == code
     assert capsys.readouterr() == ("", f"error: {prefix}{exc}\n")
+
+
+def test_parser_built_once_and_command_looked_up_per_call(single_edge_file, monkeypatch, capsys):
+    # main reuses one parser, and runs whatever cmd_<command> the module
+    # holds when it is called, so a command rebound after the first call
+    # (a tracer's wrapper, a test's fake) is the one that runs
+    assert main(["rank", single_edge_file]) == 0
+    assert netinv.cli.build_parser() is netinv.cli.build_parser()
+    monkeypatch.setattr(netinv.cli, "cmd_rank", lambda args: print(f"rebound {args.max_pair_size}") or 5)
+    assert main(["rank", single_edge_file, "--max-pair-size", "2"]) == 5
+    assert capsys.readouterr().out.splitlines()[-1] == "rebound 2"

@@ -541,6 +541,12 @@ class TestRankTopology:
         for seed in range(50):
             census_matches_compile(random_network(seed=seed))
 
+    @pytest.mark.parametrize("cap, rows", [(2, 64), (3, 384), (4, 904), (5, 1224), (8, 1288)])
+    def test_lattice_row_counts(self, cap, rows):
+        # every pendant of the lattice has a twin, so these rows come from
+        # 11 walked families at most, each relabeled into its orbit
+        assert rank_topology(lattice_fixture([1.0] * 12), cap).rows == rows
+
     def test_pendants_joined_in_twos(self):
         # 1-2 and 3-4 are isolated edges and 5, 6 hang on the path 7-8:
         # a row shares at most one pendant of each joined two

@@ -287,3 +287,20 @@ def test_with_gammas_keeps_topology(lattice12):
     assert all(e.gamma == 2.0 for e in net.edges)
     with pytest.raises(NetworkError, match="^expected 12 conductivities, got 11$"):
         lattice12.with_gammas([2.0] * 11)
+
+
+@pytest.mark.parametrize("gamma", [np.complex128(1 + 2j), 1 + 2j, "x", "2.0", None])
+def test_with_gammas_rejects_non_real_conductivity(lattice12, gamma):
+    # each value reaches the constructor's check as given, with no warning:
+    # a numpy complex is not read as its real part, nor a string parsed
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NetworkError) as exc:
+            lattice12.with_gammas([gamma] * 12)
+    assert str(exc.value) == f"edge 1: conductivity must be a real number, got {gamma!r}"
+
+
+def test_with_gammas_stores_real_numbers_as_floats(lattice12):
+    net = lattice12.with_gammas([2, np.float32(0.5), np.int64(3)] * 4)
+    assert [type(e.gamma) for e in net.edges] == [float] * 12
+    assert [e.gamma for e in net.edges[:3]] == [2.0, 0.5, 3.0]

@@ -22,6 +22,7 @@ from netinv import paths
 from netinv.network import Edge, Network, kirchhoff, random_network
 from oracle import (
     covering_families,
+    covering_orbits,
     exhaustive_path_systems,
     is_log_linear_admissible,
     scan_reference,
@@ -381,6 +382,18 @@ def families_match_oracle(net, max_size):
             oriented = sorted(path if p_mask >> path[0] & 1 else path[::-1] for path in family)
             assert tuple(oriented) in {s.paths for s in enumerate_path_systems(net, pair)}
     return families
+
+
+def walked_cores_match_families(net, max_size):
+    """Check _covering_orbits' dict, which holds walked cores only,
+    against covering_families, which counts every family of every orbit:
+    a walked core holds its walked family exactly when it has one family."""
+    families, orbits = paths._covering_orbits(paths._SearchGraph(net), max_size)
+    full = covering_families(net, max_size)
+    assert set(families) == {core for _, cores in orbits for core in cores}
+    for walked, cores in orbits:
+        for core in cores:
+            assert (families[core] is walked) is (full[core] is not None)
 
 
 class TestAdmissibleScan:
@@ -808,6 +821,7 @@ class TestTwins:
     def test_every_cap_matches_oracle(self, net):
         for size in range(1, net.n_boundary + 1):
             families_match_oracle(net, size)
+            walked_cores_match_families(net, size)
             sole_system_verdicts(net, size)
             assert scan_rows(net, size) == oracle_rows(net, size)
 
@@ -826,6 +840,12 @@ class TestTwins:
             families = covering_families(net, size)
             assert covering_families(swapped, size) == mapped_families(families, swap) == families
             assert covering_families(other, size) == mapped_families(families, perm)
+
+    @pytest.mark.parametrize("fixture", ["lattice_ones", "grid3"])
+    def test_walked_cores_match_families(self, request, fixture):
+        net = request.getfixturevalue(fixture)
+        for size in range(1, 6):
+            walked_cores_match_families(net, size)
 
     def test_path_between_two_twins(self):
         # a-v-b is the one path through v between two of its twins: the
@@ -849,7 +869,7 @@ class TestTwins:
         # walked core once, not each of the one-family cores (928 of the
         # grid's at |P| <= 3)
         net = request.getfixturevalue(fixture)
-        orbits = paths._covering_orbits(paths._SearchGraph(net), size)[1]
+        orbits = covering_orbits(net, size)
         assert (len(orbits), sum(map(len, orbits))) == (walked, families)
         calls = {"rungs": 0, "sole_system": 0}
         for name in calls:
