@@ -22,13 +22,17 @@ DET_ROUNDOFF_RTOL = 1e-13
 
 @dataclass(frozen=True)
 class DtNMap:
-    """Boundary response matrix Lambda = A - B C^-1 B^T: square and
-    finite, else ValueError."""
+    """Boundary response matrix Lambda = A - B C^-1 B^T: square, real
+    (bool, integer or float entries) and finite, else ValueError."""
 
     entries: np.ndarray
 
     def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=float)
+        entries = np.asarray(self.entries)
+        # a float cast would drop an imaginary part and parse a string
+        if entries.dtype.kind not in "biuf":
+            raise ValueError(f"DtN map entries must be real numbers, got dtype {entries.dtype}")
+        entries = entries.astype(float)
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
             raise ValueError(f"DtN map must be a square matrix, got shape {entries.shape}")
         if not np.isfinite(entries).all():

@@ -273,28 +273,27 @@ class RankCertificate:
 
 def rank_topology(net: Network, max_pair_size: Optional[int] = None) -> RankCertificate:
     """The rank certificate of the pairs with |P| = |Q| <= max_pair_size
-    (default: all), read from the scan's cores (paths.core_census): each
-    core's rows are counted, not built, and only the rows that can raise
-    the rank are ranked. Let c be a core's row and e_r the unit row of a
-    free pendant r's edge. A row sharing pendants r_1..r_j, j >= 2, is
-    sum_i (c + e_ri) - (j - 1) c, and each term is itself a row. So the
-    rows span what the core rows and the rows c + e_r span, and only
-    those go to the RowSpace, until it reaches full rank (the empty
-    core's row, of a network without interior vertices, is zero and adds
-    nothing). The memory is then set by the cores, not by the rows. A
-    max_pair_size other than None or an integer >= 1 raises ValueError."""
+    (default: all), read from the scan's orbits (paths.core_census): each
+    orbit's rows are counted, not built, and only a few rows that span
+    them are ranked: its walked family's row, the rows that relabel one
+    of its paths, and the unit row of each pendant edge a row can share.
+    Those go to the RowSpace until it reaches full rank (the empty core's
+    row, of a network without interior vertices, is zero and adds
+    nothing). The memory is then set by the walked families, not by the
+    rows. A max_pair_size other than None or an integer >= 1 raises
+    ValueError."""
     size = _pair_size(net, max_pair_size)
     n_unknowns = net.n_edges + (net.n_interior > 0)
     logdet = [(net.n_edges, -1)] if net.n_interior else []
     space = RowSpace()
     rows = 0
-    for count, edge_ids, extra in core_census(net, size):
+    for count, spanning, extra in core_census(net, size):
         rows += count
-        if space.rank < n_unknowns:
-            entries = [(eid - 1, 1) for eid in edge_ids] + logdet
-            space.add_sparse(entries)
-            for eid in extra:
-                space.add_sparse(entries + [(eid - 1, 1)])
+        entries = [[(eid - 1, 1) for eid in ids] + logdet for ids in spanning]
+        for row in entries + [[(eid - 1, 1)] for eid in extra]:
+            if space.rank == n_unknowns:
+                break
+            space.add_sparse(row)
     return RankCertificate(rows, space.rank, n_unknowns, _unresolved(space, net.n_edges))
 
 

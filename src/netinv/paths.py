@@ -110,110 +110,21 @@ class _SearchGraph:
         middle, back = path[1:-1], path[-2:0:-1]
         return [((s, *middle, t) if s < t else (t, *back, s), 1 << s, 1 << t) for s in starts for t in ends]
 
-    def rungs(self, family) -> Optional[tuple]:
-        """The rung table (starts, same, opposite) of a chordless covering
-        family (per path, its vertices from its lower end), or None when
-        its rungs, the edges between two of its paths (path ends
-        included), join the paths in a cycle. Two rungs x1-y1 and x2-y2 of
-        a pair of paths cross when, with the paths run as a core runs
-        them, x1 comes before x2 on one path and y2 before y1 on the other;
-        so whether a pair has crossing rungs depends only on whether its
-        paths run the same way. `starts` is the bitmask of the paths' lower
-        ends; `same` and `opposite` hold the bitmask of the two lower ends
-        of each pair whose rungs cross when its paths run the same way, or
-        opposite ways."""
-        masks, n = self.masks, len(family)
-        ladders = [(0, 1)] if n == 2 else []  # the pairs of paths that rungs may join
-        if n > 2:  # two paths close no cycle
-            spans, arounds = [], []
-            for path in family:
-                span = around = 0
-                for u in path:
-                    span |= 1 << u
-                    around |= masks[u]
-                spans.append(span)
-                arounds.append(around)
-            tree = list(range(n))  # per path, one path of its tree
-            for b in range(1, n):
-                for a in range(b):
-                    if arounds[a] & spans[b]:
-                        if tree[a] == tree[b]:
-                            return None
-                        joined = tree[b]
-                        tree = [tree[a] if t == joined else t for t in tree]
-                        ladders.append((a, b))
-        before, spans = {}, [0]  # before[u]: the vertices before u on its path
-        starts = _mask(path[0] for path in family)
-        for path in family[1:]:
-            prefix = 0
-            for u in path:
-                before[u] = prefix
-                prefix |= 1 << u
-            spans.append(prefix)
-        same, opposite = [], []
-        for a, b in ladders:
-            # along path a, `seen` gathers the ends on path b of the rungs so
-            # far: a rung that meets path b before one of them crosses it
-            # when the paths run the same way (bit 1 of `crossed`), one that
-            # meets path b after it when they run opposite ways (bit 2)
-            span, seen, crossed = spans[b], 0, 0
-            for u in family[a]:
-                hit = masks[u] & span
-                if hit:
-                    rest = hit
-                    while rest:
-                        low = rest & -rest
-                        rest ^= low
-                        behind = before[low.bit_length() - 1]
-                        if seen & ~behind & ~low:
-                            crossed |= 1
-                        if seen & behind:
-                            crossed |= 2
-                    seen |= hit
-            ends = 1 << family[a][0] | 1 << family[b][0]
-            if crossed & 1:
-                same.append(ends)
-            if crossed & 2:
-                opposite.append(ends)
-        return starts, same, opposite
-
-    def sole_system(self, p_mask: int, q_mask: int, family, rungs) -> bool:
+    def sole_system(self, p_mask: int, q_mask: int, family) -> bool:
         """Whether `family`, the one chordless covering family of the core
         (p_mask, q_mask) (per path, its vertices from its lower end), is
-        its only path system; `rungs` is the family's rung table.
-
-        Crossing rungs x1-y1 and x2-y2 give a second system: the first
-        path up to x1, the rung and the second path on from y1; the second
-        path up to y2, the rung and the first path on from x2. With no
-        crossing and the paths joined by rungs a forest, the family is the
-        only system: a second one gives a cycle in the family's residual
-        graph, which in a forest steps to a neighboring path and straight
-        back, and between paths whose rungs do not cross that step cuts
-        out, until nothing is left. So a few bit tests decide the core
-        when the family's rungs form a forest; when they close a cycle of
-        paths, the search of _no_second_system does."""
-        if rungs is None:
-            paths = [path if p_mask >> path[0] & 1 else path[::-1] for path in family]
-            return self._no_second_system(paths, p_mask | q_mask)
-        starts, same, opposite = rungs
-        forward = p_mask & starts  # the lower ends of the paths that run from them
-        return all((forward & ends).bit_count() == 1 for ends in same) and not any(
-            (forward & ends).bit_count() == 1 for ends in opposite
-        )
-
-    def _no_second_system(self, paths, pq_mask: int) -> bool:
-        """Whether `paths`, a chordless covering family run from P to Q,
-        is the only path system of its core, whose P + Q has bitmask
-        `pq_mask`. Any other system leaves a vertex of A = I + (P&Q) out,
-        or has a chord whose shortcut does; so, by Menger's theorem, there
-        is one iff some path s = v_0, ..., v_m, t has an augmenting path
-        from s to t around one of v_1..v_m in the split-vertex residual
-        graph of the other paths, where entering a used vertex (a sink too)
-        leads back to the out-side of every vertex before it on its path,
-        its source included. With no chord, such a route leaves the path
-        at some v_l and comes back past v_(l+1): so launch l = 0..m-1 adds
-        v_l to one growing search that never walks along the path, and
-        touching a v_i with i >= l + 2 finds one."""
+        its only path system. Any other system leaves a vertex of
+        A = I + (P&Q) out, or has a chord whose shortcut does; so, by
+        Menger's theorem, there is one iff some path s = v_0, ..., v_m, t,
+        run from P to Q, has an augmenting path from s to t around one of
+        v_1..v_m in the split-vertex residual graph of the other paths,
+        where entering a used vertex (a sink too) leads back to the
+        out-side of every vertex before it on its path, its source
+        included. With no chord, such a route leaves the path at some v_l
+        and comes back past v_(l+1): so launch l = 0..m-1 adds v_l to one
+        growing search that never walks along the path, and touching a v_i
+        with i >= l + 2 finds one."""
+        paths = [path if p_mask >> path[0] & 1 else path[::-1] for path in family]
         masks = self.masks
         before = {}  # before[u]: the vertices preceding u on its path
         for path in paths:
@@ -221,7 +132,7 @@ class _SearchGraph:
             for u in path:
                 before[u] = prefix
                 prefix |= 1 << u
-        used = pq_mask | self.interior  # the family covers I and passes P and Q
+        used = p_mask | q_mask | self.interior  # the family covers I and passes P and Q
         for path in paths:
             far = before[path[-1]] ^ 1 << path[0] | 1 << path[-1]  # the path past v_(l+1)
             others, reached = used & ~far & ~(1 << path[0]), 0
@@ -541,33 +452,23 @@ def _sole_cores(graph: _SearchGraph, max_pair_size: int) -> Iterator[tuple]:
     """The cores with |P| <= max_pair_size whose one chordless covering
     family is their only path system, by orbit (_covering_orbits): per
     walked family with such a core, its |P|, the family, each such core's
-    (P mask, Q mask), and lazily each family of the orbit, the walked one
-    first, as its paths with the bits of their ends in walk order
-    (_SearchGraph.variants) and its edge ids, ascending. A family's cores
+    (P mask, Q mask), and per path its variants (_SearchGraph.variants),
+    the walked one first, each with its edge ids appended. The orbit's
+    families are the product of its paths' variants. A family's cores
     differ only in which way its paths run, so they share |P| and P + Q;
     a relabeled family's are the images of the walked one's, and take
     their verdicts, one family and one system, so only walked cores are
     tested."""
     edge_id = graph.edge_id
     families, orbits = _covering_orbits(graph, max_pair_size)
-    path_edges: dict[tuple, list] = {}  # the families of an orbit share most paths
-
-    def relabelings(walked: tuple) -> Iterator[tuple]:
-        for choice in product(*map(graph.variants, walked)):
-            ids = []
-            for path, _, _ in choice:
-                if path not in path_edges:
-                    path_edges[path] = [edge_id[e] for e in zip(path, path[1:])]
-                ids += path_edges[path]
-            yield choice, tuple(sorted(ids))
-
     for walked, cores in orbits:
-        mine = [core for core in cores if families[core] is walked]
-        if mine:
-            rungs = graph.rungs(walked)
-            kept = [core for core in mine if graph.sole_system(*core, walked, rungs)]
-            if kept:
-                yield kept[0][0].bit_count(), walked, kept, relabelings(walked)
+        kept = [core for core in cores if families[core] is walked and graph.sole_system(*core, walked)]
+        if kept:
+            variants = [
+                [(*variant, [edge_id[e] for e in zip(variant[0], variant[0][1:])]) for variant in graph.variants(path)]
+                for path in walked
+            ]
+            yield kept[0][0].bit_count(), walked, kept, variants
 
 
 def _order_key(mask: int, n: int) -> int:
@@ -594,16 +495,10 @@ def admissible_rows(net: Network, max_pair_size: int) -> Iterator[AdmissibleRow]
     vertices), those vertices added to the residual. An admissible pair's
     unique system covers I, passes through every other shared vertex and
     has no chord, so its core has exactly one chordless covering family
-    (_covering_orbits). Both tests run on walked cores only, and only the
+    (_covering_orbits). Both tests run on walked cores only, the second
+    by the growing search of _SearchGraph.sole_system, and only the
     orbits that keep a core are relabeled into their families
-    (_sole_cores). A second system is sought by _SearchGraph.sole_system:
-    the cores of one family differ only in which way each path runs, and
-    a pendant end carries no rung, its one neighbor being on its own
-    path; so the family's rungs, the edges between two of its paths, are
-    read once. When the paths joined by rungs form a forest, a few bit
-    tests per core drop it on a crossing pair of rungs or keep it, and
-    only the cores of a family whose rungs close a cycle of paths go to
-    the growing search.
+    (_sole_cores).
 
     A core whose family is its only system gives the candidates of a
     size by adding shared pendant vertices not joined to each other.
@@ -624,13 +519,14 @@ def admissible_rows(net: Network, max_pair_size: int) -> Iterator[AdmissibleRow]
     # per pendant r: its bit, the key it adds when shared (in P and in Q), its neighbor
     shares = {r: (1 << r, _order_key(1 << r | 1 << r + shift, n), graph.masks[r]) for r in pendant_edge}
     cores = []
-    for k, walked, kept, relabelings in _sole_cores(graph, max_pair_size):
-        for choice, edge_ids in relabelings:
+    for k, walked, kept, variants in _sole_cores(graph, max_pair_size):
+        for choice in product(*variants):
             # each kept core's image, turned to put the lowest endpoint in P
-            family = tuple(sorted(path for path, _, _ in choice))
+            family = tuple(sorted(path for path, _, _, _ in choice))
+            edge_ids = tuple(sorted(eid for *_, ids in choice for eid in ids))
             for p, q in kept:
                 p_mask = q_mask = p & q
-                for path, (_, s_bit, t_bit) in zip(walked, choice):
+                for path, (_, s_bit, t_bit, _) in zip(walked, choice):
                     s_bit, t_bit = (s_bit, t_bit) if p >> path[0] & 1 else (t_bit, s_bit)
                     p_mask, q_mask = p_mask | s_bit, q_mask | t_bit
                 if family and not p_mask >> family[0][0] & 1:
@@ -669,41 +565,51 @@ def admissible_rows(net: Network, max_pair_size: int) -> Iterator[AdmissibleRow]
             )
 
 
-def core_census(net: Network, max_pair_size: int) -> Iterator[tuple[int, tuple, tuple]]:
-    """admissible_rows' cores, read for a rank certificate with no row
-    built, one family at a time (_sole_cores): the number of its cores'
-    rows with |P| <= max_pair_size, the edge ids of a core's own row, and
-    the edge id that each free pendant adds to a row that shares it, or
-    () when no row has room to share one. A family's cores differ only
-    in which way its paths run, so they share the last two.
+def core_census(net: Network, max_pair_size: int) -> Iterator[tuple[int, list, tuple]]:
+    """admissible_rows' rows, read for a rank certificate with none
+    built, one kept orbit at a time (_sole_cores): how many rows its
+    cores give with |P| <= max_pair_size, the edge ids of the walked
+    family's row and of each row that relabels one of its paths, and the
+    edge ids of the pendants free in the walked family, or () when no row
+    has room to share one. The rows of the orbit lie in the span of the
+    rows listed and the unit rows of those pendant edges, and span them:
+
+    - A family's row is the walked one's plus, per path, the difference
+      the path's own relabeling makes.
+    - A row that shares pendants is its core's row plus their unit rows,
+      and each unit row is the difference of two rows, its core's with
+      and without that one pendant shared.
+    - A twin r that a relabeling frees and the walked family ends at has
+      a twin r' the walked family leaves free, and e_r = e_r' minus the
+      difference the relabeling of r's path from r to r' makes.
 
     A core of size k gives at size k + m the m-sets of its free pendant
     boundary vertices (those outside P + Q) with no two joined. A pendant
     can be joined only to another pendant, as an isolated edge, so they
     number the coefficient of x^m in (1 + x)^singles (1 + 2x)^couples,
     where couples counts the free pendants joined in twos and singles the
-    rest. The empty core of a network without interior vertices is no
-    row itself: its rows start at m = 1.
+    rest. A twin swap is an automorphism and no twin is joined, so every
+    family of an orbit has the walked one's singles and couples. The
+    empty core of a network without interior vertices is no row itself:
+    its rows start at m = 1.
     """
     graph = _SearchGraph(net)
     pendants = graph.boundary & graph.pendants
     pendant_edge = _pendant_edges(graph)
     joined = _mask(r for r in pendant_edge if graph.masks[r] & pendants)
-    counts: dict[tuple, int] = {}  # per (k, singles, couples): a core's rows
-    for k, _, kept, relabelings in _sole_cores(graph, max_pair_size):
-        shared = kept[0][0] & kept[0][1]  # the inner boundary vertices on the paths
-        for choice, edge_ids in relabelings:
-            free = pendants & ~shared
-            for _, s_bit, t_bit in choice:
-                free &= ~(s_bit | t_bit)
-            couples = (free & joined).bit_count() // 2
-            singles = free.bit_count() - 2 * couples
-            shape = k, singles, couples
-            if shape not in counts:
-                counts[shape] = sum(
-                    math.comb(couples, j) * 2**j * math.comb(singles, m - j)
-                    for m in range(k == 0, max_pair_size - k + 1)
-                    for j in range(min(m, couples) + 1)
-                )
-            extra = tuple(pendant_edge[r] for r in _vertices(free)) if k < max_pair_size else ()
-            yield len(kept) * counts[shape], edge_ids, extra
+    for k, _, kept, variants in _sole_cores(graph, max_pair_size):
+        free = pendants & ~(kept[0][0] | kept[0][1])
+        couples = (free & joined).bit_count() // 2
+        singles = free.bit_count() - 2 * couples
+        shares = sum(
+            math.comb(couples, j) * 2**j * math.comb(singles, m - j)
+            for m in range(k == 0, max_pair_size - k + 1)
+            for j in range(min(m, couples) + 1)
+        )
+        own = [options[0][3] for options in variants]  # per path, the walked family's edge ids
+        rows = [sum(own, [])]
+        for i, options in enumerate(variants):
+            rest = sum(own[:i] + own[i + 1 :], [])
+            rows += [rest + ids for *_, ids in options[1:]]
+        extra = tuple(pendant_edge[r] for r in _vertices(free)) if k < max_pair_size else ()
+        yield len(kept) * math.prod(map(len, variants)) * shares, rows, extra

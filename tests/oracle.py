@@ -20,9 +20,11 @@ row space eliminates rows against each other, where the package's
 RowSpace tests each row against a basis of the rows' null space; span
 membership asks a copy of a RowSpace whether a row raises its rank.
 The scan reference rebuilds admissible_rows' rows from the package's
-cores (_sole_cores) with tuples: it sorts each size's candidates as
-tuples, where the scan sorts integer keys, signs each row by term_sign
-of its system and builds every pair through BoundaryPair's checks.
+cores (_sole_cores) with tuples: it relabels each kept orbit by the
+vertex map of covering_orbits and reads edge ids from the network, sorts
+each size's candidates as tuples, where the scan sorts integer keys,
+signs each row by term_sign of its system and builds every pair through
+BoundaryPair's checks.
 The walk keeps walked families and their cores only; covering_orbits
 relabels each walked family into its whole orbit, by a vertex map of
 its own rather than the scan's bit arithmetic, and covering_families
@@ -245,20 +247,23 @@ def covering_families(net: Network, max_pair_size: int) -> dict:
 
 def scan_reference(net: Network, max_pair_size: int) -> list[AdmissibleRow]:
     """admissible_rows' rows, built the plain way: per size, every core
-    of _sole_cores with |P| up to it, extended by each set of shared
-    pendant vertices not joined to each other to fill the size, as
-    ascending tuples; the candidates sorted as tuples of tuples. A row's
-    edge ids add the pendants' edges to the core's, and its sign is
+    of _sole_cores with |P| up to it, relabeled into every family of its
+    orbit (relabeled), extended by each set of shared pendant vertices
+    not joined to each other to fill the size, as ascending tuples; the
+    candidates sorted as tuples of tuples. A row's edge ids, read from
+    the network, are its family's and its pendants', and its sign is
     term_sign of its system: the core's family run from P, with the
     added pendants as its residual."""
     adj = net.adjacency()
     pendants = [r for r in range(1, net.n_boundary + 1) if len(adj[r]) == 1]
     edge_id = {e.pair: e.id for e in net.edges}
+    graph = paths._SearchGraph(net)
     cores = [
         (k, p_mask, q_mask, family, edge_ids)
-        for k, walked, kept, relabelings in paths._sole_cores(paths._SearchGraph(net), max_pair_size)
-        for choice, edge_ids in relabelings
+        for k, walked, kept, _ in paths._sole_cores(graph, max_pair_size)
+        for choice in product(*map(graph.variants, walked))
         for family, images in [relabeled(walked, choice, kept)]
+        for edge_ids in [tuple(edge_id[min(e), max(e)] for path in family for e in zip(path, path[1:]))]
         for p_mask, q_mask in images
     ]
     rows = []

@@ -79,6 +79,41 @@ def test_dtn_map_rejects_bad_entries(entries):
         DtNMap(entries)
 
 
+@pytest.mark.parametrize(
+    "entries",
+    [
+        np.array([[1 + 2j, 0], [0, 1]]),
+        [[1 + 2j]],
+        np.array([[1.0]], dtype=complex),
+        [["2.5"]],
+        np.array([[1.0]], dtype=object),
+        [[1.0, None]],
+    ],
+    ids=["complex-array", "complex-list", "complex-zero-imaginary", "text", "object", "none"],
+)
+def test_dtn_map_rejects_entries_that_are_not_real(entries):
+    # a cast to float would drop the imaginary part, parse the text and
+    # read None as nan
+    with pytest.raises(ValueError, match="DtN map entries must be real numbers, got dtype"):
+        DtNMap(entries)
+
+
+@pytest.mark.parametrize(
+    "entries, expected",
+    [
+        ([[True, False], [False, True]], [[1.0, 0.0], [0.0, 1.0]]),
+        (np.array([[2, -1], [-1, 2]], dtype=np.int32), [[2.0, -1.0], [-1.0, 2.0]]),
+        (np.array([[3]], dtype=np.uint8), [[3.0]]),
+        (np.array([[0.5]], dtype=np.float32), [[0.5]]),
+    ],
+    ids=["bool", "int32", "uint8", "float32"],
+)
+def test_dtn_map_reads_real_entries_as_floats(entries, expected):
+    lam = DtNMap(entries)
+    assert lam.entries.dtype == np.float64
+    assert lam.entries.tolist() == expected
+
+
 @pytest.mark.parametrize("p, q", [((1.9, 2.5), (3, 4)), ((1.0,), (2,)), ("12", (3, 4)), ((1, 2), "34")])
 def test_boundary_pair_rejects_non_integral_indices(p, q):
     # int() would truncate 1.9 to 1 and read "12" as (1, 2): a minor the

@@ -26,6 +26,7 @@ from netinv import (
 from netinv.inverse import LogLinearSystem
 from netinv.network import Edge, Network, kirchhoff, random_network
 from netinv.numerics import RowSpace
+from boxes import box_network
 from oracle import EchelonRowSpace, in_span, per_row_system
 
 
@@ -497,11 +498,12 @@ class TestRecoveryPlan:
             assert report.recovered_gammas == pytest.approx(gammas, rel=1e-8)
 
 
-def census_matches_compile(net):
+def census_matches_compile(net, caps=None):
     """rank_topology against compile_topology(..., stop_at_full_rank=False)
-    at the default cap and at every cap from 1 to the boundary size:
-    the same row count, rank, unknowns, unresolved edges and verdict."""
-    for cap in [None, *range(1, net.n_boundary + 1)]:
+    at each of `caps`, by default the default cap and every cap from 1 to
+    the boundary size: the same row count, rank, unknowns, unresolved
+    edges and verdict."""
+    for cap in caps or [None, *range(1, net.n_boundary + 1)]:
         cert = rank_topology(net, cap)
         plan = compile_topology(net, cap, stop_at_full_rank=False)
         assert (cert.rows, cert.rank, cert.n_unknowns, cert.unresolved_edges) == (
@@ -537,6 +539,15 @@ class TestRankTopology:
     def test_matches_compile(self, net):
         census_matches_compile(net)
 
+    @pytest.mark.parametrize(
+        "shape, caps", [((1, 1, 2), None), ((1, 2, 2), (1, 2, 3))], ids=["box112", "box122"]
+    )
+    def test_matches_compile_on_boxes(self, shape, caps):
+        # each cell of the 1x1x2 box holds a class of five pendant twins,
+        # each of the 1x2x2 box a class of four; its caps above 3 hold
+        # too many rows to build
+        census_matches_compile(box_network(*shape), caps)
+
     def test_matches_compile_on_random_networks(self):
         for seed in range(50):
             census_matches_compile(random_network(seed=seed))
@@ -566,22 +577,24 @@ class TestRankTopology:
         assert (cert.rows, cert.rank, cert.unresolved_edges) == (3360, 24, (15, 16, 20, 23))
 
     def test_stops_ranking_at_full_rank(self, monkeypatch):
-        # once the rows reach full rank, the later cores' rows are counted,
-        # not ranked: 227 of the 289 rows that could raise the rank
+        # once the rows reach full rank, the later orbits' rows are counted,
+        # not ranked: 51 of the 79 rows that could raise the rank, the last
+        # of them raising it to full
         net = lattice_fixture([1.0] * 12)
         census = list(netinv.paths.core_census(net, net.n_boundary))
-        assert sum(1 + len(extra) for _, _, extra in census) == 289
-        added = []
+        assert sum(len(rows) + len(extra) for _, rows, extra in census) == 79
+        raised = []
         add = RowSpace.add_sparse
 
         def counted(space, entries):
-            added.append(entries)
-            return add(space, entries)
+            raised.append(add(space, entries))
+            return raised[-1]
 
         monkeypatch.setattr(RowSpace, "add_sparse", counted)
         cert = rank_topology(net)
         assert (cert.rows, cert.rank, cert.full_rank) == (1288, 13, True)
-        assert len(added) == 227
+        assert len(raised) == 51
+        assert raised[-1] is True
 
     @pytest.mark.parametrize("cap", [0, -1, 2.5, "3"])
     def test_cap_below_one_or_not_an_integer_raises(self, lattice_ones, cap):

@@ -549,27 +549,11 @@ def sole_system_verdicts(net, max_size):
     families = {core: f for core, f in covering_families(net, max_size).items() if f is not None}
     kept = 0
     for (p_mask, q_mask), family in families.items():
-        sole = graph.sole_system(p_mask, q_mask, family, graph.rungs(family))
+        sole = graph.sole_system(p_mask, q_mask, family)
         pair = BoundaryPair(paths._vertices(p_mask), paths._vertices(q_mask))
         assert sole is (second_system_search(net, pair) is not None)
         kept += sole
     return len(families), kept
-
-
-def decided_by_rule_and_search(net, max_size, monkeypatch):
-    """The numbers of one-family cores with |P| <= max_size that
-    sole_system decides from the rung table alone and by the search,
-    after checking every verdict with sole_system_verdicts."""
-    searched = []
-    search = paths._SearchGraph._no_second_system
-
-    def counted(graph, *args):
-        searched.append(args)
-        return search(graph, *args)
-
-    monkeypatch.setattr(paths._SearchGraph, "_no_second_system", counted)
-    n_cores = sole_system_verdicts(net, max_size)[0]
-    return n_cores - len(searched), len(searched)
 
 
 def two_paths_network(*extra):
@@ -587,9 +571,8 @@ def long_path_network(*extra):
 
 
 class TestSoleSystem:
-    """sole_system, by its rung table or by its search, agrees with the
-    second-system search on every core it is asked about: those with one
-    chordless covering family."""
+    """sole_system agrees with the second-system search on every core it
+    is asked about: those with one chordless covering family."""
 
     def test_lattice(self, lattice_ones):
         assert sole_system_verdicts(lattice_ones, 8) == (136, 136)
@@ -647,7 +630,7 @@ class TestSoleSystem:
         assert sorted(residuals) == [(), skipped]
         assert second_system_search(net, BoundaryPair((1, 2), (3, 4))) is None
         graph = paths._SearchGraph(net)
-        assert graph.sole_system(*core, family, graph.rungs(family)) is False
+        assert graph.sole_system(*core, family) is False
         # (1,4;2,3), the same family with 2-8-9-4 run the other way, has
         # no second system
         assert sole_system_verdicts(net, 2) == verdicts
@@ -658,61 +641,47 @@ class TestSoleSystem:
         [
             # 5-9 and 7-8 cross when both paths run from their lower ends:
             # 1-5-9-4, 2-8-7-3 is a second system that leaves 6 out
-            (((5, 9), (7, 8)), [0b110], [], (0b10010, 0b1100), (0b110, 0b11000)),
+            (((5, 9), (7, 8)), [((1, 5, 9, 4), (2, 8, 7, 3))], [], (0b10010, 0b1100), (0b110, 0b11000)),
             # 5-8 and 7-9 cross when 2-8-9-4 runs from 4: 1-5-8-2,
             # 4-9-7-3 is a second system that leaves 6 out
-            (((5, 8), (7, 9)), [], [0b110], (0b110, 0b11000), (0b10010, 0b1100)),
+            (((5, 8), (7, 9)), [], [((1, 5, 8, 2), (4, 9, 7, 3))], (0b110, 0b11000), (0b10010, 0b1100)),
         ],
     )
-    def test_two_crossing_rungs(self, monkeypatch, rungs, same, opposite, kept, rejected):
+    def test_two_crossing_rungs(self, rungs, same, opposite, kept, rejected):
+        # `same` and `opposite` are the systems other than the family of
+        # its cores whose paths run the same way, (1,2;3,4), and opposite
+        # ways, (1,4;2,3)
         net = long_path_network(*rungs)
         families = families_match_oracle(net, 2)
         family = families[kept]
         assert family == ((1, 5, 6, 7, 3), (2, 8, 9, 4))
         assert families[rejected] is family
+        for pair, others in [(((1, 2), (3, 4)), same), (((1, 4), (2, 3)), opposite)]:
+            systems = enumerate_path_systems(net, BoundaryPair(*pair))
+            assert [s.paths for s in systems[1:]] == others
         graph = paths._SearchGraph(net)
-        assert graph.rungs(family) == (0b110, same, opposite)
-        assert graph.sole_system(*kept, family, graph.rungs(family)) is True
-        assert graph.sole_system(*rejected, family, graph.rungs(family)) is False
-        assert decided_by_rule_and_search(net, 2, monkeypatch) == (2, 0)
+        assert graph.sole_system(*kept, family) is True
+        assert graph.sole_system(*rejected, family) is False
+        assert sole_system_verdicts(net, 2) == (2, 1)
         assert scan_rows(net, 2) == oracle_rows(net, 2)
 
-    def test_triangle_of_rungs_goes_to_the_search(self, monkeypatch):
+    def test_triangle_of_rungs_goes_to_the_search(self):
         # paths 1-7-4, 2-8-5 and 3-9-6, each pair joined by one rung
         pairs = [(1, 7), (4, 7), (2, 8), (5, 8), (3, 9), (6, 9), (7, 8), (8, 9), (7, 9)]
         net = Network(6, 3, tuple(Edge(i, u, v, 1.0) for i, (u, v) in enumerate(pairs, start=1)))
         family = families_match_oracle(net, 3)[(0b1110, 0b1110000)]
         assert family == ((1, 7, 4), (2, 8, 5), (3, 9, 6))
-        graph = paths._SearchGraph(net)
-        assert graph.rungs(family) is None
-        # the table decides the 24 cores of one- and two-path families; the
-        # search the four ways to run this family from path 1's lower end
-        assert decided_by_rule_and_search(net, 3, monkeypatch) == (24, 4)
+        # the 24 cores of one- and two-path families and the four ways to
+        # run this family from path 1's lower end: each is its only system
+        assert sole_system_verdicts(net, 3) == (28, 28)
         assert scan_rows(net, 3) == oracle_rows(net, 3)
 
-    def test_one_path_is_kept_with_no_search(self, monkeypatch):
+    def test_one_path_is_kept(self):
         net = Network(2, 2, (Edge(1, 1, 3, 1.0), Edge(2, 3, 4, 1.0), Edge(3, 2, 4, 1.0)))
         family = families_match_oracle(net, 1)[(0b10, 0b100)]
         assert family == ((1, 3, 4, 2),)
-        graph = paths._SearchGraph(net)
-        assert graph.rungs(family) == (0b10, [], [])
-        assert graph.sole_system(0b10, 0b100, family, graph.rungs(family)) is True
-        assert decided_by_rule_and_search(net, 1, monkeypatch) == (1, 0)
-
-    @pytest.mark.parametrize(
-        "fixture, size, split",
-        [
-            # the lattice's 3- and 4-path families close cycles of rungs
-            ("lattice_ones", 8, (64, 72)),
-            # the grid's 3-path families are forests; at |P| <= 4 each
-            # 4-path family closes a cycle
-            ("grid3", 3, (928, 0)),
-            ("grid3", 4, (928, 1408)),
-        ],
-    )
-    def test_rule_and_search_split(self, request, monkeypatch, fixture, size, split):
-        net = request.getfixturevalue(fixture)
-        assert decided_by_rule_and_search(net, size, monkeypatch) == split
+        assert paths._SearchGraph(net).sole_system(0b10, 0b100, family) is True
+        assert sole_system_verdicts(net, 1) == (1, 1)
 
 
 @given(st.data())
@@ -865,23 +834,21 @@ class TestTwins:
         self, request, monkeypatch, fixture, size, walked, families, sole, rows
     ):
         # the walk builds `walked` families, which relabel into `families`;
-        # the scan reads one rung table per walked family and decides each
-        # walked core once, not each of the one-family cores (928 of the
-        # grid's at |P| <= 3)
+        # the scan decides each walked core once, not each of the
+        # one-family cores (928 of the grid's at |P| <= 3)
         net = request.getfixturevalue(fixture)
         orbits = covering_orbits(net, size)
         assert (len(orbits), sum(map(len, orbits))) == (walked, families)
-        calls = {"rungs": 0, "sole_system": 0}
-        for name in calls:
-            method = getattr(paths._SearchGraph, name)
+        calls = []
+        method = paths._SearchGraph.sole_system
 
-            def counted(graph, *args, name=name, method=method):
-                calls[name] += 1
-                return method(graph, *args)
+        def counted(graph, *args):
+            calls.append(args)
+            return method(graph, *args)
 
-            monkeypatch.setattr(paths._SearchGraph, name, counted)
+        monkeypatch.setattr(paths._SearchGraph, "sole_system", counted)
         assert len(all_rows(net, size)) == rows
-        assert calls == {"rungs": walked, "sole_system": sole}
+        assert len(calls) == sole
 
 
 @pytest.mark.parametrize("walk", ["enumerate_path_systems", "compile_topology"])
