@@ -44,7 +44,8 @@ class ExpansionMismatch(RuntimeError):
 
 class TooManySystems(RuntimeError):
     """The path search ran out of budget: more than paths.MAX_SYSTEMS
-    systems for one pair, or deeper than the recursion limit."""
+    systems for one pair, deeper than the recursion limit, or a plan of
+    more than paths.MAX_ROWS rows."""
 
 
 class AllRowsDegenerate(RuntimeError):

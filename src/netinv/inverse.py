@@ -22,11 +22,12 @@ from .errors import (
     InconsistentDataWarning,
     RankDeficient,
     RoundTripFailure,
+    TooManySystems,
 )
 from .forward import BoundaryPair, DtNMap, dtn
 from .network import Network
 from .numerics import RowSpace
-from .paths import AdmissibleRow, admissible_rows, core_census
+from .paths import MAX_ROWS, AdmissibleRow, admissible_rows, core_census
 
 #: Least-squares residual beyond this multiple of ||rhs|| flags the
 #: input as not an exact DtN map of the topology.
@@ -231,7 +232,8 @@ def compile_topology(
     """Scan the pairs with |P| = |Q| <= max_pair_size (default: all) for
     admissibility, ranking their rows exactly as they come; with
     stop_at_full_rank the scan halts once the rows reach full rank. A
-    max_pair_size other than None or an integer >= 1 raises ValueError."""
+    max_pair_size other than None or an integer >= 1 raises ValueError,
+    and a plan that would store more than MAX_ROWS rows TooManySystems."""
     size = _pair_size(net, max_pair_size)
     has_logdet = net.n_interior > 0
     n_unknowns = net.n_edges + has_logdet
@@ -241,6 +243,8 @@ def compile_topology(
     distinct: dict[tuple[int, ...], tuple[int, ...]] = {}  # coefficient row per edge set
     logdet = [(net.n_edges, -1)] if has_logdet else []
     for row in admissible_rows(net, size):
+        if len(rows) == MAX_ROWS:
+            raise TooManySystems(f"more than {MAX_ROWS} rows for one plan")
         row_coeffs = distinct.get(row.edge_ids)
         if row_coeffs is None:
             row_coeffs = distinct[row.edge_ids] = _coefficient_row(row, net.n_edges, has_logdet)
@@ -275,22 +279,31 @@ def rank_topology(net: Network, max_pair_size: Optional[int] = None) -> RankCert
     """The rank certificate of the pairs with |P| = |Q| <= max_pair_size
     (default: all), read from the scan's orbits (paths.core_census): each
     orbit's rows are counted, not built, and only a few rows that span
-    them are ranked: its walked family's row, the rows that relabel one
-    of its paths, and the unit row of each pendant edge a row can share.
-    Those go to the RowSpace until it reaches full rank (the empty core's
-    row, of a network without interior vertices, is zero and adds
-    nothing). The memory is then set by the walked families, not by the
-    rows. A max_pair_size other than None or an integer >= 1 raises
-    ValueError."""
+    them are ranked: its walked family's row; once per topology, for each
+    twin class its relabelings reach, the two-entry rows e_r - e_r0 (the
+    unit rows of the edges of a twin r and of the class's lowest twin
+    r0); and the unit row of each pendant edge a row can share. Those go
+    to the RowSpace until it reaches full rank; the later orbits are only
+    counted (the empty core's row, of a network without interior
+    vertices, is zero and adds nothing). The memory is then set by the walked
+    families, not by the rows. A max_pair_size other than None or an
+    integer >= 1 raises ValueError."""
     size = _pair_size(net, max_pair_size)
     n_unknowns = net.n_edges + (net.n_interior > 0)
     logdet = [(net.n_edges, -1)] if net.n_interior else []
     space = RowSpace()
     rows = 0
-    for count, spanning, extra in core_census(net, size):
+    ranked = set()  # the twin classes whose differences went to the space
+    for count, own, reached, extra in core_census(net, size):
         rows += count
-        entries = [[(eid - 1, 1) for eid in ids] + logdet for ids in spanning]
-        for row in entries + [[(eid - 1, 1)] for eid in extra]:
+        if space.rank == n_unknowns:
+            continue
+        spanning = [[(eid - 1, 1) for eid in own] + logdet]
+        for twins in reached:
+            if twins not in ranked:
+                ranked.add(twins)
+                spanning += [[(twins[0] - 1, -1), (eid - 1, 1)] for eid in twins[1:]]
+        for row in spanning + [[(eid - 1, 1)] for eid in extra]:
             if space.rank == n_unknowns:
                 break
             space.add_sparse(row)

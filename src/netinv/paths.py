@@ -26,6 +26,11 @@ from .network import Network, kirchhoff
 #: beyond desk scale and the caller gets TooManySystems.
 MAX_SYSTEMS = 10**6
 
+#: Cap on the rows compile_topology stores in one plan, each about 1 KB
+#: with its pair and edge ids, until the scan streams; exceeded means the
+#: plan is beyond desk scale and the caller gets TooManySystems.
+MAX_ROWS = 10**6
+
 #: Both walks, enumerate_path_systems and _covering_orbits, recurse once
 #: per path vertex; past the recursion limit they have run out of budget.
 _TOO_DEEP = "path search deeper than the recursion limit"
@@ -95,18 +100,31 @@ class _SearchGraph:
         self.twins = [()] + [tuple(w for w in adj[v] if hung >> w & 1) for v in vertices]
         self.edge_id = {pair: e.id for e in net.edges for pair in (e.pair, e.pair[::-1])}
 
-    def variants(self, path: tuple) -> list:
-        """A walked family's path (_covering_orbits) in each family of its
-        orbit, the walked one first: from its lower end, with the bits of
-        its ends in walk order, any twin for the lowest, any two on a-v-b."""
+    def twin_ends(self, path: tuple) -> tuple[tuple, tuple]:
+        """The vertices that the start and the end of a walked family's
+        path (_covering_orbits) take over the families of its orbit: an
+        end at the lowest twin of a class takes any twin of it, any other
+        end only itself. On a-v-b between the two lowest twins of v, the
+        one path with both ends in one class, both are that class, and
+        the ends take any two of it; for every other path the two
+        differ."""
         hung = self.twins[path[1]]
-        starts = path[:1]
         if len(hung) > 1 and hung[0] == path[0]:
             if len(path) == 3 and path[2] == hung[1]:
-                return [((a, path[1], b), 1 << a, 1 << b) for a, b in combinations(hung, 2)]
+                return hung, hung
             starts = hung
+        else:
+            starts = path[:1]
         hung = self.twins[path[-2]]
-        ends = hung if len(hung) > 1 and hung[0] == path[-1] else path[-1:]
+        return starts, hung if len(hung) > 1 and hung[0] == path[-1] else path[-1:]
+
+    def variants(self, path: tuple) -> list:
+        """A walked family's path in each family of its orbit, the walked
+        one first (twin_ends): from its lower end, with the bits of its
+        ends in walk order."""
+        starts, ends = self.twin_ends(path)
+        if starts == ends:
+            return [((a, path[1], b), 1 << a, 1 << b) for a, b in combinations(starts, 2)]
         middle, back = path[1:-1], path[-2:0:-1]
         return [((s, *middle, t) if s < t else (t, *back, s), 1 << s, 1 << t) for s in starts for t in ends]
 
@@ -451,24 +469,17 @@ def _covering_orbits(graph: _SearchGraph, max_pair_size: int) -> tuple[dict, lis
 def _sole_cores(graph: _SearchGraph, max_pair_size: int) -> Iterator[tuple]:
     """The cores with |P| <= max_pair_size whose one chordless covering
     family is their only path system, by orbit (_covering_orbits): per
-    walked family with such a core, its |P|, the family, each such core's
-    (P mask, Q mask), and per path its variants (_SearchGraph.variants),
-    the walked one first, each with its edge ids appended. The orbit's
-    families are the product of its paths' variants. A family's cores
-    differ only in which way its paths run, so they share |P| and P + Q;
-    a relabeled family's are the images of the walked one's, and take
-    their verdicts, one family and one system, so only walked cores are
-    tested."""
-    edge_id = graph.edge_id
+    walked family with such a core, its |P|, the family and each such
+    core's (P mask, Q mask). The orbit's families are the product of its
+    paths' variants (_SearchGraph.variants). A family's cores differ only
+    in which way its paths run, so they share |P| and P + Q; a relabeled
+    family's are the images of the walked one's, and take their verdicts,
+    one family and one system, so only walked cores are tested."""
     families, orbits = _covering_orbits(graph, max_pair_size)
     for walked, cores in orbits:
         kept = [core for core in cores if families[core] is walked and graph.sole_system(*core, walked)]
         if kept:
-            variants = [
-                [(*variant, [edge_id[e] for e in zip(variant[0], variant[0][1:])]) for variant in graph.variants(path)]
-                for path in walked
-            ]
-            yield kept[0][0].bit_count(), walked, kept, variants
+            yield kept[0][0].bit_count(), walked, kept
 
 
 def _order_key(mask: int, n: int) -> int:
@@ -496,9 +507,9 @@ def admissible_rows(net: Network, max_pair_size: int) -> Iterator[AdmissibleRow]
     unique system covers I, passes through every other shared vertex and
     has no chord, so its core has exactly one chordless covering family
     (_covering_orbits). Both tests run on walked cores only, the second
-    by the growing search of _SearchGraph.sole_system, and only the
-    orbits that keep a core are relabeled into their families
-    (_sole_cores).
+    by the growing search of _SearchGraph.sole_system (_sole_cores), and
+    only the orbits that keep a core are relabeled into their families
+    (_SearchGraph.variants), each variant with its edge ids.
 
     A core whose family is its only system gives the candidates of a
     size by adding shared pendant vertices not joined to each other.
@@ -518,8 +529,13 @@ def admissible_rows(net: Network, max_pair_size: int) -> Iterator[AdmissibleRow]
     pendant_edge = _pendant_edges(graph)
     # per pendant r: its bit, the key it adds when shared (in P and in Q), its neighbor
     shares = {r: (1 << r, _order_key(1 << r | 1 << r + shift, n), graph.masks[r]) for r in pendant_edge}
+    edge_id = graph.edge_id
     cores = []
-    for k, walked, kept, variants in _sole_cores(graph, max_pair_size):
+    for k, walked, kept in _sole_cores(graph, max_pair_size):
+        variants = [
+            [(*variant, [edge_id[e] for e in zip(variant[0], variant[0][1:])]) for variant in options]
+            for options in map(graph.variants, walked)
+        ]
         for choice in product(*variants):
             # each kept core's image, turned to put the lowest endpoint in P
             family = tuple(sorted(path for path, _, _, _ in choice))
@@ -565,23 +581,34 @@ def admissible_rows(net: Network, max_pair_size: int) -> Iterator[AdmissibleRow]
             )
 
 
-def core_census(net: Network, max_pair_size: int) -> Iterator[tuple[int, list, tuple]]:
+def core_census(net: Network, max_pair_size: int) -> Iterator[tuple[int, list, list, tuple]]:
     """admissible_rows' rows, read for a rank certificate with none
     built, one kept orbit at a time (_sole_cores): how many rows its
     cores give with |P| <= max_pair_size, the edge ids of the walked
-    family's row and of each row that relabels one of its paths, and the
-    edge ids of the pendants free in the walked family, or () when no row
-    has room to share one. The rows of the orbit lie in the span of the
-    rows listed and the unit rows of those pendant edges, and span them:
+    family's row, the twin classes it reaches, each as the edge ids of
+    its pendants (the lowest twin's first), and the edge ids of the
+    pendants free in the walked family, or () when no row has room to
+    share one. An end of the walked family at the lowest twin r0 of a
+    class reaches that class when it has more than one variant
+    (_SearchGraph.twin_ends). With e_r the unit row of pendant r's edge,
+    the orbits' walked rows c_W, the differences e_r - e_r0 of the
+    classes they reach and the free pendants' e_r span the rows and lie
+    in their span:
 
-    - A family's row is the walked one's plus, per path, the difference
-      the path's own relabeling makes.
+    - A relabeled family's row is c_W plus, per end it moves from r0 to
+      a twin r, e_r - e_r0; on a-v-b, the pair {a, b} in place of the two
+      lowest twins is a sum of such differences too.
+    - Each difference is itself a row minus c_W: moving an end r0 that
+      is not on a-v-b to r gives e_r - e_r0. On a-v-b with three or more
+      twins r0 < r1 < ..., the pairs {r1, r} and {r0, r} give e_r - e_r0
+      and e_r - e_r1, so every difference follows. With exactly two
+      twins, a-v-b has one variant and reaches no class.
     - A row that shares pendants is its core's row plus their unit rows,
       and each unit row is the difference of two rows, its core's with
-      and without that one pendant shared.
-    - A twin r that a relabeling frees and the walked family ends at has
-      a twin r' the walked family leaves free, and e_r = e_r' minus the
-      difference the relabeling of r's path from r to r' makes.
+      and without that one pendant shared. A twin r that a relabeling
+      frees is an end of the walked family, in a class it reaches, and
+      the walked family leaves the twin r' it moves to free:
+      e_r = e_r' - (e_r' - e_r0) + (e_r - e_r0).
 
     A core of size k gives at size k + m the m-sets of its free pendant
     boundary vertices (those outside P + Q) with no two joined. A pendant
@@ -589,27 +616,35 @@ def core_census(net: Network, max_pair_size: int) -> Iterator[tuple[int, list, t
     number the coefficient of x^m in (1 + x)^singles (1 + 2x)^couples,
     where couples counts the free pendants joined in twos and singles the
     rest. A twin swap is an automorphism and no twin is joined, so every
-    family of an orbit has the walked one's singles and couples. The
+    family of an orbit has the walked one's singles and couples; the
+    orbit's families number the product of its paths' variant counts. The
     empty core of a network without interior vertices is no row itself:
     its rows start at m = 1.
     """
     graph = _SearchGraph(net)
+    edge_id = graph.edge_id
     pendants = graph.boundary & graph.pendants
     pendant_edge = _pendant_edges(graph)
     joined = _mask(r for r in pendant_edge if graph.masks[r] & pendants)
-    for k, _, kept, variants in _sole_cores(graph, max_pair_size):
+    classes = {hung: tuple(map(pendant_edge.get, hung)) for hung in graph.twins if len(hung) > 1}
+    for k, walked, kept in _sole_cores(graph, max_pair_size):
         free = pendants & ~(kept[0][0] | kept[0][1])
         couples = (free & joined).bit_count() // 2
         singles = free.bit_count() - 2 * couples
-        shares = sum(
+        count = len(kept) * sum(
             math.comb(couples, j) * 2**j * math.comb(singles, m - j)
             for m in range(k == 0, max_pair_size - k + 1)
             for j in range(min(m, couples) + 1)
         )
-        own = [options[0][3] for options in variants]  # per path, the walked family's edge ids
-        rows = [sum(own, [])]
-        for i, options in enumerate(variants):
-            rest = sum(own[:i] + own[i + 1 :], [])
-            rows += [rest + ids for *_, ids in options[1:]]
+        reached = []
+        for path in walked:
+            starts, ends = graph.twin_ends(path)
+            if starts == ends:  # a-v-b: any two of the class, one variant for two
+                count *= math.comb(len(starts), 2)
+                reached += [classes[starts]] if len(starts) > 2 else []
+            else:
+                count *= len(starts) * len(ends)
+                reached += [classes[hung] for hung in (starts, ends) if len(hung) > 1]
+        own = [edge_id[e] for path in walked for e in zip(path, path[1:])]
         extra = tuple(pendant_edge[r] for r in _vertices(free)) if k < max_pair_size else ()
-        yield len(kept) * math.prod(map(len, variants)) * shares, rows, extra
+        yield count, own, reached, extra

@@ -260,7 +260,7 @@ def scan_reference(net: Network, max_pair_size: int) -> list[AdmissibleRow]:
     graph = paths._SearchGraph(net)
     cores = [
         (k, p_mask, q_mask, family, edge_ids)
-        for k, walked, kept, _ in paths._sole_cores(graph, max_pair_size)
+        for k, walked, kept in paths._sole_cores(graph, max_pair_size)
         for choice in product(*map(graph.variants, walked))
         for family, images in [relabeled(walked, choice, kept)]
         for edge_ids in [tuple(edge_id[min(e), max(e)] for path in family for e in zip(path, path[1:]))]

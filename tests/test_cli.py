@@ -177,6 +177,17 @@ def test_search_cap_exit_2(lattice_file, monkeypatch, capsys):
     assert capsys.readouterr() == ("", "error: more than 1 path systems for pair (1,)->(5,)\n")
 
 
+def test_row_budget_exit_2(tmp_path, lattice_file, lattice12, monkeypatch, capsys):
+    # the lattice's full scan stores 1,288 rows, more than this budget;
+    # the plan that stops at full rank stores 110
+    monkeypatch.setattr(netinv.inverse, "MAX_ROWS", 1000)
+    lam_file = tmp_path / "lam.txt"
+    lam_file.write_text(format_matrix_text(dtn(lattice12).entries))
+    assert main(["invert", lattice_file, str(lam_file), "--no-stop-at-full-rank"]) == 2
+    assert capsys.readouterr() == ("", "error: more than 1000 rows for one plan\n")
+    assert main(["invert", lattice_file, str(lam_file)]) == 0
+
+
 @pytest.fixture(scope="module")
 def deep_chain(tmp_path_factory):
     """A series chain 1 - 3 - 4 - ... - 1202 - 2: its one path is longer

@@ -13,6 +13,7 @@ from netinv import (
     InconsistentDataWarning,
     RankDeficient,
     RoundTripFailure,
+    TooManySystems,
     compile_topology,
     difference_rows,
     dtn,
@@ -28,6 +29,7 @@ from netinv.network import Edge, Network, kirchhoff, random_network
 from netinv.numerics import RowSpace
 from boxes import box_network
 from oracle import EchelonRowSpace, in_span, per_row_system
+from test_paths import TWIN_NETWORKS, relabeled
 
 
 # boundary 1, 2 joined through interior 3, 4: the boundary sees only
@@ -456,6 +458,17 @@ class TestRecoveryPlan:
         assert compile_topology(lattice_ones, 99) == compile_topology(lattice_ones)
         assert len(compile_topology(Network(0, 0, ())).rows) == 0
 
+    def test_row_budget_raises(self, lattice_ones, monkeypatch):
+        # the full scan stores 1,288 rows, more than this budget; the plan
+        # that stops at full rank stores 110 and fits, as does a budget of
+        # exactly 1,288
+        monkeypatch.setattr(netinv.inverse, "MAX_ROWS", 1287)
+        with pytest.raises(TooManySystems, match="^more than 1287 rows for one plan$"):
+            compile_topology(lattice_ones, stop_at_full_rank=False)
+        assert len(compile_topology(lattice_ones).rows) == 110
+        monkeypatch.setattr(netinv.inverse, "MAX_ROWS", 1288)
+        assert len(compile_topology(lattice_ones, stop_at_full_rank=False).rows) == 1288
+
     def test_grid3_negated_map_is_the_topology_fault(self, grid3):
         # at |P| <= 3 every grid3 row has size 3 and -Lambda contradicts
         # each one's sign, but rank 12 of 25 is the topology's verdict
@@ -529,15 +542,49 @@ class TestRankTopology:
         [
             lattice_fixture([1.0] * 12),
             grid_fixture(3, [1.0] * 24),
+            star(2),
+            star(3),
             star(4),
             star(5),
             Network(3, 0, ()),
             Network(0, 0, ()),
         ],
-        ids=["lattice", "grid3", "star4", "star5", "edgeless", "empty"],
+        ids=["lattice", "grid3", "star2", "star3", "star4", "star5", "edgeless", "empty"],
     )
     def test_matches_compile(self, net):
+        # star(2)'s one family, 1-3-2, has one variant and so no twin
+        # difference: rank 1 of 3
         census_matches_compile(net)
+
+    @pytest.mark.parametrize("net", TWIN_NETWORKS[2:])  # the two stars are above
+    def test_matches_compile_on_twin_networks(self, net):
+        census_matches_compile(net)
+
+    @pytest.mark.parametrize(
+        "net, caps",
+        [
+            (grid_fixture(3, [1.0] * 24), (1, 2, 3, 4)),
+            (lattice_fixture([1.0] * 12), (None,)),
+            (box_network(1, 1, 2), (None,)),
+        ],
+        ids=["grid3", "lattice", "box112"],
+    )
+    def test_relabeling_keeps_the_certificate(self, net, caps):
+        # the twin differences depend on which twin is lowest, the
+        # certificate does not: a relabeled network has the same rows and
+        # rank, and its unresolved edges are the images of the original's
+        for seed in range(3):
+            other, perm = relabeled(net, seed)
+            image = {frozenset(e.pair): e.id for e in other.edges}
+            edge_map = {e.id: image[frozenset((perm[e.u], perm[e.v]))] for e in net.edges}
+            for cap in caps:
+                cert, mapped = rank_topology(net, cap), rank_topology(other, cap)
+                assert (mapped.rows, mapped.rank, mapped.n_unknowns) == (
+                    cert.rows,
+                    cert.rank,
+                    cert.n_unknowns,
+                )
+                assert mapped.unresolved_edges == tuple(sorted(edge_map[e] for e in cert.unresolved_edges))
 
     @pytest.mark.parametrize(
         "shape, caps", [((1, 1, 2), None), ((1, 2, 2), (1, 2, 3))], ids=["box112", "box122"]
@@ -578,11 +625,15 @@ class TestRankTopology:
 
     def test_stops_ranking_at_full_rank(self, monkeypatch):
         # once the rows reach full rank, the later orbits' rows are counted,
-        # not ranked: 51 of the 79 rows that could raise the rank, the last
-        # of them raising it to full
+        # not ranked: 31 of the 47 rows that could raise the rank (the 11
+        # walked families' rows, the 4 differences of the 4 twin classes of
+        # two and 32 free-pendant unit rows), the last of them raising it
+        # to full
         net = lattice_fixture([1.0] * 12)
         census = list(netinv.paths.core_census(net, net.n_boundary))
-        assert sum(len(rows) + len(extra) for _, rows, extra in census) == 79
+        classes = {twins for _, _, reached, _ in census for twins in reached}
+        differences = sum(len(twins) - 1 for twins in classes)
+        assert (len(census), differences, sum(len(extra) for *_, extra in census)) == (11, 4, 32)
         raised = []
         add = RowSpace.add_sparse
 
@@ -593,7 +644,7 @@ class TestRankTopology:
         monkeypatch.setattr(RowSpace, "add_sparse", counted)
         cert = rank_topology(net)
         assert (cert.rows, cert.rank, cert.full_rank) == (1288, 13, True)
-        assert len(raised) == 51
+        assert len(raised) == 31
         assert raised[-1] is True
 
     @pytest.mark.parametrize("cap", [0, -1, 2.5, "3"])
